@@ -110,11 +110,7 @@ def recombination_offdiag(index) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def build_block_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
-    """Trilinear block with cached eigendecomposition.
-
-    Safe to call from several threads; the cache inserts at most one entry
-    per index and duplicate computation is harmless.
-    """
+    """Trilinear block with cached eigendecomposition."""
     index = BlockIndex(*index)
     return _assemble(index, trilinear_offdiag(index))
 

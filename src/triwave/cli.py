@@ -28,17 +28,16 @@ from .experiments import (
     stage2_sweep,
 )
 from .metrics import (
+    PHASE_GRID_MIN,
     matched_pcs_overlap_rho,
     mean_photon,
     purity,
     reciprocal_peak_likelihood,
 )
-from .states import make_coherent_pump
+from .states import EPS_CEILING, make_coherent_pump
 
 SWEEP_HEADER = ["tau", "overlap", "eta", "purity", "delta_phi", "n_a", "n_b", "n_c", "lambda_re", "lambda_im"]
 SCALING_HEADER = ["n_in", "n_out", "tau_opt", "overlap", "eta", "purity", "delta_phi", "lambda_re", "lambda_im"]
-
-_EPS_CEILING = 1e-4
 
 
 class ConfigError(ValueError):
@@ -138,6 +137,9 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
     config = RunConfig(command=args.command)
     if args.command == "block-info":
         if args.s < 0 or args.k < 0 or args.k > args.s:
@@ -146,11 +148,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         return config
 
     config.eps = args.eps
-    if not (0.0 < config.eps <= _EPS_CEILING):
-        raise ConfigError(f"--eps must lie in (0, {_EPS_CEILING}], got {config.eps}")
+    if not (0.0 < config.eps <= EPS_CEILING):
+        raise ConfigError(f"--eps must lie in (0, {EPS_CEILING}], got {config.eps}")
     config.phase_grid = args.phase_grid
-    if config.phase_grid < 256:
-        raise ConfigError(f"--phase-grid needs at least 256 points, got {config.phase_grid}")
+    if config.phase_grid < PHASE_GRID_MIN:
+        raise ConfigError(f"--phase-grid needs at least {PHASE_GRID_MIN} points, got {config.phase_grid}")
     config.out = args.out
     out_dir = os.path.dirname(config.out) or "."
     if not os.path.isdir(out_dir):
@@ -189,11 +191,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _parse_energy_list(text: str) -> tuple[float, ...]:
     try:
+        parts = text.split(":") if ":" in text else [p for p in text.split(",") if p.strip()]
+        numbers = [float(p) for p in parts]
+        if not all(math.isfinite(v) for v in numbers):
+            raise ValueError("entries must be finite")
         if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
+            if len(numbers) != 3:
                 raise ValueError("expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = numbers
             if step <= 0.0:
                 raise ValueError("step must be positive")
             if stop < start:
@@ -201,8 +206,8 @@ def _parse_energy_list(text: str) -> tuple[float, ...]:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             values = tuple(start + step * i for i in range(count))
         else:
-            values = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
+            values = tuple(numbers)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"--n-in-list could not be parsed: {exc}") from exc
     if len(values) < 3:
         raise ConfigError("--n-in-list needs at least 3 energies for the power-law fits")

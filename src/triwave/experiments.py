@@ -6,15 +6,10 @@ beam back up into the output mode and scores it against the matched
 phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.
-
-Sweep points are independent; set TRIWAVE_THREADS to evaluate them with a
-small thread pool (the default is serial, results are identical).
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +20,7 @@ from .metrics import (
     conversion_rate_down,
     conversion_rate_up,
     matched_pcs_overlap,
+    matched_pcs_overlap_rho,
     mean_photon,
     overlap_with_product,
     purity,
@@ -111,7 +107,7 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
             lambda_or_chi=chi,
         )
 
-    return _map_ordered(one, taus)
+    return [one(tau) for tau in taus]
 
 
 def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1024) -> list[SweepRecord]:
@@ -124,8 +120,8 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
 
     def one(tau: float) -> SweepRecord:
         state = evolve(beam, tau)
-        overlap, lam = matched_pcs_overlap(state, phase_grid)
         rho = reduce_mode_c(state)
+        overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
         return SweepRecord(
             tau=float(tau),
             overlap=overlap,
@@ -138,7 +134,7 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
             lambda_or_chi=lam,
         )
 
-    return _map_ordered(one, taus)
+    return [one(tau) for tau in taus]
 
 
 def find_optimal_tau(
@@ -158,17 +154,8 @@ def find_optimal_tau(
     peak of the coarse scan rather than that boundary artifact.  Returns
     (tau_opt, overlap, eta).
     """
-    if chi == 0:
-        raise ValueError("twin beam with chi = 0 carries no pairs to convert")
-    beam = make_twin_beam(chi, eps)
-    energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
-
-    def objective(tau: float) -> float:
-        return matched_pcs_overlap(evolve(beam, tau), phase_grid)[0]
-
-    tau_opt, overlap = _grid_then_golden(objective, window, coarse_points, tol)
-    eta = conversion_rate_up(evolve(beam, tau_opt), energy_in)
-    return tau_opt, overlap, eta
+    tau_opt, overlap, out, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
+    return tau_opt, overlap, conversion_rate_up(out, energy_in)
 
 
 def find_peak_conversion_tau(
@@ -233,18 +220,16 @@ def scaling_study(
         if n_in <= 0.0:
             raise ValueError("input photon numbers must be positive")
         chi = math.sqrt(n_in / (n_in + 2.0))
-        tau_opt, overlap, eta = find_optimal_tau(chi, eps, window, coarse_points, tol, phase_grid)
-        beam = make_twin_beam(chi, eps)
-        out = evolve(beam, tau_opt)
+        tau_opt, _, out, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
         rho = reduce_mode_c(out)
-        _, lam = matched_pcs_overlap(out, phase_grid)
+        overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
         points.append(
             ScalingPoint(
                 n_in=float(n_in),
                 n_out=mean_photon(out, "c"),
                 tau_opt=tau_opt,
                 overlap=overlap,
-                eta=eta,
+                eta=conversion_rate_up(out, energy_in),
                 purity=purity(rho),
                 delta_phi=reciprocal_peak_likelihood(rho, phase_grid),
                 matched_lambda=lam,
@@ -293,10 +278,33 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
     return ReducedDensityMatrix(mode="c", matrix=rho)
 
 
+def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
+    """The search of find_optimal_tau.
+
+    Returns (tau_opt, overlap, output state at tau_opt, twin-beam energy).
+    The golden search evaluates tau_opt last, so its state is kept from
+    that evaluation instead of being evolved again.
+    """
+    if chi == 0:
+        raise ValueError("twin beam with chi = 0 carries no pairs to convert")
+    beam = make_twin_beam(chi, eps)
+    energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
+    last = {}
+
+    def objective(tau: float) -> float:
+        last["state"] = evolve(beam, tau)
+        return matched_pcs_overlap(last["state"], phase_grid)[0]
+
+    tau_opt, overlap = _grid_then_golden(objective, window, coarse_points, tol)
+    return tau_opt, overlap, last["state"], energy_in
+
+
 def _check_tau_grid(tau_grid) -> np.ndarray:
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
         raise ValueError("tau grid must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("tau grid must be finite")
     if np.any(taus < 0.0):
         raise ValueError("tau grid must be non-negative")
     if len(taus) > 1 and np.any(np.diff(taus) <= 0.0):
@@ -313,7 +321,7 @@ def _grid_then_golden(objective, window, coarse_points, tol) -> tuple[float, flo
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
-    values = np.asarray(_map_ordered(objective, taus))
+    values = np.asarray([objective(tau) for tau in taus])
     best = _best_peak_index(values)
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
     right = taus[best + 1] if best < coarse_points - 1 else hi
@@ -355,19 +363,3 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("TRIWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _worker_count()
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -6,19 +6,24 @@ Conventions used throughout:
   in [0, 1] alongside the conversion rates;
 * the canonical phase distribution of a single-mode density matrix is
   p(phi) = (2 pi)^-1 sum_{n,m} exp(i (n - m) phi) rho_nm, and the phase
-  sensitivity is the reciprocal peak likelihood delta_phi = 1 / max p.
+  sensitivity is the reciprocal peak likelihood delta_phi = 1 / max p;
+* the phase figures share one exact path: lag sums t_d = sum_m M[m + d, m]
+  of the (weighted) mode-c density matrix, one FFT over the phase grid, and
+  a parabolic refinement of the grid maximum.  The matched overlap of a
+  pure state goes through its reduced density matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .blocks import block_occupations
 from .evolution import ThreeModeState
 
 _MODE_AXIS = {"a": 0, "b": 1, "c": 2}
+
+PHASE_GRID_MIN = 256
 
 
 @dataclass
@@ -156,14 +161,10 @@ def purity(rho: ReducedDensityMatrix) -> float:
 def phase_distribution(rho: ReducedDensityMatrix, grid_points: int = 1024) -> np.ndarray:
     """Canonical phase distribution sampled on a uniform grid over [0, 2 pi).
 
-    Needs at least 256 grid points; the Riemann sum over the grid equals
-    the trace whenever the grid is finer than the matrix dimension.
+    Needs at least PHASE_GRID_MIN grid points; the Riemann sum over the grid
+    equals the trace whenever the grid is finer than the matrix dimension.
     """
-    if grid_points < 256:
-        raise ValueError(f"phase grid needs at least 256 points, got {grid_points}")
-    phis = _phase_grid(grid_points)
-    sums = _diagonal_sums(rho.matrix)
-    return _cosine_profile(sums, phis) / (2.0 * np.pi)
+    return _grid_profile(np.conj(_lag_sums(rho.matrix)), grid_points) / (2.0 * np.pi)
 
 
 def reciprocal_peak_likelihood(rho: ReducedDensityMatrix, grid_points: int = 1024) -> float:
@@ -172,73 +173,40 @@ def reciprocal_peak_likelihood(rho: ReducedDensityMatrix, grid_points: int = 102
     The grid maximum is refined by a local quadratic fit through the best
     point and its two neighbours (periodic).
     """
-    p = phase_distribution(rho, grid_points)
-    best = int(np.argmax(p))
-    left = p[(best - 1) % len(p)]
-    right = p[(best + 1) % len(p)]
-    _, peak = _refine_peak(float(left), float(p[best]), float(right))
+    _, peak = _grid_peak(phase_distribution(rho, grid_points))
     if peak <= 0.0:
         raise ValueError("phase distribution has no positive peak")
     return 1.0 / peak
 
 
 def matched_pcs_overlap(state: ThreeModeState, phase_grid: int = 1024) -> tuple[float, complex]:
-    """Best overlap with a phase-coherent state matched to the output energy.
+    """Best overlap of the output mode with an energy-matched phase-coherent state.
 
-    The modulus of the reference parameter lam is fixed by the mean output
-    photon number, |lam|^2 = N / (N + 1); its phase is taken at the maximum
-    of the overlap over a uniform grid of phase_grid points, refined
-    quadratically.  Returns (overlap, lam).  For a vacuum output mode the
-    phase is undefined and lam = 0 is returned.
+    Equal to matched_pcs_overlap_rho(reduce_mode_c(state), phase_grid).
     """
-    if phase_grid < 256:
-        raise ValueError(f"phase grid needs at least 256 points, got {phase_grid}")
-    n_bar = mean_photon(state, "c")
-    if n_bar == 0.0:
-        overlap = overlap_with_product(state, bra_c=np.ones(1, dtype=complex))
-        return overlap, 0.0 + 0.0j
-    mod = float(np.sqrt(n_bar / (1.0 + n_bar)))
-    _, _, nc_max = state.mode_support()
-    pair = _mode_pair_matrix(state, nc_max + 1)
-    weights = np.sqrt(1.0 - mod**2) * mod ** np.arange(nc_max + 1)
-    weighted = pair * weights[np.newaxis, :]
-    sums = _row_autocorrelations(weighted)
-    return _best_phase_overlap(sums, mod, phase_grid)
+    return matched_pcs_overlap_rho(reduce_mode_c(state), phase_grid)
 
 
 def matched_pcs_overlap_rho(rho: ReducedDensityMatrix, phase_grid: int = 1024) -> tuple[float, complex]:
-    """matched_pcs_overlap for an output-mode density matrix.
+    """Best overlap with a phase-coherent state matched to the output energy.
 
-    Used to score mixed outputs such as the chained two-stage pipeline.
+    The modulus of the reference parameter lam is fixed by the mean output
+    photon number, |lam|^2 = N / (N + 1); its phase theta is taken at the
+    maximum of the overlap over a uniform grid of phase_grid points, refined
+    quadratically, and the overlap is the exact cosine sum at that theta.
+    Returns (overlap, lam).  For a vacuum output mode the profile is flat,
+    so theta = 0 and lam = 0.
     """
-    if phase_grid < 256:
-        raise ValueError(f"phase grid needs at least 256 points, got {phase_grid}")
     mat = rho.matrix
     occ = np.arange(mat.shape[0])
     n_bar = float(np.real(np.diag(mat)) @ occ)
-    if n_bar == 0.0:
-        return float(np.sqrt(max(0.0, mat[0, 0].real))), 0.0 + 0.0j
     mod = float(np.sqrt(n_bar / (1.0 + n_bar)))
     weights = np.sqrt(1.0 - mod**2) * mod**occ
-    weighted = weights[:, np.newaxis] * mat * weights[np.newaxis, :]
-    sums = _diagonal_sums(weighted)
-    return _best_phase_overlap(sums, mod, phase_grid)
-
-
-def _best_phase_overlap(sums: np.ndarray, mod: float, phase_grid: int) -> tuple[float, complex]:
-    """Maximize t_0 + 2 Re sum_d t_d exp(-i d theta) over the phase grid."""
-    thetas = _phase_grid(phase_grid)
-    profile = _cosine_profile(sums, -thetas)
-    best = int(np.argmax(profile))
-    left = profile[(best - 1) % phase_grid]
-    right = profile[(best + 1) % phase_grid]
-    step = 2.0 * np.pi / phase_grid
-    shift, _ = _refine_peak(float(left), float(profile[best]), float(right))
-    theta = float(thetas[best] + shift * step)
+    sums = _lag_sums(weights[:, np.newaxis] * mat * weights[np.newaxis, :])
+    position, _ = _grid_peak(_grid_profile(sums, phase_grid))
+    theta = 2.0 * np.pi * position / phase_grid
     d = np.arange(1, len(sums))
-    value = float(sums[0].real)
-    if len(sums) > 1:
-        value += float(2.0 * np.real(np.sum(sums[1:] * np.exp(-1j * d * theta))))
+    value = float(sums[0].real) + float(2.0 * np.real(np.sum(sums[1:] * np.exp(-1j * d * theta))))
     overlap = float(np.sqrt(min(1.0, max(0.0, value))))
     return overlap, mod * complex(np.exp(1j * theta))
 
@@ -261,33 +229,39 @@ def _mode_pair_matrix(state: ThreeModeState, nc_dim: int) -> np.ndarray:
     return out
 
 
-def _row_autocorrelations(mat: np.ndarray) -> np.ndarray:
-    """sum over rows of sum_m row[m + d] conj(row[m]), for lags d >= 0."""
-    ncols = mat.shape[1]
-    length = next_fast_len(2 * ncols - 1)
-    spectra = np.fft.fft(mat, n=length, axis=1)
-    power = np.sum(np.abs(spectra) ** 2, axis=0)
-    corr = np.fft.ifft(power)
-    return corr[:ncols]
+def _lag_sums(matrix: np.ndarray) -> np.ndarray:
+    """t_d = sum_m matrix[m + d, m] for d = 0 .. dim - 1.
 
-
-def _diagonal_sums(matrix: np.ndarray) -> np.ndarray:
-    """t_d = sum_m matrix[m + d, m] for d = 0 .. dim - 1."""
+    Row m of the upper triangle of matrix.T holds matrix[m + d, m] at column
+    m + d.  Laid out with rows of length dim + 1 it sits at column d, and the
+    entries that wrap into the next row are zeros of the triangle.
+    """
     dim = matrix.shape[0]
-    return np.array([np.trace(matrix, offset=-d) for d in range(dim)])
+    flat = np.concatenate([np.triu(matrix.T).ravel(), np.zeros(dim, dtype=matrix.dtype)])
+    return flat.reshape(dim, dim + 1).sum(axis=0)[:dim]
 
 
-def _cosine_profile(sums: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Evaluate t_0 + 2 Re sum_{d>=1} t_d exp(i d phi) on the given phases."""
-    if len(sums) == 1:
-        return np.full(len(phis), float(sums[0].real))
-    d = np.arange(1, len(sums))
-    osc = np.exp(1j * np.outer(d, phis))
-    return sums[0].real + 2.0 * np.real(sums[1:] @ osc)
+def _grid_profile(sums: np.ndarray, points: int) -> np.ndarray:
+    """t_0 + 2 Re sum_{d>=1} t_d exp(-i d theta_k) at theta_k = 2 pi k / points.
+
+    The lag d enters only through d mod points, so the lags are folded into
+    those bins and one FFT evaluates the sum exactly for any number of lags.
+    This is the one place the phase grid is checked.
+    """
+    if points < PHASE_GRID_MIN:
+        raise ValueError(f"phase grid needs at least {PHASE_GRID_MIN} points, got {points}")
+    lags = np.zeros(-(-len(sums) // points) * points, dtype=complex)
+    lags[1 : len(sums)] = sums[1:]
+    return float(sums[0].real) + 2.0 * np.fft.fft(lags.reshape(-1, points).sum(axis=0)).real
 
 
-def _phase_grid(points: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(points) / points
+def _grid_peak(profile: np.ndarray) -> tuple[float, float]:
+    """Refined (position in grid steps, value) of the maximum of a periodic profile."""
+    best = int(np.argmax(profile))
+    left = profile[(best - 1) % len(profile)]
+    right = profile[(best + 1) % len(profile)]
+    shift, value = _refine_peak(float(left), float(profile[best]), float(right))
+    return best + shift, value
 
 
 def _refine_peak(left: float, centre: float, right: float) -> tuple[float, float]:

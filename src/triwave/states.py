@@ -9,7 +9,7 @@ from scipy.special import gammaln
 from .blocks import BlockIndex
 from .evolution import ThreeModeState
 
-_EPS_CEILING = 1e-4
+EPS_CEILING = 1e-4
 
 
 def make_coherent_pump(alpha: complex, eps: float = 1e-10) -> ThreeModeState:
@@ -107,5 +107,5 @@ def twin_beam_amplitudes(chi: complex, cutoff: int) -> np.ndarray:
 
 
 def _check_eps(eps: float) -> None:
-    if not (0.0 < eps <= _EPS_CEILING):
-        raise ValueError(f"eps must lie in (0, {_EPS_CEILING}], got {eps}")
+    if not (0.0 < eps <= EPS_CEILING):
+        raise ValueError(f"eps must lie in (0, {EPS_CEILING}], got {eps}")

@@ -122,6 +122,14 @@ def test_block_info(capsys):
         ["scaling", "--n-in-list", "1,2", "--out", "x.csv"],
         ["scaling", "--n-in-list", "nope", "--out", "x.csv"],
         ["pipeline", "--pump-energy", "4", "--tau1", "-0.1", "--tau2", "0.5", "--out", "x.csv"],
+        ["stage2", "--n-in", "2", "--tau-max", "nan", "--tau-steps", "3", "--out", "x.csv"],
+        ["pipeline", "--pump-energy", "4", "--tau1", "nan", "--tau2", "0.5", "--out", "x.csv"],
+        ["stage1", "--pump-energy", "nan", "--tau-max", "1", "--tau-steps", "3", "--out", "x.csv"],
+        ["stage2", "--n-in", "inf", "--tau-max", "1", "--tau-steps", "3", "--out", "x.csv"],
+        ["stage1", "--pump-energy", "4", "--pump-phase", "inf", "--tau-max", "1", "--tau-steps", "3", "--out", "x.csv"],
+        ["scaling", "--n-in-list", "1,2,nan", "--out", "x.csv"],
+        ["scaling", "--n-in-list", "1:inf:1", "--out", "x.csv"],
+        ["scaling", "--n-in-list", "1:1e300:1e-300", "--out", "x.csv"],
         ["block-info", "--s", "2", "--k", "3"],
     ],
 )

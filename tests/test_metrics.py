@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwave import (
     ReducedDensityMatrix,
@@ -31,6 +33,13 @@ def pcs_density(lam, cutoff=160):
 
 def bell_like_state():
     return ThreeModeState.from_fock_dict({(1, 1, 0): 1.0, (0, 0, 1): 1.0})
+
+
+def wide_mode_c_state():
+    """Mixed mode-c marginal with 300 Fock components, more than a 256-point grid."""
+    n = np.arange(300)
+    amps = 0.985**n * np.exp(1j * (0.4 * n + 0.3 * np.sin(n)))
+    return ThreeModeState.from_fock_dict({(k % 2, k % 2, k): a for k, a in zip(n.tolist(), amps)})
 
 
 def test_overlap_single_mode_bra():
@@ -143,6 +152,19 @@ def test_phase_distribution_is_normalized_density():
     assert abs(p.mean() * 2 * np.pi - 1.0) < 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_phase_distribution_matches_brute_force_beyond_grid(size, seed):
+    # supports up to 600 wide on a 256-point grid fold lags d >= 256 onto d mod 256
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    psi /= np.linalg.norm(psi)
+    rho = ReducedDensityMatrix(mode="c", matrix=np.outer(psi, psi.conj()))
+    phis = 2 * np.pi * np.arange(256) / 256
+    brute = np.abs(np.exp(1j * np.outer(phis, np.arange(size))) @ psi) ** 2 / (2 * np.pi)
+    assert np.max(np.abs(phase_distribution(rho, 256) - brute)) <= 1e-12
+
+
 def test_phase_distribution_grid_validation():
     with pytest.raises(ValueError):
         phase_distribution(pcs_density(0.3), 128)
@@ -184,11 +206,18 @@ def test_matched_overlap_vacuum():
 
 
 def test_matched_overlap_agrees_with_direct_product_overlap():
-    beam = make_twin_beam(math.sqrt(0.5))
-    state = evolve(beam, 0.7)
-    overlap, lam = matched_pcs_overlap(state)
-    direct = overlap_with_product(state, bra_c=pcs_amplitudes(lam, state.mode_support()[2]))
-    assert abs(overlap - direct) < 1e-10
+    # the second state is wider than its phase grid
+    cases = [(evolve(make_twin_beam(math.sqrt(0.5)), 0.7), 1024), (wide_mode_c_state(), 256)]
+    for state, grid in cases:
+        overlap, lam = matched_pcs_overlap(state, grid)
+        cutoff = state.mode_support()[2]
+        direct = overlap_with_product(state, bra_c=pcs_amplitudes(lam, cutoff))
+        assert abs(overlap - direct) < 1e-10
+        # the chosen phase lies within one grid step of the brute-force grid maximum
+        thetas = 2 * np.pi * np.arange(grid) / grid
+        refs = np.array([pcs_amplitudes(abs(lam) * np.exp(1j * t), cutoff) for t in thetas])
+        brute = np.einsum("gi,ij,gj->g", refs.conj(), reduce_mode_c(state).matrix, refs).real
+        assert abs(np.angle(lam * np.exp(-1j * thetas[np.argmax(brute)]))) <= 2 * np.pi / grid
 
 
 def test_matched_overlap_phase_covariance():
