@@ -11,33 +11,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .blocks import block_dimension, recombination_offdiag, trilinear_offdiag
-from .evolution import evolve
-from .experiments import (
-    PowerLawFit,
-    ScalingPoint,
-    SweepRecord,
-    _best_peak_index,
-    full_pipeline,
-    scaling_study,
-    stage1_sweep,
-    stage2_sweep,
-)
-from .metrics import (
-    PHASE_GRID_MIN,
-    matched_pcs_overlap_rho,
-    mean_photon,
-    purity,
-    reciprocal_peak_likelihood,
-)
-from .states import EPS_CEILING, make_coherent_pump
-
-SWEEP_HEADER = ["tau", "overlap", "eta", "purity", "delta_phi", "n_a", "n_b", "n_c", "lambda_re", "lambda_im"]
-SCALING_HEADER = ["n_in", "n_out", "tau_opt", "overlap", "eta", "purity", "delta_phi", "lambda_re", "lambda_im"]
+from .evolution import evolve  # noqa: F401  (unused; perfbench/test_perfbench.py reads triwave.cli.evolve)
+from .experiments import best_peak_index, pipeline_record, scaling_study, stage1_sweep, stage2_sweep
+from .metrics import PHASE_GRID_MIN
+from .states import EPS_CEILING
 
 
 class ConfigError(ValueError):
@@ -63,10 +45,6 @@ class RunConfig:
     n_in_list: tuple[float, ...] | None = None
     s: int | None = None
     k: int | None = None
-
-    def to_json_dict(self) -> dict:
-        raw = asdict(self)
-        return {key: _json_value(value) for key, value in raw.items() if value is not None}
 
 
 def main(argv=None) -> int:
@@ -234,7 +212,7 @@ def _run_stage1(config: RunConfig) -> int:
     alpha = math.sqrt(config.pump_energy) * complex(np.exp(1j * config.pump_phase))
     taus = np.linspace(config.tau_min, config.tau_max, config.tau_steps)
     records = stage1_sweep(alpha, taus, eps=config.eps)
-    _write_records(config, records)
+    _write(config, records)
     best = max(records, key=lambda r: r.eta)
     print(f"stage1: tau_opt={best.tau:.6g} overlap={best.overlap:.6g} eta={best.eta:.6g}")
     return 0
@@ -244,54 +222,24 @@ def _run_stage2(config: RunConfig) -> int:
     chi = math.sqrt(config.n_in / (config.n_in + 2.0)) * complex(np.exp(1j * config.chi_phase))
     taus = np.linspace(config.tau_min, config.tau_max, config.tau_steps)
     records = stage2_sweep(chi, taus, eps=config.eps, phase_grid=config.phase_grid)
-    _write_records(config, records)
+    _write(config, records)
     # the overlap is trivially 1 at tau = 0, so summarize the interior peak
-    best = records[_best_peak_index(np.array([r.overlap for r in records]))]
+    best = records[best_peak_index(np.array([r.overlap for r in records]))]
     print(f"stage2: tau_opt={best.tau:.6g} overlap={best.overlap:.6g} eta={best.eta:.6g}")
     return 0
 
 
 def _run_pipeline(config: RunConfig) -> int:
     alpha = math.sqrt(config.pump_energy) * complex(np.exp(1j * config.pump_phase))
-    rho = full_pipeline(alpha, config.tau1, config.tau2, eps=config.eps)
-    pump = make_coherent_pump(alpha, eps=config.eps)
-    mid = evolve(pump, config.tau1)
-    energy_in = mean_photon(mid, "a") + mean_photon(mid, "b")
-    occ = np.arange(rho.matrix.shape[0])
-    n_out = float(np.real(np.diag(rho.matrix)) @ occ)
-    overlap, lam = matched_pcs_overlap_rho(rho, config.phase_grid)
-    record = SweepRecord(
-        tau=config.tau2,
-        overlap=overlap,
-        eta=(2.0 * n_out / energy_in) if energy_in > 0.0 else float("nan"),
-        purity=purity(rho),
-        delta_phi=reciprocal_peak_likelihood(rho, config.phase_grid),
-        n_a=float("nan"),
-        n_b=float("nan"),
-        n_c=n_out,
-        lambda_or_chi=lam,
-    )
-    _write_records(config, [record])
-    print(f"pipeline: n_out={n_out:.6g} overlap={overlap:.6g} purity={record.purity:.6g}")
+    record = pipeline_record(alpha, config.tau1, config.tau2, eps=config.eps, phase_grid=config.phase_grid)
+    _write(config, [record])
+    print(f"pipeline: n_out={record.n_c:.6g} overlap={record.overlap:.6g} purity={record.purity:.6g}")
     return 0
 
 
 def _run_scaling(config: RunConfig) -> int:
     points, fits = scaling_study(config.n_in_list, eps=config.eps, phase_grid=config.phase_grid)
-    if config.fmt == "json":
-        payload = {
-            "config": config.to_json_dict(),
-            "records": [_scaling_dict(p) for p in points],
-            "fits": {name: _fit_dict(fit) for name, fit in fits.items()},
-        }
-        _write_json(config.out, payload)
-    else:
-        rows = [
-            [_fmt(p.n_in), _fmt(p.n_out), _fmt(p.tau_opt), _fmt(p.overlap), _fmt(p.eta),
-             _fmt(p.purity), _fmt(p.delta_phi), _fmt(p.matched_lambda.real), _fmt(p.matched_lambda.imag)]
-            for p in points
-        ]
-        _write_csv(config.out, SCALING_HEADER, rows)
+    _write(config, points, fits)
     fit_in = fits["tau_opt_vs_n_in"]
     fit_out = fits["tau_opt_vs_n_out"]
     print(
@@ -313,88 +261,50 @@ def _run_block_info(config: RunConfig) -> int:
     return 0
 
 
-def _write_records(config: RunConfig, records: list[SweepRecord]) -> None:
-    if config.fmt == "json":
-        payload = {
-            "config": config.to_json_dict(),
-            "records": [_record_dict(r) for r in records],
-            "fits": {},
-        }
-        _write_json(config.out, payload)
-    else:
-        rows = [
-            [_fmt(r.tau), _fmt(r.overlap), _fmt(r.eta), _fmt(r.purity), _fmt(r.delta_phi),
-             _fmt(r.n_a), _fmt(r.n_b), _fmt(r.n_c), _fmt(r.lambda_or_chi.real), _fmt(r.lambda_or_chi.imag)]
-            for r in records
-        ]
-        _write_csv(config.out, SWEEP_HEADER, rows)
+def _write(config: RunConfig, records: list, fits: dict | None = None) -> None:
+    """Write the records, one row each, and the fits (JSON only) to config.out."""
+    rows = [_columns(r) for r in records]
+    with open(config.out, "w", newline="") as fh:
+        if config.fmt == "json":
+            payload = {
+                "config": {key: value for key, value in asdict(config).items() if value is not None},
+                "records": rows,
+                "fits": {name: _columns(fit) for name, fit in (fits or {}).items()},
+            }
+            json.dump(_json_value(payload), fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0].keys())
+            writer.writerows([repr(v) for v in row.values()] for row in rows)
 
 
-def _record_dict(rec: SweepRecord) -> dict:
-    return {
-        "tau": _json_float(rec.tau),
-        "overlap": _json_float(rec.overlap),
-        "eta": _json_float(rec.eta),
-        "purity": _json_float(rec.purity),
-        "delta_phi": _json_float(rec.delta_phi),
-        "n_a": _json_float(rec.n_a),
-        "n_b": _json_float(rec.n_b),
-        "n_c": _json_float(rec.n_c),
-        "lambda_re": _json_float(rec.lambda_or_chi.real),
-        "lambda_im": _json_float(rec.lambda_or_chi.imag),
-    }
+def _columns(record) -> dict[str, float]:
+    """A record dataclass as {column: value}, in field order.
 
-
-def _scaling_dict(point: ScalingPoint) -> dict:
-    return {
-        "n_in": _json_float(point.n_in),
-        "n_out": _json_float(point.n_out),
-        "tau_opt": _json_float(point.tau_opt),
-        "overlap": _json_float(point.overlap),
-        "eta": _json_float(point.eta),
-        "purity": _json_float(point.purity),
-        "delta_phi": _json_float(point.delta_phi),
-        "lambda_re": _json_float(point.matched_lambda.real),
-        "lambda_im": _json_float(point.matched_lambda.imag),
-    }
-
-
-def _fit_dict(fit: PowerLawFit) -> dict:
-    return {
-        "prefactor": _json_float(fit.prefactor),
-        "exponent": _json_float(fit.exponent),
-        "residual": _json_float(fit.residual),
-    }
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _json_float(x: float):
-    x = float(x)
-    return None if math.isnan(x) else x
+    A complex field splits into <column>_re and <column>_im, where the
+    column stem is the field's "column" metadata, else its name.
+    """
+    row = {}
+    for f in fields(record):
+        column = f.metadata.get("column", f.name)
+        value = getattr(record, f.name)
+        if isinstance(value, complex):
+            row[column + "_re"], row[column + "_im"] = float(value.real), float(value.imag)
+        else:
+            row[column] = float(value)
+    return row
 
 
 def _json_value(value):
+    """value with NaN as None and tuples as lists, for strict JSON."""
     if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, tuple):
+        return None if math.isnan(value) else value
+    if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
     return value
-
-
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
 
 
 if __name__ == "__main__":

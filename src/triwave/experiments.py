@@ -10,7 +10,7 @@ into a single mixed-state pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,12 +27,7 @@ from .metrics import (
     reciprocal_peak_likelihood,
     reduce_mode_c,
 )
-from .states import (
-    make_coherent_pump,
-    make_twin_beam,
-    predicted_twin_beam_param,
-    twin_beam_amplitudes,
-)
+from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 from .blocks import block_occupations
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -40,7 +35,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class SweepRecord:
-    """Figures of merit at one interaction time."""
+    """Figures of merit at one interaction time.
+
+    Output files write the fields in this order; a complex field splits
+    into <column>_re and <column>_im, its column stem given in metadata.
+    """
 
     tau: float
     overlap: float
@@ -50,7 +49,7 @@ class SweepRecord:
     n_a: float
     n_b: float
     n_c: float
-    lambda_or_chi: complex
+    lambda_or_chi: complex = field(metadata={"column": "lambda"})
 
 
 @dataclass
@@ -73,7 +72,7 @@ class ScalingPoint:
     eta: float
     purity: float
     delta_phi: float
-    matched_lambda: complex
+    matched_lambda: complex = field(metadata={"column": "lambda"})
 
 
 def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord]:
@@ -92,8 +91,10 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     def one(tau: float) -> SweepRecord:
         state = evolve(pump, tau)
         chi = predicted_twin_beam_param(pump_alpha, tau)
-        na_max = state.mode_support()[0]
-        bra = np.diag(twin_beam_amplitudes(chi, na_max))
+        n = np.arange(state.mode_support()[0] + 1)
+        # sech(tau |alpha|) is the exact sqrt(1 - |chi|^2); the latter cancels
+        # to 0 once tanh(tau |alpha|) rounds to 1
+        bra = np.diag(np.asarray(chi, dtype=complex) ** n / math.cosh(tau * abs(pump_alpha)))
         rho = reduce_mode_c(state)
         return SweepRecord(
             tau=float(tau),
@@ -120,14 +121,13 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
 
     def one(tau: float) -> SweepRecord:
         state = evolve(beam, tau)
-        rho = reduce_mode_c(state)
-        overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
+        overlap, lam, pur, delta_phi = _score_output(reduce_mode_c(state), phase_grid)
         return SweepRecord(
             tau=float(tau),
             overlap=overlap,
             eta=conversion_rate_up(state, energy_in),
-            purity=purity(rho),
-            delta_phi=reciprocal_peak_likelihood(rho, phase_grid),
+            purity=pur,
+            delta_phi=delta_phi,
             n_a=mean_photon(state, "a"),
             n_b=mean_photon(state, "b"),
             n_c=mean_photon(state, "c"),
@@ -180,6 +180,24 @@ def find_peak_conversion_tau(
     return _grid_then_golden(objective, window, coarse_points, tol)
 
 
+def best_peak_index(values: np.ndarray) -> int:
+    """Index of the best interior local maximum, else the global argmax.
+
+    Objectives that tend to a trivial optimum at the window edge (the
+    stage-2 overlap approaches 1 as tau -> 0, where nothing has been
+    converted yet) would otherwise pin the search to the first grid
+    point.  Ties keep the earliest index, biasing small tau.
+    """
+    interior = [
+        i
+        for i in range(1, len(values) - 1)
+        if values[i] >= values[i - 1] and values[i] >= values[i + 1]
+    ]
+    if interior:
+        return max(interior, key=lambda i: (values[i], -i))
+    return int(np.argmax(values))
+
+
 def fit_power_law(xs, ys) -> PowerLawFit:
     """Least-squares power law through (xs, ys) in log-log space."""
     xs = np.asarray(xs, dtype=float)
@@ -221,8 +239,7 @@ def scaling_study(
             raise ValueError("input photon numbers must be positive")
         chi = math.sqrt(n_in / (n_in + 2.0))
         tau_opt, _, out, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
-        rho = reduce_mode_c(out)
-        overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
+        overlap, lam, pur, delta_phi = _score_output(reduce_mode_c(out), phase_grid)
         points.append(
             ScalingPoint(
                 n_in=float(n_in),
@@ -230,8 +247,8 @@ def scaling_study(
                 tau_opt=tau_opt,
                 overlap=overlap,
                 eta=conversion_rate_up(out, energy_in),
-                purity=purity(rho),
-                delta_phi=reciprocal_peak_likelihood(rho, phase_grid),
+                purity=pur,
+                delta_phi=delta_phi,
                 matched_lambda=lam,
             )
         )
@@ -250,6 +267,40 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
     mode, evolved for tau2, and reduced.  The weighted sum of the branches
     is the exact mixed output of the chained scheme.
     """
+    return _chain(pump_alpha, tau1, tau2, eps)[0]
+
+
+def pipeline_record(
+    pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10, phase_grid: int = 1024
+) -> SweepRecord:
+    """The output of full_pipeline scored as one record at tau2.
+
+    eta is twice the output photon number over the twin-beam energy that
+    stage 1 delivers (NaN if it delivers none).  The signal and idler are
+    traced out, so n_a and n_b are NaN.
+    """
+    rho, mid = _chain(pump_alpha, tau1, tau2, eps)
+    energy_in = mean_photon(mid, "a") + mean_photon(mid, "b")
+    occ = np.arange(rho.matrix.shape[0])
+    n_out = float(np.real(np.diag(rho.matrix)) @ occ)
+    overlap, lam, pur, delta_phi = _score_output(rho, phase_grid)
+    return SweepRecord(
+        tau=float(tau2),
+        overlap=overlap,
+        eta=(2.0 * n_out / energy_in) if energy_in > 0.0 else float("nan"),
+        purity=pur,
+        delta_phi=delta_phi,
+        n_a=float("nan"),
+        n_b=float("nan"),
+        n_c=n_out,
+        lambda_or_chi=lam,
+    )
+
+
+def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, ThreeModeState]:
+    """The body of full_pipeline; also returns the stage-1 output state."""
+    for tau in (tau1, tau2):
+        _check_tau_grid([tau])
     pump = make_coherent_pump(pump_alpha, eps)
     mid = evolve(pump, tau1)
 
@@ -275,7 +326,13 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
         out = evolve(cond, tau2)
         rho += weight * reduce_mode_c(out, cutoff=cutoff).matrix
     rho = 0.5 * (rho + rho.conj().T)
-    return ReducedDensityMatrix(mode="c", matrix=rho)
+    return ReducedDensityMatrix(mode="c", matrix=rho), mid
+
+
+def _score_output(rho: ReducedDensityMatrix, phase_grid: int) -> tuple[float, complex, float, float]:
+    """Matched overlap, its lam, purity and delta_phi of a mode-c output."""
+    overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
+    return overlap, lam, purity(rho), reciprocal_peak_likelihood(rho, phase_grid)
 
 
 def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
@@ -322,28 +379,10 @@ def _grid_then_golden(objective, window, coarse_points, tol) -> tuple[float, flo
         raise ValueError("tolerance must be positive")
     taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
     values = np.asarray([objective(tau) for tau in taus])
-    best = _best_peak_index(values)
+    best = best_peak_index(values)
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
     right = taus[best + 1] if best < coarse_points - 1 else hi
     return _golden_max(objective, float(left), float(right), tol)
-
-
-def _best_peak_index(values: np.ndarray) -> int:
-    """Index of the best interior local maximum, else the global argmax.
-
-    Objectives that tend to a trivial optimum at the window edge (the
-    stage-2 overlap approaches 1 as tau -> 0, where nothing has been
-    converted yet) would otherwise pin the search to the first grid
-    point.  Ties keep the earliest index, biasing small tau.
-    """
-    interior = [
-        i
-        for i in range(1, len(values) - 1)
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1]
-    ]
-    if interior:
-        return max(interior, key=lambda i: (values[i], -i))
-    return int(np.argmax(values))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -1,10 +1,20 @@
 """Command-line interface: schemas, exit codes, and determinism."""
+import ast
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from triwave.cli import SCALING_HEADER, SWEEP_HEADER, main
+import triwave.cli
+import triwave.evolution
+from triwave.cli import main
+
+# the output schema, pinned literally: columns are the record fields in order
+SWEEP_HEADER = ["tau", "overlap", "eta", "purity", "delta_phi", "n_a", "n_b", "n_c", "lambda_re", "lambda_im"]
+SCALING_HEADER = ["n_in", "n_out", "tau_opt", "overlap", "eta", "purity", "delta_phi", "lambda_re", "lambda_im"]
+FIT_KEYS = ["prefactor", "exponent", "residual"]
 
 
 def run(args):
@@ -25,6 +35,12 @@ def test_stage2_csv_schema(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert summary.startswith("stage2:")
 
+    json_out = tmp_path / "s2.json"
+    assert run(["stage2", "--n-in", "2", "--tau-max", "1.0", "--tau-steps", "3", "--out", str(json_out)]) == 0
+    payload = json.loads(json_out.read_text())
+    assert [list(r) for r in payload["records"]] == [SWEEP_HEADER] * 3
+    assert payload["fits"] == {}
+
 
 def test_stage1_json_schema(tmp_path):
     out = tmp_path / "s1.json"
@@ -36,7 +52,7 @@ def test_stage1_json_schema(tmp_path):
     assert payload["config"]["pump_energy"] == 9.0
     assert len(payload["records"]) == 3
     first = payload["records"][0]
-    assert list(first) == SWEEP_HEADER
+    assert all(list(r) == SWEEP_HEADER for r in payload["records"])
     # the two-mode marginal carries no single-phase reading
     assert first["delta_phi"] is None
     assert first["overlap"] == pytest.approx(1.0, abs=1e-9)
@@ -80,6 +96,8 @@ def test_scaling_csv_and_json(tmp_path):
     assert code == 0
     payload = json.loads(json_out.read_text())
     assert set(payload["fits"]) == {"tau_opt_vs_n_in", "tau_opt_vs_n_out"}
+    assert all(list(fit) == FIT_KEYS for fit in payload["fits"].values())
+    assert all(list(r) == SCALING_HEADER for r in payload["records"])
     assert payload["fits"]["tau_opt_vs_n_in"]["exponent"] < 0.0
     assert [r["n_in"] for r in payload["records"]] == [1.0, 2.0, 3.0]
 
@@ -94,6 +112,8 @@ def test_pipeline_single_record(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["records"]) == 1
     rec = payload["records"][0]
+    assert list(rec) == SWEEP_HEADER
+    assert payload["fits"] == {}
     assert rec["tau"] == 0.9
     assert rec["n_a"] is None and rec["n_b"] is None
     assert 0.0 < rec["overlap"] <= 1.0
@@ -153,3 +173,37 @@ def test_csv_floats_round_trip(tmp_path):
         for cell in row:
             value = float(cell)
             assert repr(value) == cell
+
+
+def test_pipeline_evolves_pump_once(tmp_path, monkeypatch):
+    calls = []
+    original = triwave.evolution.evolve
+
+    def counting(state, tau):
+        calls.append(tau)
+        return original(state, tau)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("triwave.") and getattr(module, "evolve", None) is original:
+            monkeypatch.setattr(module, "evolve", counting)
+    out = tmp_path / "pipe.csv"
+    code = run(["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.9", "--out", str(out)])
+    assert code == 0
+    assert calls.count(0.3) == 1
+    assert len(calls) > 1 and set(calls) == {0.3, 0.9}
+    assert out.read_text().splitlines()[0] == ",".join(SWEEP_HEADER)
+
+
+def test_cli_imports_no_private_triwave_name():
+    # the CLI stays on the public API of the package
+    tree = ast.parse(Path(triwave.cli.__file__).read_text())
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("triwave")):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+            private += [name for name in parts if name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "triwave":
+                    private += [name for name in alias.name.split(".") if name.startswith("_")]
+    assert private == []

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from triwave import (
+    best_peak_index,
     find_optimal_tau,
     find_peak_conversion_tau,
     fit_power_law,
     full_pipeline,
     make_twin_beam,
     matched_pcs_overlap_rho,
+    pipeline_record,
     predicted_twin_beam_param,
+    purity,
+    reciprocal_peak_likelihood,
     scaling_study,
     stage1_sweep,
     stage2_sweep,
@@ -33,6 +37,14 @@ def test_stage1_sweep_basic_records():
         # pump weight is conserved: n_a + n_b + 2 n_c stays at 2 E
         assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(18.0, rel=1e-7)
         assert abs(rec.lambda_or_chi - predicted_twin_beam_param(3.0, rec.tau)) < 1e-12
+
+
+def test_stage1_sweep_saturated_pump_reference():
+    # tanh(1.2 * 16) rounds to 1, so the reference bra needs sech, not sqrt(1 - |chi|^2)
+    (rec,) = stage1_sweep(16.0, [1.2])
+    assert abs(rec.lambda_or_chi) == 1.0
+    assert math.isfinite(rec.overlap) and 0.0 <= rec.overlap <= 1.0
+    assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(512.0, rel=1e-7)
 
 
 def test_stage1_overlap_decays_with_time():
@@ -70,6 +82,13 @@ def test_tau_grid_validation():
             stage2_sweep(0.5, np.array([0.1, bad]))
         with pytest.raises(ValueError):
             stage1_sweep(2.0, np.array([bad]))
+
+
+def test_best_peak_index_prefers_interior_peak():
+    # the edge value 1.0 beats both interior peaks; ties keep the earlier index
+    assert best_peak_index(np.array([1.0, 0.2, 0.5, 0.3, 0.5, 0.1])) == 2
+    assert best_peak_index(np.array([0.9, 0.5, 0.1])) == 0
+    assert best_peak_index(np.array([0.1, 0.5, 0.9])) == 2
 
 
 def test_find_optimal_tau_frozen_point():
@@ -156,3 +175,27 @@ def test_pipeline_zero_first_stage_keeps_vacuum():
     rho = full_pipeline(2.0, 0.0, 0.7)
     assert rho.matrix[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("tau1, tau2", [(math.nan, 0.5), (0.2, math.inf), (-0.1, 0.5), (0.2, -0.5)])
+def test_pipeline_rejects_bad_times(tau1, tau2):
+    with pytest.raises(ValueError):
+        full_pipeline(3.0, tau1, tau2)
+    with pytest.raises(ValueError):
+        pipeline_record(3.0, tau1, tau2)
+
+
+def test_pipeline_record_scores_full_pipeline():
+    alpha = 3.0 * np.exp(0.4j)
+    rho = full_pipeline(alpha, 0.2, 0.9)
+    rec = pipeline_record(alpha, 0.2, 0.9, phase_grid=512)
+    overlap, lam = matched_pcs_overlap_rho(rho, 512)
+    assert rec.tau == 0.9
+    assert rec.overlap == overlap and rec.lambda_or_chi == lam
+    assert rec.purity == purity(rho)
+    assert rec.delta_phi == reciprocal_peak_likelihood(rho, 512)
+    assert rec.n_c == float(np.real(np.diag(rho.matrix)) @ np.arange(rho.matrix.shape[0]))
+    assert math.isnan(rec.n_a) and math.isnan(rec.n_b)
+    # eta is over the twin-beam energy of the stage-1 output at tau1
+    (mid,) = stage1_sweep(alpha, [0.2])
+    assert rec.eta == 2.0 * rec.n_c / (mid.n_a + mid.n_b)
