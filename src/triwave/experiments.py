@@ -5,7 +5,9 @@ the result against the undepleted-pump twin beam.  Stage 2 drives a twin
 beam back up into the output mode and scores it against the matched
 phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
-into a single mixed-state pipeline.
+into a single mixed-state pipeline.  Stage 1 keeps n_a = n_b, so its output
+is the pair-amplitude matrix A of sum A[q, r] |r, r, q>; stage 1 is scored on
+A, and the pipeline contracts G = A^T A* with the stage-2 response per pair.
 """
 from __future__ import annotations
 
@@ -22,13 +24,12 @@ from .metrics import (
     matched_pcs_overlap,
     matched_pcs_overlap_rho,
     mean_photon,
-    overlap_with_product,
     purity,
     reciprocal_peak_likelihood,
     reduce_mode_c,
 )
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
-from .blocks import block_occupations
+from .blocks import BlockIndex
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,16 +92,14 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     def one(tau: float) -> SweepRecord:
         state = evolve(pump, tau)
         chi = predicted_twin_beam_param(pump_alpha, tau)
-        n = np.arange(state.mode_support()[0] + 1)
-        # sech(tau |alpha|) is the exact sqrt(1 - |chi|^2); the latter cancels
-        # to 0 once tanh(tau |alpha|) rounds to 1
-        bra = np.diag(np.asarray(chi, dtype=complex) ** n / math.cosh(tau * abs(pump_alpha)))
-        rho = reduce_mode_c(state)
+        amps = _pair_amplitudes(state)
+        # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1
+        ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) / math.cosh(tau * abs(pump_alpha))
         return SweepRecord(
             tau=float(tau),
-            overlap=overlap_with_product(state, bra_ab=bra),
+            overlap=min(1.0, float(np.linalg.norm(amps @ np.conj(ref)))),  # rounding can exceed 1 as tau -> 0
             eta=conversion_rate_down(state, pump_energy),
-            purity=purity(rho),  # equals the (a, b) marginal purity for a pure state
+            purity=purity(ReducedDensityMatrix("c", amps @ amps.conj().T)),  # rho_c; equals the (a, b) purity
             delta_phi=float("nan"),
             n_a=mean_photon(state, "a"),
             n_b=mean_photon(state, "b"),
@@ -262,10 +261,10 @@ def scaling_study(
 def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10) -> ReducedDensityMatrix:
     """Chain both stages and return the output-mode density matrix.
 
-    The stage-1 output is decomposed over the Fock basis of its pump mode;
-    each conditional pure state on (a, b) is handed a fresh vacuum output
-    mode, evolved for tau2, and reduced.  The weighted sum of the branches
-    is the exact mixed output of the chained scheme.
+    Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a
+    fresh vacuum output mode.  Pair count r enters stage 2 as local index 0
+    of block (2r, r); one evolution of all those gives B[n, p] (n output
+    photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p].
     """
     return _chain(pump_alpha, tau1, tau2, eps)[0]
 
@@ -301,32 +300,31 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, ThreeMode
     """The body of full_pipeline; also returns the stage-1 output state."""
     for tau in (tau1, tau2):
         _check_tau_grid([tau])
-    pump = make_coherent_pump(pump_alpha, eps)
-    mid = evolve(pump, tau1)
-
-    conditionals: dict[int, dict[tuple[int, int, int], complex]] = {}
-    for index, vec in mid.blocks.items():
-        n_a, n_b, n_c = block_occupations(index)
-        for j in range(len(vec)):
-            amp = complex(vec[j])
-            if amp == 0.0:
-                continue
-            branch = conditionals.setdefault(int(n_c[j]), {})
-            branch[(int(n_a[j]), int(n_b[j]), 0)] = amp
-
-    cutoff = mid.mode_support()[0]  # output support is bounded by the pair count
-    dim = cutoff + 1
+    mid = evolve(make_coherent_pump(pump_alpha, eps), tau1)
+    amps = _pair_amplitudes(mid)
+    density = amps.T @ amps.conj()
+    dim = len(amps)  # output support is bounded by the pair count
+    unit_pairs = {BlockIndex(2 * r, r): np.eye(1, r + 1, dtype=complex)[0] for r in range(dim)}
+    response = _pair_amplitudes(evolve(ThreeModeState(blocks=unit_pairs), tau2))
     rho = np.zeros((dim, dim), dtype=complex)
-    for q in sorted(conditionals):
-        branch = conditionals[q]
-        weight = sum(abs(a) ** 2 for a in branch.values())
-        if weight == 0.0:
-            continue
-        cond = ThreeModeState.from_fock_dict(branch, normalize=True)
-        out = evolve(cond, tau2)
-        rho += weight * reduce_mode_c(out, cutoff=cutoff).matrix
+    for p in range(dim):  # p pairs left, so n <= dim - 1 - p
+        col = response[: dim - p, p]
+        rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
     rho = 0.5 * (rho + rho.conj().T)
     return ReducedDensityMatrix(mode="c", matrix=rho), mid
+
+
+def _pair_amplitudes(state: ThreeModeState) -> np.ndarray:
+    """amps[n, k - n] = vec[n] over the blocks (2k, k) of a state with n_a = n_b.
+
+    Rows count mode-c photons, columns the pairs in (a, b), both up to the largest k.
+    """
+    dim = state.mode_support()[0] + 1
+    amps = np.zeros((dim, dim), dtype=complex)
+    for (_, k), vec in state.blocks.items():
+        n = np.arange(k + 1)
+        amps[n, k - n] = vec
+    return amps
 
 
 def _score_output(rho: ReducedDensityMatrix, phase_grid: int) -> tuple[float, complex, float, float]:

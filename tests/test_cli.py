@@ -189,8 +189,7 @@ def test_pipeline_evolves_pump_once(tmp_path, monkeypatch):
     out = tmp_path / "pipe.csv"
     code = run(["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.9", "--out", str(out)])
     assert code == 0
-    assert calls.count(0.3) == 1
-    assert len(calls) > 1 and set(calls) == {0.3, 0.9}
+    assert calls == [0.3, 0.9]  # stage 1 once, then every pair count in one stage-2 evolve
     assert out.read_text().splitlines()[0] == ",".join(SWEEP_HEADER)
 
 

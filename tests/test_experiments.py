@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 from triwave import (
+    ThreeModeState,
     best_peak_index,
+    evolve,
     find_optimal_tau,
     find_peak_conversion_tau,
     fit_power_law,
     full_pipeline,
+    make_coherent_pump,
     make_twin_beam,
     matched_pcs_overlap_rho,
+    overlap_with_product,
     pipeline_record,
     predicted_twin_beam_param,
     purity,
     reciprocal_peak_likelihood,
+    reduce_mode_c,
     scaling_study,
     stage1_sweep,
     stage2_sweep,
@@ -45,6 +50,26 @@ def test_stage1_sweep_saturated_pump_reference():
     assert abs(rec.lambda_or_chi) == 1.0
     assert math.isfinite(rec.overlap) and 0.0 <= rec.overlap <= 1.0
     assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(512.0, rel=1e-7)
+
+
+@pytest.mark.parametrize("energy", [16.0, 81.0])
+def test_stage1_scoring_matches_marginal_definitions(energy):
+    # overlap with the twin-beam bra diag(t) on (a, b), and the mode-c purity
+    alpha = math.sqrt(energy) * np.exp(0.4j)
+    taus = [1e-4, 0.1, 0.3, 0.6]
+    pump = make_coherent_pump(alpha)
+    for tau, rec in zip(taus, stage1_sweep(alpha, taus)):
+        state = evolve(pump, tau)
+        n = np.arange(state.mode_support()[0] + 1)
+        t = predicted_twin_beam_param(alpha, tau) ** n / math.cosh(tau * abs(alpha))
+        assert abs(rec.overlap - overlap_with_product(state, bra_ab=np.diag(t))) <= 1e-12
+        assert abs(rec.purity - purity(reduce_mode_c(state))) <= 1e-12
+
+
+def test_stage1_overlap_never_exceeds_one():
+    # the unclamped norm of A t* rounds to 1.0000000000000002 here
+    (rec,) = stage1_sweep(14.0 * np.exp(2.8423845638813536j), [1e-4])
+    assert 0.0 <= rec.overlap <= 1.0
 
 
 def test_stage1_overlap_decays_with_time():
@@ -169,6 +194,33 @@ def test_pipeline_density_matrix_is_valid():
     overlap, lam = matched_pcs_overlap_rho(rho)
     assert 0.0 < overlap <= 1.0
     assert abs(lam) < 1.0
+
+
+def _branch_pipeline(alpha, tau1, tau2):
+    """The chained output as a mixture of pure branches, one per pump count q."""
+    mid = evolve(make_coherent_pump(alpha), tau1)
+    branches = {}
+    for (n_a, n_b, q), amp in mid.to_fock_dict().items():
+        branches.setdefault(q, {})[(n_a, n_b, 0)] = amp
+    cutoff = mid.mode_support()[0]
+    rho = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for branch in branches.values():
+        weight = sum(abs(amp) ** 2 for amp in branch.values())
+        if weight > 0.0:
+            out = evolve(ThreeModeState.from_fock_dict(branch, normalize=True), tau2)
+            rho += weight * reduce_mode_c(out, cutoff=cutoff).matrix
+    return rho
+
+
+@pytest.mark.parametrize("energy", [1.0, 9.0, 25.0])
+@pytest.mark.parametrize("phase", [0.0, 0.7])
+@pytest.mark.parametrize("tau1, tau2", [(0.2, 0.9), (0.0, 0.7), (0.3, 0.0)])
+def test_pipeline_equals_branch_mixture(energy, phase, tau1, tau2):
+    alpha = math.sqrt(energy) * np.exp(1j * phase)
+    rho = full_pipeline(alpha, tau1, tau2).matrix
+    expected = _branch_pipeline(alpha, tau1, tau2)
+    assert rho.shape == expected.shape
+    assert np.max(np.abs(rho - expected)) <= 1e-12
 
 
 def test_pipeline_zero_first_stage_keeps_vacuum():
