@@ -63,10 +63,10 @@ class BlockHamiltonian:
         return mat
 
     def propagate(self, vec: np.ndarray, tau: float) -> np.ndarray:
-        """Apply exp(-i tau H_block) to a local coefficient vector."""
-        w = self.eigenvectors.T @ vec
-        w = np.exp(-1j * tau * self.eigenvalues) * w
-        return self.eigenvectors @ w
+        """Apply exp(-i tau H_block) to a local coefficient vector; V stays real, never cast."""
+        w = vec.real @ self.eigenvectors + 1j * (vec.imag @ self.eigenvectors)
+        w *= np.exp(-1j * tau * self.eigenvalues)
+        return self.eigenvectors @ w.real + 1j * (self.eigenvectors @ w.imag)
 
 
 def block_dimension(s: int, k: int) -> int:

@@ -92,19 +92,16 @@ class ThreeModeState:
 
 def evolve(state: ThreeModeState, tau: float) -> ThreeModeState:
     """Evolve under the trilinear Hamiltonian for dimensionless time tau."""
-    blocks = {
-        index: build_block_hamiltonian(index).propagate(vec, tau)
-        for index, vec in state.blocks.items()
-    }
-    return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
+    return _evolve(build_block_hamiltonian, state, tau)
 
 
 def evolve_recombination(state: ThreeModeState, tau: float) -> ThreeModeState:
     """Evolve under the ideal recombination Hamiltonian (reference dynamics)."""
-    blocks = {
-        index: build_recombination_hamiltonian(index).propagate(vec, tau)
-        for index, vec in state.blocks.items()
-    }
+    return _evolve(build_recombination_hamiltonian, state, tau)
+
+
+def _evolve(build, state: ThreeModeState, tau: float) -> ThreeModeState:
+    blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
     return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
 
 

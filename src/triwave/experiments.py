@@ -5,9 +5,10 @@ the result against the undepleted-pump twin beam.  Stage 2 drives a twin
 beam back up into the output mode and scores it against the matched
 phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
-into a single mixed-state pipeline.  Stage 1 keeps n_a = n_b, so its output
-is the pair-amplitude matrix A of sum A[q, r] |r, r, q>; stage 1 is scored on
-A, and the pipeline contracts G = A^T A* with the stage-2 response per pair.
+into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
+so each output is read once, as the pair matrix A of sum A[q, r] |r, r, q>:
+its moments give the photon numbers, A A^dag the mode-c density matrix, and
+the pipeline contracts G = A^T A* with the stage-2 response per pair.
 """
 from __future__ import annotations
 
@@ -17,17 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import ThreeModeState, evolve
-from .metrics import (
-    ReducedDensityMatrix,
-    conversion_rate_down,
-    conversion_rate_up,
-    matched_pcs_overlap,
-    matched_pcs_overlap_rho,
-    mean_photon,
-    purity,
-    reciprocal_peak_likelihood,
-    reduce_mode_c,
-)
+from .metrics import ReducedDensityMatrix, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 from .blocks import BlockIndex
 
@@ -85,25 +76,25 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     """
     taus = _check_tau_grid(tau_grid)
     pump = make_coherent_pump(pump_alpha, eps)
-    pump_energy = mean_photon(pump, "c")
+    pump_energy = _moments(_pair_amplitudes(pump))[0]
     if pump_energy == 0.0:
         raise ValueError("stage 1 needs a pump with non-zero energy")
 
     def one(tau: float) -> SweepRecord:
-        state = evolve(pump, tau)
+        amps = _pair_amplitudes(evolve(pump, tau))
+        n_c, n_pair = _moments(amps)
         chi = predicted_twin_beam_param(pump_alpha, tau)
-        amps = _pair_amplitudes(state)
         # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1
         ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) / math.cosh(tau * abs(pump_alpha))
         return SweepRecord(
             tau=float(tau),
             overlap=min(1.0, float(np.linalg.norm(amps @ np.conj(ref)))),  # rounding can exceed 1 as tau -> 0
-            eta=conversion_rate_down(state, pump_energy),
-            purity=purity(ReducedDensityMatrix("c", amps @ amps.conj().T)),  # rho_c; equals the (a, b) purity
+            eta=n_pair / pump_energy,
+            purity=purity(_rho_c(amps)),  # equals the (a, b) purity
             delta_phi=float("nan"),
-            n_a=mean_photon(state, "a"),
-            n_b=mean_photon(state, "b"),
-            n_c=mean_photon(state, "c"),
+            n_a=n_pair,
+            n_b=n_pair,
+            n_c=n_c,
             lambda_or_chi=chi,
         )
 
@@ -114,22 +105,23 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
     taus = _check_tau_grid(tau_grid)
     beam = make_twin_beam(chi, eps)
-    energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
+    energy_in = 2.0 * _moments(_pair_amplitudes(beam))[1]
     if energy_in == 0.0:
         raise ValueError("stage 2 needs a twin beam with non-zero energy")
 
     def one(tau: float) -> SweepRecord:
-        state = evolve(beam, tau)
-        overlap, lam, pur, delta_phi = _score_output(reduce_mode_c(state), phase_grid)
+        amps = _pair_amplitudes(evolve(beam, tau))
+        overlap, lam, pur, delta_phi, n_out = _score_output(_rho_c(amps), phase_grid)
+        n_pair = _moments(amps)[1]
         return SweepRecord(
             tau=float(tau),
             overlap=overlap,
-            eta=conversion_rate_up(state, energy_in),
+            eta=2.0 * n_out / energy_in,
             purity=pur,
             delta_phi=delta_phi,
-            n_a=mean_photon(state, "a"),
-            n_b=mean_photon(state, "b"),
-            n_c=mean_photon(state, "c"),
+            n_a=n_pair,
+            n_b=n_pair,
+            n_c=n_out,
             lambda_or_chi=lam,
         )
 
@@ -153,8 +145,8 @@ def find_optimal_tau(
     peak of the coarse scan rather than that boundary artifact.  Returns
     (tau_opt, overlap, eta).
     """
-    tau_opt, overlap, out, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
-    return tau_opt, overlap, conversion_rate_up(out, energy_in)
+    tau_opt, overlap, amps, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
+    return tau_opt, overlap, 2.0 * _moments(amps)[0] / energy_in
 
 
 def find_peak_conversion_tau(
@@ -169,12 +161,12 @@ def find_peak_conversion_tau(
     Returns (tau_opt, eta).
     """
     pump = make_coherent_pump(pump_alpha, eps)
-    pump_energy = mean_photon(pump, "c")
+    pump_energy = _moments(_pair_amplitudes(pump))[0]
     if pump_energy == 0.0:
         raise ValueError("pump carries no energy")
 
     def objective(tau: float) -> float:
-        return conversion_rate_down(evolve(pump, tau), pump_energy)
+        return _moments(_pair_amplitudes(evolve(pump, tau)))[1] / pump_energy
 
     return _grid_then_golden(objective, window, coarse_points, tol)
 
@@ -232,20 +224,21 @@ def scaling_study(
     |chi|^2 = N / (N + 2) with real positive chi.  Returns the per-energy
     records and fits of tau_opt against input and output photon numbers.
     """
+    n_in_values = [float(n_in) for n_in in n_in_values]
+    if len(n_in_values) < 3 or not all(0.0 < n_in < math.inf for n_in in n_in_values):
+        raise ValueError(f"scaling needs 3 or more finite, positive input photon numbers, got {n_in_values}")
     points: list[ScalingPoint] = []
     for n_in in n_in_values:
-        if n_in <= 0.0:
-            raise ValueError("input photon numbers must be positive")
         chi = math.sqrt(n_in / (n_in + 2.0))
-        tau_opt, _, out, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
-        overlap, lam, pur, delta_phi = _score_output(reduce_mode_c(out), phase_grid)
+        tau_opt, _, amps, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
+        overlap, lam, pur, delta_phi, n_out = _score_output(_rho_c(amps), phase_grid)
         points.append(
             ScalingPoint(
-                n_in=float(n_in),
-                n_out=mean_photon(out, "c"),
+                n_in=n_in,
+                n_out=n_out,
                 tau_opt=tau_opt,
                 overlap=overlap,
-                eta=conversion_rate_up(out, energy_in),
+                eta=2.0 * n_out / energy_in,
                 purity=pur,
                 delta_phi=delta_phi,
                 matched_lambda=lam,
@@ -278,11 +271,9 @@ def pipeline_record(
     stage 1 delivers (NaN if it delivers none).  The signal and idler are
     traced out, so n_a and n_b are NaN.
     """
-    rho, mid = _chain(pump_alpha, tau1, tau2, eps)
-    energy_in = mean_photon(mid, "a") + mean_photon(mid, "b")
-    occ = np.arange(rho.matrix.shape[0])
-    n_out = float(np.real(np.diag(rho.matrix)) @ occ)
-    overlap, lam, pur, delta_phi = _score_output(rho, phase_grid)
+    rho, amps = _chain(pump_alpha, tau1, tau2, eps)
+    energy_in = 2.0 * _moments(amps)[1]
+    overlap, lam, pur, delta_phi, n_out = _score_output(rho, phase_grid)
     return SweepRecord(
         tau=float(tau2),
         overlap=overlap,
@@ -296,12 +287,11 @@ def pipeline_record(
     )
 
 
-def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, ThreeModeState]:
-    """The body of full_pipeline; also returns the stage-1 output state."""
+def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarray]:
+    """The body of full_pipeline; also returns the stage-1 pair matrix."""
     for tau in (tau1, tau2):
         _check_tau_grid([tau])
-    mid = evolve(make_coherent_pump(pump_alpha, eps), tau1)
-    amps = _pair_amplitudes(mid)
+    amps = _pair_amplitudes(evolve(make_coherent_pump(pump_alpha, eps), tau1))
     density = amps.T @ amps.conj()
     dim = len(amps)  # output support is bounded by the pair count
     unit_pairs = {BlockIndex(2 * r, r): np.eye(1, r + 1, dtype=complex)[0] for r in range(dim)}
@@ -311,7 +301,7 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, ThreeMode
         col = response[: dim - p, p]
         rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
     rho = 0.5 * (rho + rho.conj().T)
-    return ReducedDensityMatrix(mode="c", matrix=rho), mid
+    return ReducedDensityMatrix(mode="c", matrix=rho), amps
 
 
 def _pair_amplitudes(state: ThreeModeState) -> np.ndarray:
@@ -327,31 +317,44 @@ def _pair_amplitudes(state: ThreeModeState) -> np.ndarray:
     return amps
 
 
-def _score_output(rho: ReducedDensityMatrix, phase_grid: int) -> tuple[float, complex, float, float]:
-    """Matched overlap, its lam, purity and delta_phi of a mode-c output."""
+def _moments(amps: np.ndarray) -> tuple[float, float]:
+    """(n_c, n_a = n_b) of a pair matrix: sum |A[n, r]|^2 times n, and times r."""
+    weights = np.abs(amps) ** 2
+    occ = np.arange(len(amps))
+    return float(occ @ weights.sum(axis=1)), float(weights.sum(axis=0) @ occ)
+
+
+def _rho_c(amps: np.ndarray) -> ReducedDensityMatrix:
+    """Mode-c density matrix A A^dag of a pair matrix (a and b traced out)."""
+    return ReducedDensityMatrix("c", amps @ amps.conj().T)
+
+
+def _score_output(rho: ReducedDensityMatrix, phase_grid: int) -> tuple[float, complex, float, float, float]:
+    """Matched overlap, its lam, purity, delta_phi and mean photon number of a mode-c output."""
     overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
-    return overlap, lam, purity(rho), reciprocal_peak_likelihood(rho, phase_grid)
+    n_out = float(np.real(np.diag(rho.matrix)) @ np.arange(rho.matrix.shape[0]))
+    return overlap, lam, purity(rho), reciprocal_peak_likelihood(rho, phase_grid), n_out
 
 
 def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
     """The search of find_optimal_tau.
 
-    Returns (tau_opt, overlap, output state at tau_opt, twin-beam energy).
-    The golden search evaluates tau_opt last, so its state is kept from
-    that evaluation instead of being evolved again.
+    Returns (tau_opt, overlap, pair matrix at tau_opt, twin-beam energy).
+    The golden search evaluates tau_opt last, so its pair matrix is kept
+    from that evaluation instead of being evolved again.
     """
     if chi == 0:
         raise ValueError("twin beam with chi = 0 carries no pairs to convert")
     beam = make_twin_beam(chi, eps)
-    energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
+    energy_in = 2.0 * _moments(_pair_amplitudes(beam))[1]
     last = {}
 
     def objective(tau: float) -> float:
-        last["state"] = evolve(beam, tau)
-        return matched_pcs_overlap(last["state"], phase_grid)[0]
+        last["amps"] = _pair_amplitudes(evolve(beam, tau))
+        return matched_pcs_overlap_rho(_rho_c(last["amps"]), phase_grid)[0]
 
     tau_opt, overlap = _grid_then_golden(objective, window, coarse_points, tol)
-    return tau_opt, overlap, last["state"], energy_in
+    return tau_opt, overlap, last["amps"], energy_in
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:
@@ -369,12 +372,12 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
 
 def _grid_then_golden(objective, window, coarse_points, tol) -> tuple[float, float]:
     lo, hi = window
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"window must satisfy 0 <= lo < hi, got {window}")
+    if not (0.0 <= lo < hi < math.inf):
+        raise ValueError(f"window must satisfy 0 <= lo < hi < inf, got {window}")
     if coarse_points < 2:
         raise ValueError("coarse grid needs at least 2 points")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
     values = np.asarray([objective(tau) for tau in taus])
     best = best_peak_index(values)

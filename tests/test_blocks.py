@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from triwave import (
     BlockIndex,
@@ -133,14 +136,26 @@ def test_block_occupations_values():
     assert np.array_equal(n_c, [0, 1, 2])
 
 
-def test_propagate_unitary_seeded():
-    rng = np.random.default_rng(123)
-    ham = build_block_hamiltonian(BlockIndex(11, 5))
-    for _ in range(10):
-        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-        vec /= np.linalg.norm(vec)
-        out = ham.propagate(vec, 1.7)
-        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, 59),
+    n_b=st.integers(0, 59),
+    build=st.sampled_from([build_block_hamiltonian, build_recombination_hamiltonian]),
+    kind=st.sampled_from(["real", "imag", "mixed"]),
+    tau=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_unitary_seeded(k, n_b, build, kind, tau, seed):
+    # blocks up to dimension 60 against the dense matrix exponential; a real
+    # input keeps its real dtype, so both halves of the real-arithmetic path run
+    ham = build(BlockIndex(k + n_b, k))
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, ham.dimension))
+    vec = {"real": re, "imag": 1j * im, "mixed": re + 1j * im}[kind]
+    vec = vec / np.linalg.norm(vec)
+    out = ham.propagate(vec, tau)
+    assert np.max(np.abs(out - expm(-1j * tau * ham.matrix()) @ vec)) <= 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 def test_propagate_zero_time_is_identity():

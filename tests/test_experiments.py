@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import triwave.experiments
 from triwave import (
     ThreeModeState,
     best_peak_index,
+    conversion_rate_down,
+    conversion_rate_up,
     evolve,
     find_optimal_tau,
     find_peak_conversion_tau,
@@ -14,7 +17,9 @@ from triwave import (
     full_pipeline,
     make_coherent_pump,
     make_twin_beam,
+    matched_pcs_overlap,
     matched_pcs_overlap_rho,
+    mean_photon,
     overlap_with_product,
     pipeline_record,
     predicted_twin_beam_param,
@@ -54,7 +59,8 @@ def test_stage1_sweep_saturated_pump_reference():
 
 @pytest.mark.parametrize("energy", [16.0, 81.0])
 def test_stage1_scoring_matches_marginal_definitions(energy):
-    # overlap with the twin-beam bra diag(t) on (a, b), and the mode-c purity
+    # overlap with the twin-beam bra diag(t) on (a, b), the mode-c purity,
+    # and the photon numbers and conversion rate read per mode
     alpha = math.sqrt(energy) * np.exp(0.4j)
     taus = [1e-4, 0.1, 0.3, 0.6]
     pump = make_coherent_pump(alpha)
@@ -64,6 +70,9 @@ def test_stage1_scoring_matches_marginal_definitions(energy):
         t = predicted_twin_beam_param(alpha, tau) ** n / math.cosh(tau * abs(alpha))
         assert abs(rec.overlap - overlap_with_product(state, bra_ab=np.diag(t))) <= 1e-12
         assert abs(rec.purity - purity(reduce_mode_c(state))) <= 1e-12
+        for got, mode in ((rec.n_a, "a"), (rec.n_b, "b"), (rec.n_c, "c")):
+            assert abs(got - mean_photon(state, mode)) <= 1e-12 * max(1.0, energy)
+        assert abs(rec.eta - conversion_rate_down(state, mean_photon(pump, "c"))) <= 1e-12
 
 
 def test_stage1_overlap_never_exceeds_one():
@@ -93,6 +102,44 @@ def test_stage2_sweep_zero_time_record():
     assert first.eta == pytest.approx(0.0, abs=1e-12)
     assert abs(first.lambda_or_chi) < 1e-12
     assert first.delta_phi == pytest.approx(2 * math.pi, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_in", [2.0, 20.0])
+def test_stage2_sweep_matches_public_references(n_in):
+    # every field against the state-level path: reduce_mode_c, then the metrics
+    chi = math.sqrt(n_in / (n_in + 2.0)) * np.exp(0.3j)
+    taus = [0.0, 0.3, 0.8, 1.7]
+    beam = make_twin_beam(chi)
+    energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
+    for tau, rec in zip(taus, stage2_sweep(chi, taus, phase_grid=512)):
+        state = evolve(beam, tau)
+        rho = reduce_mode_c(state)
+        overlap, lam = matched_pcs_overlap_rho(rho, 512)
+        expected = {
+            "overlap": overlap,
+            "eta": conversion_rate_up(state, energy_in),
+            "purity": purity(rho),
+            "delta_phi": reciprocal_peak_likelihood(rho, 512),
+            "n_a": mean_photon(state, "a"),
+            "n_b": mean_photon(state, "b"),
+            "n_c": mean_photon(state, "c"),
+            "lambda_or_chi": lam,
+        }
+        for name, value in expected.items():
+            got = getattr(rec, name)
+            assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (tau, name, got, value)
+
+
+def test_optimizers_eta_matches_public_references():
+    chi = math.sqrt(4.0 / 6.0)
+    beam = make_twin_beam(chi)
+    tau, overlap, eta = find_optimal_tau(chi)
+    state = evolve(beam, tau)
+    assert abs(overlap - matched_pcs_overlap(state)[0]) <= 1e-12
+    assert abs(eta - conversion_rate_up(state, mean_photon(beam, "a") + mean_photon(beam, "b"))) <= 1e-12
+    pump = make_coherent_pump(4.0 * np.exp(0.4j))
+    tau, eta = find_peak_conversion_tau(4.0 * np.exp(0.4j))
+    assert abs(eta - conversion_rate_down(evolve(pump, tau), mean_photon(pump, "c"))) <= 1e-12
 
 
 def test_tau_grid_validation():
@@ -139,12 +186,21 @@ def test_find_optimal_tau_rejects_vacuum():
 
 
 def test_find_optimal_tau_window_validation():
-    with pytest.raises(ValueError):
-        find_optimal_tau(0.5, window=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        find_optimal_tau(0.5, coarse_points=1)
-    with pytest.raises(ValueError):
-        find_optimal_tau(0.5, tol=0.0)
+    # a NaN tolerance used to return the coarse-bracket midpoint, and an infinite window (inf, 0, nan)
+    bad = [
+        {"window": (2.0, 1.0)},
+        {"window": (0.0, math.inf)},
+        {"window": (math.nan, 1.0)},
+        {"window": (0.0, math.nan)},
+        {"coarse_points": 1},
+        {"tol": 0.0},
+        {"tol": math.nan},
+        {"tol": math.inf},
+    ]
+    for optimizer, arg in ((find_optimal_tau, math.sqrt(0.5)), (find_peak_conversion_tau, 2.0)):
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                optimizer(arg, **kwargs)
 
 
 def test_find_peak_conversion_tau_frozen_point():
@@ -183,6 +239,22 @@ def test_scaling_study_smoke():
         assert abs(abs(p.matched_lambda) ** 2 - p.n_out / (1.0 + p.n_out)) < 1e-9
     assert set(fits) == {"tau_opt_vs_n_in", "tau_opt_vs_n_out"}
     assert fits["tau_opt_vs_n_in"].exponent < 0.0
+
+
+@pytest.mark.parametrize(
+    "energies", [[30.0, 54.0, -1.0], [30.0, 54.0], [2.0, math.nan, 4.0], [2.0, math.inf, 4.0], [0.0, 1.0, 2.0]]
+)
+def test_scaling_study_checks_energies_before_any_search(monkeypatch, energies):
+    calls = []
+
+    def counting_evolve(state, tau):
+        calls.append(tau)
+        return evolve(state, tau)
+
+    monkeypatch.setattr(triwave.experiments, "evolve", counting_evolve)
+    with pytest.raises(ValueError, match="finite, positive"):
+        scaling_study(energies)
+    assert calls == []
 
 
 def test_pipeline_density_matrix_is_valid():
