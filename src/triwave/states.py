@@ -1,6 +1,7 @@
 """Constructors for the input states of the two conversion stages."""
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ def make_coherent_pump(alpha: complex, eps: float = 1e-10) -> ThreeModeState:
     stay finite.
     """
     _check_eps(eps)
+    _check_finite("alpha", alpha)
     mu = abs(alpha) ** 2
     if mu == 0.0:
         return ThreeModeState(blocks={BlockIndex(0, 0): np.ones(1, dtype=complex)})
@@ -53,6 +55,7 @@ def make_twin_beam(chi: complex, eps: float = 1e-10) -> ThreeModeState:
     renormalized.
     """
     _check_eps(eps)
+    _check_finite("chi", chi)
     q = abs(chi) ** 2
     if q >= 1.0:
         raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got |chi|={abs(chi)}")
@@ -109,3 +112,8 @@ def twin_beam_amplitudes(chi: complex, cutoff: int) -> np.ndarray:
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps <= EPS_CEILING):
         raise ValueError(f"eps must lie in (0, {EPS_CEILING}], got {eps}")
+
+
+def _check_finite(name: str, value: complex) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from triwave import (
     BlockIndex,
@@ -111,17 +111,44 @@ def test_hamiltonian_matrix_structure():
     assert np.allclose(np.diag(mat, 2), 0.0, atol=0.0)
 
 
+def mirrored_eigensystem(ham):
+    """Full spectrum from the stored λ >= 0 half: -λ with (-1)^n v, zero mode once."""
+    d = ham.dimension
+    sign = (-1.0) ** np.arange(d)[:, None]
+    pos = slice(d % 2, None)
+    vals = np.concatenate([-ham.eigenvalues[pos][::-1], ham.eigenvalues])
+    vecs = np.hstack([sign * ham.eigenvectors[:, pos][:, ::-1], ham.eigenvectors])
+    return vals, vecs
+
+
+@pytest.mark.parametrize("build", [build_block_hamiltonian, build_recombination_hamiltonian])
+@pytest.mark.parametrize("index", [BlockIndex(0, 0), BlockIndex(4, 2), BlockIndex(9, 4), BlockIndex(20, 10)])
+def test_stored_half_layout(build, index):
+    ham = build(index)
+    d = ham.dimension
+    assert ham.eigenvectors.shape == (d, d - d // 2)
+    assert ham.eigenvalues.shape == (d - d // 2,)
+    assert np.all(np.diff(ham.eigenvalues) > 0)
+    assert np.all(ham.eigenvalues[d % 2 :] > 0)
+    assert np.abs(ham.eigenvectors.T @ ham.eigenvectors - np.eye(d - d // 2)).max() <= 1e-12
+
+
 def test_eigendecomposition_reconstructs_matrix():
     for index in [BlockIndex(4, 2), BlockIndex(9, 4), BlockIndex(20, 10)]:
         ham = build_block_hamiltonian(index)
-        rebuilt = ham.eigenvectors @ np.diag(ham.eigenvalues) @ ham.eigenvectors.T
+        vals, vecs = mirrored_eigensystem(ham)
+        assert np.abs(vecs.T @ vecs - np.eye(ham.dimension)).max() <= 1e-12
+        rebuilt = vecs @ np.diag(vals) @ vecs.T
         assert np.allclose(rebuilt, ham.matrix(), atol=1e-12)
 
 
 def test_spectrum_symmetric_about_zero():
-    # zero diagonal tridiagonal matrices have sign-flip symmetric spectra
-    w = build_block_hamiltonian(BlockIndex(15, 7)).eigenvalues
-    assert np.allclose(np.sort(w), np.sort(-w), atol=1e-11)
+    # zero diagonal tridiagonal matrices have sign-flip symmetric spectra, so
+    # the mirrored half is the whole spectrum, for even and odd dimension
+    for index in [BlockIndex(15, 7), BlockIndex(16, 8)]:
+        ham = build_block_hamiltonian(index)
+        vals, _ = mirrored_eigensystem(ham)
+        assert np.abs(vals - np.linalg.eigvalsh(ham.matrix())).max() <= 1e-11
 
 
 def test_builders_cache_instances():
@@ -162,3 +189,42 @@ def test_propagate_zero_time_is_identity():
     ham = build_block_hamiltonian(BlockIndex(7, 3))
     vec = np.array([0.5, -0.5j, 0.5, 0.5j])
     assert np.allclose(ham.propagate(vec, 0.0), vec, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, 59),
+    n_b=st.integers(0, 59),
+    build=st.sampled_from([build_block_hamiltonian, build_recombination_hamiltonian]),
+    i0=st.integers(0, 59),
+    tau=st.floats(-3.0, 3.0),
+)
+def test_propagate_parity_of_basis_input(k, n_b, build, i0, tau):
+    # from a real e_i0 the amplitudes are real where n + i0 is even and
+    # imaginary where it is odd: the even/odd kernel never mixes the two
+    ham = build(BlockIndex(k + n_b, k))
+    d = ham.dimension
+    i0 %= d
+    out = ham.propagate(np.eye(d)[i0], tau)
+    same = (np.arange(d) + i0) % 2 == 0
+    assert np.abs(out.imag[same]).max(initial=0.0) <= 1e-14
+    assert np.abs(out.real[~same]).max(initial=0.0) <= 1e-14
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.5, 3.0])
+def test_propagate_largest_scaling_block_matches_full_eigensystem(tau):
+    # (1012, 506), dimension 507, is the largest block of the N_in = 54 twin
+    # beam; no dense oracle reaches it, so the reference is the full
+    # eigh_tridiagonal eigensystem
+    index = BlockIndex(1012, 506)
+    ham = build_block_hamiltonian(index)
+    assert ham.dimension == 507
+    vals, vecs = eigh_tridiagonal(np.zeros(507), trilinear_offdiag(index))
+    rng = np.random.default_rng(11)
+    random = rng.normal(size=507) + 1j * rng.normal(size=507)
+    for vec in (np.eye(507)[0], random / np.linalg.norm(random)):
+        out = ham.propagate(vec, tau)
+        full = vecs @ (np.exp(-1j * tau * vals) * (vecs.T @ vec))
+        assert np.max(np.abs(out - full)) <= 1e-11
+        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12

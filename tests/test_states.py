@@ -14,6 +14,7 @@ from triwave import (
     overlap_with_product,
     pcs_amplitudes,
     predicted_twin_beam_param,
+    stage1_sweep,
     twin_beam_amplitudes,
 )
 
@@ -87,6 +88,21 @@ def test_twin_beam_rejects_unphysical_param():
         make_twin_beam(1.0)
     with pytest.raises(ValueError):
         make_twin_beam(1.2j)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: make_coherent_pump(math.inf), "alpha"),
+        (lambda: stage1_sweep(math.inf, [0.1]), "alpha"),
+        (lambda: make_coherent_pump(math.nan), "alpha"),
+        (lambda: make_twin_beam(math.nan), "chi"),
+    ],
+    ids=["pump-inf", "stage1-inf", "pump-nan", "twin-beam-nan"],
+)
+def test_constructors_reject_non_finite_amplitude(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        call()
 
 
 def test_twin_beam_zero_is_vacuum():
