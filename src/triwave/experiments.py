@@ -197,6 +197,8 @@ def fit_power_law(xs, ys) -> PowerLawFit:
         raise ValueError("xs and ys must be 1-D arrays of equal length")
     if len(xs) < 3:
         raise ValueError("power-law fit needs at least 3 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("power-law fit needs finite data")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise ValueError("power-law fit needs strictly positive data")
     lx = np.log(xs)

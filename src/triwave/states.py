@@ -91,6 +91,7 @@ def pcs_amplitudes(lam: complex, cutoff: int) -> np.ndarray:
     computations where components beyond the kept support contribute
     nothing.
     """
+    _check_finite("lam", lam)
     if abs(lam) >= 1.0:
         raise ValueError(f"phase-coherent parameter must satisfy |lam| < 1, got {abs(lam)}")
     if cutoff < 0:
@@ -101,6 +102,7 @@ def pcs_amplitudes(lam: complex, cutoff: int) -> np.ndarray:
 
 def twin_beam_amplitudes(chi: complex, cutoff: int) -> np.ndarray:
     """Pair amplitudes sqrt(1-|chi|^2) chi^n of the ideal twin beam."""
+    _check_finite("chi", chi)
     if abs(chi) >= 1.0:
         raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got {abs(chi)}")
     if cutoff < 0:

@@ -151,11 +151,46 @@ def test_block_info(capsys):
         ["scaling", "--n-in-list", "1:inf:1", "--out", "x.csv"],
         ["scaling", "--n-in-list", "1:1e300:1e-300", "--out", "x.csv"],
         ["block-info", "--s", "2", "--k", "3"],
+        # argparse's own errors: missing required flag, bad type, bad choice, unknown flag
+        ["stage1", "--out", "x.csv"],
+        ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "x", "--out", "x.csv"],
+        ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--format", "xml", "--out", "x.csv"],
+        ["stage1", "--pump-energy", "4", "--tau-max", "1", "--tau-steps", "3", "--phase-grid", "512", "--out", "x.csv"],
     ],
 )
 def test_config_errors_exit_2(args, capsys):
     assert run(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["stage1", "--help"]])
+def test_help_exits_0(args, capsys):
+    assert run(args) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, keys",
+    [
+        (["stage1", "--pump-energy", "9", "--tau-max", "0.4", "--tau-steps", "2"],
+         ["command", "pump_energy", "pump_phase", "tau_min", "tau_max", "tau_steps", "eps", "out", "fmt"]),
+        (["stage2", "--n-in", "2", "--tau-max", "0.5", "--tau-steps", "2"],
+         ["command", "n_in", "chi_phase", "tau_min", "tau_max", "tau_steps", "eps", "phase_grid", "out", "fmt"]),
+        (["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.9"],
+         ["command", "pump_energy", "pump_phase", "tau1", "tau2", "eps", "phase_grid", "out", "fmt"]),
+        (["scaling", "--n-in-list", "1,2,3", "--eps", "1e-6"],
+         ["command", "n_in_list", "eps", "phase_grid", "out", "fmt"]),
+    ],
+    ids=["stage1", "stage2", "pipeline", "scaling"],
+)
+def test_json_config_lists_exactly_the_command_flags(tmp_path, args, keys):
+    out = tmp_path / "run.json"
+    assert run(args + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert list(config) == keys
+    assert config["command"] == args[0]
+    assert config["out"] == str(out)
+    assert config["fmt"] == "json"
 
 
 def test_missing_out_directory_exit_2(tmp_path, capsys):

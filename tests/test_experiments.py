@@ -224,6 +224,10 @@ def test_fit_power_law_validation():
         fit_power_law([1.0, 2.0, -3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fit_power_law([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        fit_power_law([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
 
 
 def test_scaling_study_smoke():

@@ -97,8 +97,14 @@ def test_twin_beam_rejects_unphysical_param():
         (lambda: stage1_sweep(math.inf, [0.1]), "alpha"),
         (lambda: make_coherent_pump(math.nan), "alpha"),
         (lambda: make_twin_beam(math.nan), "chi"),
+        # abs(nan) >= 1 is false, so only the finiteness check stops a NaN
+        (lambda: pcs_amplitudes(math.nan, 2), "lam"),
+        (lambda: twin_beam_amplitudes(complex(math.nan, 0.0), 2), "chi"),
+        (lambda: pcs_amplitudes(math.inf, 2), "lam"),
+        (lambda: twin_beam_amplitudes(math.inf, 2), "chi"),
     ],
-    ids=["pump-inf", "stage1-inf", "pump-nan", "twin-beam-nan"],
+    ids=["pump-inf", "stage1-inf", "pump-nan", "twin-beam-nan",
+         "pcs-amplitudes-nan", "twin-beam-amplitudes-nan", "pcs-amplitudes-inf", "twin-beam-amplitudes-inf"],
 )
 def test_constructors_reject_non_finite_amplitude(call, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
