@@ -52,8 +52,8 @@ class BlockHamiltonian:
     """Tridiagonal block of a three-wave Hamiltonian with the λ >= 0 half of its eigensystem.
 
     eigenvalues holds the d - d//2 non-negative eigenvalues, ascending, with
-    the zero mode first when d is odd; eigenvectors, shape (d, d - d//2),
-    holds their orthonormal eigenvectors as columns.  The rest of the
+    the zero mode first (as exactly 0) when d is odd; eigenvectors, shape
+    (d, d - d//2), holds their orthonormal eigenvectors as columns.  The rest of the
     spectrum is the mirror: eigenvalue -λ with eigenvector (-1)^n v.
     Arrays are treated as immutable once built.
     """
@@ -77,7 +77,7 @@ class BlockHamiltonian:
             mat[idx + 1, idx] = self.offdiag
         return mat
 
-    def propagate(self, vec: np.ndarray, tau: float) -> np.ndarray:
+    def propagate(self, vec: np.ndarray, tau) -> np.ndarray:
         """Apply exp(-i tau H_block) to a local coefficient vector from the stored half.
 
         Each pair v, (-1)^n v adds v_n v_m (e^(-iλτ) + (-1)^(n+m) e^(iλτ)):
@@ -85,21 +85,31 @@ class BlockHamiltonian:
         a = V_eᵀ x_e and b = V_oᵀ x_o on the even and odd rows,
         ψ_e = V_e (c a - i s b) and ψ_o = V_o (c b - i s a).  Vectors are
         handled as real (d, 2) views, so all arithmetic is real.
+
+        tau is one time or a 1-D array of T times, and the result has shape
+        vec.shape + tau.shape, column j evolved to tau[j].  a and b are
+        projected once per call, and each parity maps all T times back in
+        one product; a single time is the case T = 1.
         """
-        d = self.dimension
-        c = 2.0 * np.cos(tau * self.eigenvalues)
-        s = 2.0 * np.sin(tau * self.eigenvalues)
-        if d % 2:  # the zero mode is its own mirror
-            c[0], s[0] = 1.0, 0.0
+        tau = np.asarray(tau, dtype=float)
+        phase = self.eigenvalues[:, None, None] * tau.reshape(-1, 1)
+        c, s = np.cos(phase), np.sin(phase)
         v_e, v_o = self.eigenvectors[0::2], self.eigenvectors[1::2]
-        x = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(d, 2)
-        # columns re a, im a, re b, im b
-        ab = np.concatenate((v_e.T @ x[0::2], v_o.T @ x[1::2]), axis=1)
-        p = c[:, None] * ab + s[:, None] * ab[:, ::-1] * _TIMES_MINUS_I
-        out = np.empty((d, 2))
-        out[0::2] = v_e @ p[:, :2]
-        out[1::2] = v_o @ p[:, 2:]
-        return out.view(complex).reshape(d)
+        x = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2)
+        d, m = len(x), len(phase)
+        # ab[:, 0] holds re a, im a, re b, im b; the factor 2 of c and s sits here,
+        # except on the zero mode (first when d is odd), which is its own mirror
+        ab = np.empty((m, 1, 4))
+        np.matmul(v_e.T, x[0::2], out=ab[:, 0, :2])
+        np.matmul(v_o.T, x[1::2], out=ab[:, 0, 2:])
+        mirrored = ab[d % 2 :]
+        mirrored += mirrored
+        # p[:, j] holds c a - i s b, then c b - i s a, at tau[j]
+        p = c * ab + s * (ab[:, :, ::-1] * _TIMES_MINUS_I)
+        out = np.empty((d, 2 * p.shape[1]))
+        np.matmul(v_e, p[:, :, :2].reshape(m, -1), out=out[0::2])
+        np.matmul(v_o, p[:, :, 2:].reshape(m, -1), out=out[1::2])
+        return out.view(complex).reshape((d,) + tau.shape)
 
 
 def block_dimension(s: int, k: int) -> int:
@@ -171,7 +181,9 @@ def _assemble(index: BlockIndex, offdiag: np.ndarray) -> BlockHamiltonian:
     vecs = np.empty((d, d - d // 2))
     vals, full = eigh_tridiagonal(np.zeros(d), offdiag)
     vecs[:] = full[:, d // 2 :]
-    return BlockHamiltonian(index=index, offdiag=offdiag, eigenvalues=vals[d // 2 :], eigenvectors=vecs)
+    vals = vals[d // 2 :]
+    vals[: d % 2] = 0.0  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
+    return BlockHamiltonian(index=index, offdiag=offdiag, eigenvalues=vals, eigenvectors=vecs)
 
 
 def _check_block_index(s: int, k: int) -> None:

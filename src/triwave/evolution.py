@@ -90,17 +90,22 @@ class ThreeModeState:
         return na, nb, nc
 
 
-def evolve(state: ThreeModeState, tau: float) -> ThreeModeState:
-    """Evolve under the trilinear Hamiltonian for dimensionless time tau."""
+def evolve(state: ThreeModeState, tau) -> ThreeModeState:
+    """Evolve under the trilinear Hamiltonian for dimensionless time tau.
+
+    tau may also be a 1-D array of T times: each block vector of the result
+    then has shape (d, T), column j holding the state at tau[j].
+    """
     return _evolve(build_block_hamiltonian, state, tau)
 
 
-def evolve_recombination(state: ThreeModeState, tau: float) -> ThreeModeState:
-    """Evolve under the ideal recombination Hamiltonian (reference dynamics)."""
+def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState:
+    """Evolve under the ideal recombination Hamiltonian (reference dynamics); tau as in evolve."""
     return _evolve(build_recombination_hamiltonian, state, tau)
 
 
-def _evolve(build, state: ThreeModeState, tau: float) -> ThreeModeState:
+def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState:
+    tau = np.asarray(tau, dtype=float)  # converted once, not per block
     blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
     return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
 

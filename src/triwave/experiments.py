@@ -18,11 +18,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import ThreeModeState, evolve
-from .metrics import ReducedDensityMatrix, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
+from .metrics import (
+    ReducedDensityMatrix,
+    _pair_matched_overlap,
+    matched_pcs_overlap_rho,
+    purity,
+    reciprocal_peak_likelihood,
+)
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 from .blocks import BlockIndex
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# coarse-scan times per evolve; each time's pair matrix is scored and dropped
+# before the next is formed, so the batch bounds memory at a few states
+_SCAN_CHUNK = 4
 
 
 @dataclass
@@ -165,8 +175,9 @@ def find_peak_conversion_tau(
     if pump_energy == 0.0:
         raise ValueError("pump carries no energy")
 
-    def objective(tau: float) -> float:
-        return _moments(_pair_amplitudes(evolve(pump, tau)))[1] / pump_energy
+    def objective(taus: np.ndarray) -> list[float]:
+        out = evolve(pump, taus)
+        return [_moments(_pair_amplitudes(out, j))[1] / pump_energy for j in range(len(taus))]
 
     return _grid_then_golden(objective, window, coarse_points, tol)
 
@@ -306,16 +317,18 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarra
     return ReducedDensityMatrix(mode="c", matrix=rho), amps
 
 
-def _pair_amplitudes(state: ThreeModeState) -> np.ndarray:
+def _pair_amplitudes(state: ThreeModeState, j: int = 0) -> np.ndarray:
     """amps[n, k - n] = vec[n] over the blocks (2k, k) of a state with n_a = n_b.
 
     Rows count mode-c photons, columns the pairs in (a, b), both up to the largest k.
+    For a state evolved to an array of times (block vectors of shape (d, T)),
+    column j of each block gives the pair matrix at the j-th time.
     """
     dim = state.mode_support()[0] + 1
     amps = np.zeros((dim, dim), dtype=complex)
     for (_, k), vec in state.blocks.items():
         n = np.arange(k + 1)
-        amps[n, k - n] = vec
+        amps[n, k - n] = vec.reshape(k + 1, -1)[:, j]
     return amps
 
 
@@ -343,7 +356,9 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
 
     Returns (tau_opt, overlap, pair matrix at tau_opt, twin-beam energy).
     The golden search evaluates tau_opt last, so its pair matrix is kept
-    from that evaluation instead of being evolved again.
+    from that evaluation instead of being evolved again.  The search is
+    scored from each pair matrix directly; rho_c is left to the caller,
+    which forms it once, at tau_opt.
     """
     if chi == 0:
         raise ValueError("twin beam with chi = 0 carries no pairs to convert")
@@ -351,9 +366,13 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
     energy_in = 2.0 * _moments(_pair_amplitudes(beam))[1]
     last = {}
 
-    def objective(tau: float) -> float:
-        last["amps"] = _pair_amplitudes(evolve(beam, tau))
-        return matched_pcs_overlap_rho(_rho_c(last["amps"]), phase_grid)[0]
+    def objective(taus: np.ndarray) -> list[float]:
+        out = evolve(beam, taus)
+        values = []
+        for j in range(len(taus)):
+            amps = last["amps"] = _pair_amplitudes(out, j)
+            values.append(_pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0])
+        return values
 
     tau_opt, overlap = _grid_then_golden(objective, window, coarse_points, tol)
     return tau_opt, overlap, last["amps"], energy_in
@@ -373,19 +392,25 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
 
 
 def _grid_then_golden(objective, window, coarse_points, tol) -> tuple[float, float]:
+    """Coarse scan, bracket around best_peak_index, golden section.
+
+    objective maps a 1-D array of times to their values.  The coarse grid
+    goes to it _SCAN_CHUNK times at a time, each golden-section step as one.
+    """
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"window must satisfy 0 <= lo < hi < inf, got {window}")
-    if coarse_points < 2:
-        raise ValueError("coarse grid needs at least 2 points")
+    if not (float(coarse_points).is_integer() and coarse_points >= 2):
+        raise ValueError(f"coarse grid needs a whole number of points, at least 2, got {coarse_points}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    coarse_points = int(coarse_points)
     taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
-    values = np.asarray([objective(tau) for tau in taus])
+    values = np.concatenate([objective(taus[i : i + _SCAN_CHUNK]) for i in range(0, coarse_points, _SCAN_CHUNK)])
     best = best_peak_index(values)
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
     right = taus[best + 1] if best < coarse_points - 1 else hi
-    return _golden_max(objective, float(left), float(right), tol)
+    return _golden_max(lambda tau: objective(np.array([tau]))[0], float(left), float(right), tol)
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -25,6 +25,8 @@ _MODE_AXIS = {"a": 0, "b": 1, "c": 2}
 
 PHASE_GRID_MIN = 256
 
+_LAG_COLUMNS = 16  # columns per FFT block in _pair_lag_sums
+
 
 @dataclass
 class ReducedDensityMatrix:
@@ -198,11 +200,28 @@ def matched_pcs_overlap_rho(rho: ReducedDensityMatrix, phase_grid: int = 1024) -
     so theta = 0 and lam = 0.
     """
     mat = rho.matrix
-    occ = np.arange(mat.shape[0])
-    n_bar = float(np.real(np.diag(mat)) @ occ)
+    n_bar = float(np.real(np.diag(mat)) @ np.arange(mat.shape[0]))
+    mod, weights = _pcs_weights(n_bar, mat.shape[0])
+    return _matched_tail(_lag_sums(weights[:, np.newaxis] * mat * weights[np.newaxis, :]), mod, phase_grid)
+
+
+def _pair_matched_overlap(amps: np.ndarray, n_bar: float, phase_grid: int) -> tuple[float, complex]:
+    """matched_pcs_overlap_rho of rho = A A^dag, read from the pair matrix A without forming rho.
+
+    n_bar is the mean photon number of rho, which the caller has from A.
+    """
+    mod, weights = _pcs_weights(n_bar, len(amps))
+    return _matched_tail(_pair_lag_sums(amps, weights), mod, phase_grid)
+
+
+def _pcs_weights(n_bar: float, dim: int) -> tuple[float, np.ndarray]:
+    """|lam| = sqrt(n_bar / (n_bar + 1)) and the reference amplitudes sqrt(1 - |lam|^2) |lam|^n, n < dim."""
     mod = float(np.sqrt(n_bar / (1.0 + n_bar)))
-    weights = np.sqrt(1.0 - mod**2) * mod**occ
-    sums = _lag_sums(weights[:, np.newaxis] * mat * weights[np.newaxis, :])
+    return mod, np.sqrt(1.0 - mod**2) * mod ** np.arange(dim)
+
+
+def _matched_tail(sums: np.ndarray, mod: float, phase_grid: int) -> tuple[float, complex]:
+    """(overlap, lam) of matched_pcs_overlap_rho from the lag sums of the weighted density matrix."""
     position, _ = _grid_peak(_grid_profile(sums, phase_grid))
     theta = 2.0 * np.pi * position / phase_grid
     d = np.arange(1, len(sums))
@@ -241,6 +260,24 @@ def _lag_sums(matrix: np.ndarray) -> np.ndarray:
     return flat.reshape(dim, dim + 1).sum(axis=0)[:dim]
 
 
+def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """_lag_sums of M = (w A)(w A)^dag, read from the pair matrix A without forming M.
+
+    t_d = sum_r sum_m u[m + d, r] conj(u[m, r]) with u = w A, so each column adds
+    its autocorrelation, the inverse FFT of its power spectrum (Wiener-Khinchin).
+    Zero-padding to a power of 2 of at least 2 dim - 1 points keeps the lags
+    from wrapping.  The spectra of _LAG_COLUMNS columns at a time are summed,
+    bounding the temporary.
+    """
+    dim = amps.shape[0]
+    size = 1 << (2 * dim - 2).bit_length()
+    power = np.zeros(size)
+    for j in range(0, amps.shape[1], _LAG_COLUMNS):
+        spectra = np.fft.fft(weights[:, np.newaxis] * amps[:, j : j + _LAG_COLUMNS], size, axis=0).view(float)
+        power += np.einsum("ij,ij->i", spectra, spectra)
+    return np.fft.ifft(power)[:dim]
+
+
 def _grid_profile(sums: np.ndarray, points: int) -> np.ndarray:
     """t_0 + 2 Re sum_{d>=1} t_d exp(-i d theta_k) at theta_k = 2 pi k / points.
 
@@ -248,8 +285,9 @@ def _grid_profile(sums: np.ndarray, points: int) -> np.ndarray:
     those bins and one FFT evaluates the sum exactly for any number of lags.
     This is the one place the phase grid is checked.
     """
-    if points < PHASE_GRID_MIN:
-        raise ValueError(f"phase grid needs at least {PHASE_GRID_MIN} points, got {points}")
+    if not (float(points).is_integer() and points >= PHASE_GRID_MIN):
+        raise ValueError(f"phase grid needs a whole number of points, at least {PHASE_GRID_MIN}, got {points}")
+    points = int(points)
     lags = np.zeros(-(-len(sums) // points) * points, dtype=complex)
     lags[1 : len(sums)] = sums[1:]
     return float(sums[0].real) + 2.0 * np.fft.fft(lags.reshape(-1, points).sum(axis=0)).real

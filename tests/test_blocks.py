@@ -130,6 +130,7 @@ def test_stored_half_layout(build, index):
     assert ham.eigenvalues.shape == (d - d // 2,)
     assert np.all(np.diff(ham.eigenvalues) > 0)
     assert np.all(ham.eigenvalues[d % 2 :] > 0)
+    assert np.all(ham.eigenvalues[: d % 2] == 0.0)  # the zero mode is stored exactly
     assert np.abs(ham.eigenvectors.T @ ham.eigenvectors - np.eye(d - d // 2)).max() <= 1e-12
 
 
@@ -183,6 +184,27 @@ def test_propagate_unitary_seeded(k, n_b, build, kind, tau, seed):
     out = ham.propagate(vec, tau)
     assert np.max(np.abs(out - expm(-1j * tau * ham.matrix()) @ vec)) <= 1e-12
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, 59),
+    n_b=st.integers(0, 59),
+    build=st.sampled_from([build_block_hamiltonian, build_recombination_hamiltonian]),
+    taus=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_time_array_matches_single_times(k, n_b, build, taus, seed):
+    # one call over T times gives, column by column, the T single-time calls
+    ham = build(BlockIndex(k + n_b, k))
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+    vec /= np.linalg.norm(vec)
+    out = ham.propagate(vec, np.array(taus))
+    assert out.shape == (ham.dimension, len(taus))
+    for j, tau in enumerate(taus):
+        assert np.max(np.abs(out[:, j] - ham.propagate(vec, tau))) <= 1e-15
+        assert abs(np.linalg.norm(out[:, j]) - 1.0) <= 1e-12
 
 
 def test_propagate_zero_time_is_identity():

@@ -30,6 +30,8 @@ from triwave import (
     stage1_sweep,
     stage2_sweep,
 )
+from triwave.experiments import _moments, _rho_c
+from triwave.metrics import _lag_sums, _pair_lag_sums, _pair_matched_overlap, _pcs_weights
 
 
 def test_stage1_sweep_basic_records():
@@ -193,6 +195,7 @@ def test_find_optimal_tau_window_validation():
         {"window": (math.nan, 1.0)},
         {"window": (0.0, math.nan)},
         {"coarse_points": 1},
+        {"coarse_points": 2.5},  # used to scan tau = 3.6, outside the window
         {"tol": 0.0},
         {"tol": math.nan},
         {"tol": math.inf},
@@ -201,6 +204,56 @@ def test_find_optimal_tau_window_validation():
         for kwargs in bad:
             with pytest.raises(ValueError):
                 optimizer(arg, **kwargs)
+
+
+def test_coarse_scans_match_public_references(monkeypatch):
+    # both optimizers evolve their coarse grid a few times per call and score
+    # each time from its pair matrix; the values must be the per-time public ones
+    scanned, evolved = [], []
+
+    def recording_peak_index(values):
+        scanned.append(np.asarray(values))
+        return best_peak_index(values)
+
+    def recording_evolve(state, tau):
+        evolved.append(np.size(tau))
+        return evolve(state, tau)
+
+    monkeypatch.setattr(triwave.experiments, "best_peak_index", recording_peak_index)
+    monkeypatch.setattr(triwave.experiments, "evolve", recording_evolve)
+    beam = make_twin_beam(math.sqrt(4.0 / 6.0))
+    find_optimal_tau(math.sqrt(4.0 / 6.0), coarse_points=10, phase_grid=512)
+    pump = make_coherent_pump(4.0 * np.exp(0.4j))
+    find_peak_conversion_tau(4.0 * np.exp(0.4j), coarse_points=10)
+    assert evolved[:3] == [4, 4, 2]
+    assert set(evolved[3 : evolved.index(4, 3)]) == {1}  # the golden section, one time per call
+    stage2_taus = 3.0 * np.arange(1, 11) / 10
+    stage1_taus = 1.5 * np.arange(1, 11) / 10
+    expected = [
+        [matched_pcs_overlap_rho(reduce_mode_c(evolve(beam, tau)), 512)[0] for tau in stage2_taus],
+        [mean_photon(evolve(pump, tau), "a") / mean_photon(pump, "c") for tau in stage1_taus],
+    ]
+    for values, reference in zip(scanned, expected):
+        assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 255, 256, 257, 507, 600])
+def test_pair_matched_overlap_matches_dense_path(size):
+    # the stage-2 search reads the lag sums from A by FFT; the dense path forms rho_c = A A^dag
+    rng = np.random.default_rng(size)
+    amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    amps[np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0  # pair matrices are triangular
+    amps /= np.linalg.norm(amps)
+    n_bar = _moments(amps)[0]
+    _, weights = _pcs_weights(n_bar, size)
+    dense = _rho_c(amps)
+    sums = _pair_lag_sums(amps, weights)
+    assert np.max(np.abs(sums - _lag_sums(weights[:, None] * dense.matrix * weights[None, :]))) <= 1e-13
+    for grid in (256, 1024):
+        overlap, lam = _pair_matched_overlap(amps, n_bar, grid)
+        expected_overlap, expected_lam = matched_pcs_overlap_rho(dense, grid)
+        assert abs(overlap - expected_overlap) <= 1e-14
+        assert abs(lam - expected_lam) <= 1e-12
 
 
 def test_find_peak_conversion_tau_frozen_point():

@@ -12,6 +12,7 @@ from triwave import (
     conversion_rate_down,
     conversion_rate_up,
     evolve,
+    find_optimal_tau,
     make_twin_beam,
     matched_pcs_overlap,
     matched_pcs_overlap_rho,
@@ -166,8 +167,12 @@ def test_phase_distribution_matches_brute_force_beyond_grid(size, seed):
 
 
 def test_phase_distribution_grid_validation():
-    with pytest.raises(ValueError):
-        phase_distribution(pcs_density(0.3), 128)
+    # the grid must be a whole number of points; 2000.5 used to raise numpy's TypeError
+    for grid in (128, 2000.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="phase grid"):
+            phase_distribution(pcs_density(0.3), grid)
+    with pytest.raises(ValueError, match="phase grid"):
+        find_optimal_tau(0.5, phase_grid=2000.5)
 
 
 def test_vacuum_phase_is_uniform():
