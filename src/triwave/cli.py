@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe = sub.add_parser("pipeline", help="chain both stages into a mixed output state")
     pipe.add_argument("--pump-energy", type=_POSITIVE, required=True, help="mean pump photon number |alpha|^2")
     pipe.add_argument("--pump-phase", type=_FINITE, default=0.0, help="pump phase arg(alpha) in radians")
-    pipe.add_argument("--tau1", type=_NON_NEGATIVE, required=True, help="stage-1 interaction time")
+    pipe.add_argument("--tau1", type=_POSITIVE, required=True, help="stage-1 interaction time")
     pipe.add_argument("--tau2", type=_NON_NEGATIVE, required=True, help="stage-2 interaction time")
     _add_common_args(pipe)
     pipe.set_defaults(run=_run_pipeline)

@@ -3,7 +3,8 @@
 A pure state is stored as a map from BlockIndex to a local coefficient
 vector, so only the invariant subspaces that are actually populated are
 kept.  Evolution applies the cached eigendecomposition of each block and
-never mixes blocks.
+never mixes blocks.  pair_state and pair_matrices map a state with
+n_a = n_b to and from its pair matrix; no other module knows that layout.
 
 dense_oracle_evolve is an independent cross-check: it builds the full
 Hamiltonian on a truncated Fock cube straight from the ladder rules and
@@ -88,6 +89,39 @@ class ThreeModeState:
             nb = max(nb, s - k)
             nc = max(nc, min(k, s - k))
         return na, nb, nc
+
+
+def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
+    """The state sum A[q, r] |r, r, q> of a 2-D array A: one block (2k, k) per anti-diagonal k, ascending."""
+    rows, cols = A.shape
+    blocks = {}
+    for k in range(rows + cols - 1):
+        diagonal = np.diagonal(A[:, ::-1], cols - 1 - k)  # A[q, k - q] for q from max(0, k + 1 - cols)
+        vec = blocks[BlockIndex(2 * k, k)] = np.zeros(k + 1, dtype=complex)
+        vec[max(0, k + 1 - cols) :][: len(diagonal)] = diagonal
+    return ThreeModeState(blocks=blocks, trunc_error=trunc_error)
+
+
+def pair_matrices(state: ThreeModeState):
+    """Yield the (K+1, K+1) pair matrix, K the largest k, of each time column of a state in the blocks (2k, k).
+
+    A state evolved to T times yields T matrices, one at a time.  A block with s != 2k raises ValueError.
+    """
+    index = np.array(list(state.blocks), dtype=int).reshape(-1, 2)
+    off = index[index[:, 0] != 2 * index[:, 1]]
+    if len(off):
+        raise ValueError(f"block (s={off[0, 0]}, k={off[0, 1]}) is not a pair block (2k, k)")
+    ks = index[:, 1]
+    dim = int(ks.max()) + 1
+    sizes = ks + 1
+    flat = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # local index q
+    flat *= dim - 1
+    flat += np.repeat(ks, sizes)  # k + q (dim - 1): row q, column k - q
+    vecs = [vec.reshape(len(vec), -1) for vec in state.blocks.values()]
+    for j in range(vecs[0].shape[1]):
+        amps = np.zeros(dim * dim, dtype=complex)
+        amps[flat] = np.concatenate([vec[:, j] for vec in vecs])
+        yield amps.reshape(dim, dim)
 
 
 def evolve(state: ThreeModeState, tau) -> ThreeModeState:

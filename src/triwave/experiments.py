@@ -6,9 +6,10 @@ beam back up into the output mode and scores it against the matched
 phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
-so each output is read once, as the pair matrix A of sum A[q, r] |r, r, q>:
-its moments give the photon numbers, A A^dag the mode-c density matrix, and
-the pipeline contracts G = A^T A* with the stage-2 response per pair.
+so each output is read once, by pair_matrices, as the pair matrix A of
+sum A[q, r] |r, r, q>: its moments give the photon numbers, A A^dag the
+mode-c density matrix, and the pipeline contracts G = A^T A* with the
+stage-2 response per pair.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import ThreeModeState, evolve
+from .evolution import evolve, pair_matrices, pair_state
 from .metrics import (
     ReducedDensityMatrix,
     _pair_matched_overlap,
@@ -26,13 +27,16 @@ from .metrics import (
     reciprocal_peak_likelihood,
 )
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
-from .blocks import BlockIndex
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # coarse-scan times per evolve; each time's pair matrix is scored and dropped
 # before the next is formed, so the batch bounds memory at a few states
 _SCAN_CHUNK = 4
+
+_STAGE2_WINDOW = (0.0, 3.0)
+_STAGE2_COARSE_POINTS = 64
+_STAGE2_TOL = 1e-5
 
 
 @dataclass
@@ -86,12 +90,10 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     """
     taus = _check_tau_grid(tau_grid)
     pump = make_coherent_pump(pump_alpha, eps)
-    pump_energy = _moments(_pair_amplitudes(pump))[0]
-    if pump_energy == 0.0:
-        raise ValueError("stage 1 needs a pump with non-zero energy")
+    pump_energy = _input_energy(pump)
 
     def one(tau: float) -> SweepRecord:
-        amps = _pair_amplitudes(evolve(pump, tau))
+        (amps,) = pair_matrices(evolve(pump, tau))
         n_c, n_pair = _moments(amps)
         chi = predicted_twin_beam_param(pump_alpha, tau)
         # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1
@@ -115,12 +117,10 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
     taus = _check_tau_grid(tau_grid)
     beam = make_twin_beam(chi, eps)
-    energy_in = 2.0 * _moments(_pair_amplitudes(beam))[1]
-    if energy_in == 0.0:
-        raise ValueError("stage 2 needs a twin beam with non-zero energy")
+    energy_in = _input_energy(beam)
 
     def one(tau: float) -> SweepRecord:
-        amps = _pair_amplitudes(evolve(beam, tau))
+        (amps,) = pair_matrices(evolve(beam, tau))
         overlap, lam, pur, delta_phi, n_out = _score_output(_rho_c(amps), phase_grid)
         n_pair = _moments(amps)[1]
         return SweepRecord(
@@ -141,9 +141,9 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
 def find_optimal_tau(
     chi: complex,
     eps: float = 1e-10,
-    window: tuple[float, float] = (0.0, 3.0),
-    coarse_points: int = 64,
-    tol: float = 1e-5,
+    window: tuple[float, float] = _STAGE2_WINDOW,
+    coarse_points: int = _STAGE2_COARSE_POINTS,
+    tol: float = _STAGE2_TOL,
     phase_grid: int = 1024,
 ) -> tuple[float, float, float]:
     """Interaction time maximizing the stage-2 matched overlap.
@@ -171,13 +171,10 @@ def find_peak_conversion_tau(
     Returns (tau_opt, eta).
     """
     pump = make_coherent_pump(pump_alpha, eps)
-    pump_energy = _moments(_pair_amplitudes(pump))[0]
-    if pump_energy == 0.0:
-        raise ValueError("pump carries no energy")
+    pump_energy = _input_energy(pump)
 
     def objective(taus: np.ndarray) -> list[float]:
-        out = evolve(pump, taus)
-        return [_moments(_pair_amplitudes(out, j))[1] / pump_energy for j in range(len(taus))]
+        return [_moments(amps)[1] / pump_energy for amps in pair_matrices(evolve(pump, taus))]
 
     return _grid_then_golden(objective, window, coarse_points, tol)
 
@@ -224,12 +221,7 @@ def fit_power_law(xs, ys) -> PowerLawFit:
 
 
 def scaling_study(
-    n_in_values,
-    eps: float = 1e-10,
-    phase_grid: int = 1024,
-    window: tuple[float, float] = (0.0, 3.0),
-    coarse_points: int = 64,
-    tol: float = 1e-5,
+    n_in_values, eps: float = 1e-10, phase_grid: int = 1024
 ) -> tuple[list[ScalingPoint], dict[str, PowerLawFit]]:
     """Optimal-time records across input energies, with power-law fits.
 
@@ -243,7 +235,9 @@ def scaling_study(
     points: list[ScalingPoint] = []
     for n_in in n_in_values:
         chi = math.sqrt(n_in / (n_in + 2.0))
-        tau_opt, _, amps, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
+        tau_opt, _, amps, energy_in = _stage2_optimum(
+            chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL, phase_grid
+        )
         overlap, lam, pur, delta_phi, n_out = _score_output(_rho_c(amps), phase_grid)
         points.append(
             ScalingPoint(
@@ -281,16 +275,18 @@ def pipeline_record(
     """The output of full_pipeline scored as one record at tau2.
 
     eta is twice the output photon number over the twin-beam energy that
-    stage 1 delivers (NaN if it delivers none).  The signal and idler are
-    traced out, so n_a and n_b are NaN.
+    stage 1 delivers; if it delivers none (tau1 = 0) it raises ValueError.
+    The signal and idler are traced out, so n_a and n_b are NaN.
     """
     rho, amps = _chain(pump_alpha, tau1, tau2, eps)
     energy_in = 2.0 * _moments(amps)[1]
+    if tau1 == 0.0 or energy_in == 0.0:  # at tau1 = 0 the pair energy is roundoff, not 0
+        raise ValueError("stage 1 delivers no pairs to convert: the record needs tau1 > 0 and a non-empty pump")
     overlap, lam, pur, delta_phi, n_out = _score_output(rho, phase_grid)
     return SweepRecord(
         tau=float(tau2),
         overlap=overlap,
-        eta=(2.0 * n_out / energy_in) if energy_in > 0.0 else float("nan"),
+        eta=2.0 * n_out / energy_in,
         purity=pur,
         delta_phi=delta_phi,
         n_a=float("nan"),
@@ -304,11 +300,10 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarra
     """The body of full_pipeline; also returns the stage-1 pair matrix."""
     for tau in (tau1, tau2):
         _check_tau_grid([tau])
-    amps = _pair_amplitudes(evolve(make_coherent_pump(pump_alpha, eps), tau1))
+    (amps,) = pair_matrices(evolve(make_coherent_pump(pump_alpha, eps), tau1))
     density = amps.T @ amps.conj()
     dim = len(amps)  # output support is bounded by the pair count
-    unit_pairs = {BlockIndex(2 * r, r): np.eye(1, r + 1, dtype=complex)[0] for r in range(dim)}
-    response = _pair_amplitudes(evolve(ThreeModeState(blocks=unit_pairs), tau2))
+    (response,) = pair_matrices(evolve(pair_state(np.ones((1, dim))), tau2))  # |r, r, 0> for every r
     rho = np.zeros((dim, dim), dtype=complex)
     for p in range(dim):  # p pairs left, so n <= dim - 1 - p
         col = response[: dim - p, p]
@@ -317,19 +312,12 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarra
     return ReducedDensityMatrix(mode="c", matrix=rho), amps
 
 
-def _pair_amplitudes(state: ThreeModeState, j: int = 0) -> np.ndarray:
-    """amps[n, k - n] = vec[n] over the blocks (2k, k) of a state with n_a = n_b.
-
-    Rows count mode-c photons, columns the pairs in (a, b), both up to the largest k.
-    For a state evolved to an array of times (block vectors of shape (d, T)),
-    column j of each block gives the pair matrix at the j-th time.
-    """
-    dim = state.mode_support()[0] + 1
-    amps = np.zeros((dim, dim), dtype=complex)
-    for (_, k), vec in state.blocks.items():
-        n = np.arange(k + 1)
-        amps[n, k - n] = vec.reshape(k + 1, -1)[:, j]
-    return amps
+def _input_energy(state) -> float:
+    """Photons a pump or a twin beam brings in, n_c + n_a + n_b; ValueError if it has none."""
+    n_c, n_pair = _moments(next(pair_matrices(state)))
+    if n_c + n_pair == 0.0:
+        raise ValueError("the input state carries no photons to convert")
+    return n_c + 2.0 * n_pair
 
 
 def _moments(amps: np.ndarray) -> tuple[float, float]:
@@ -360,17 +348,14 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
     scored from each pair matrix directly; rho_c is left to the caller,
     which forms it once, at tau_opt.
     """
-    if chi == 0:
-        raise ValueError("twin beam with chi = 0 carries no pairs to convert")
     beam = make_twin_beam(chi, eps)
-    energy_in = 2.0 * _moments(_pair_amplitudes(beam))[1]
+    energy_in = _input_energy(beam)
     last = {}
 
     def objective(taus: np.ndarray) -> list[float]:
-        out = evolve(beam, taus)
         values = []
-        for j in range(len(taus)):
-            amps = last["amps"] = _pair_amplitudes(out, j)
+        for amps in pair_matrices(evolve(beam, taus)):
+            last["amps"] = amps
             values.append(_pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0])
         return values
 

@@ -5,50 +5,35 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc, xlogy
 
-from .blocks import BlockIndex
-from .evolution import ThreeModeState
+from .evolution import pair_state
 
 EPS_CEILING = 1e-4
 
 
-def make_coherent_pump(alpha: complex, eps: float = 1e-10) -> ThreeModeState:
+def make_coherent_pump(alpha: complex, eps: float = 1e-10):
     """Vacuum signal and idler with a coherent pump, |0, 0, alpha>.
 
     The Poisson photon distribution of the pump is truncated at the
-    smallest N whose tail probability falls below eps, then renormalized.
-    Weights are evaluated through log-factorials so large pump energies
-    stay finite.
+    smallest N whose tail probability, read from the Poisson survival
+    function, falls below eps, then renormalized.  Weights are evaluated
+    through log-factorials so large pump energies stay finite.
     """
     _check_eps(eps)
     _check_finite("alpha", alpha)
     mu = abs(alpha) ** 2
-    if mu == 0.0:
-        return ThreeModeState(blocks={BlockIndex(0, 0): np.ones(1, dtype=complex)})
     hi = int(mu + 12.0 * math.sqrt(mu) + 30.0)
-    while True:
-        n = np.arange(hi + 1)
-        weights = np.exp(-mu + n * math.log(mu) - gammaln(n + 1.0))
-        tails = 1.0 - np.cumsum(weights)
-        below = np.nonzero(tails < eps)[0]
-        if below.size:
-            cut = int(below[0])
-            break
+    while pdtrc(hi, mu) >= eps:
         hi = int(hi * 1.5) + 10
-    n = n[: cut + 1]
-    weights = weights[: cut + 1]
-    kept = float(weights.sum())
-    amps = np.sqrt(weights / kept) * np.exp(1j * n * np.angle(alpha))
-    blocks: dict[BlockIndex, np.ndarray] = {}
-    for m in n:
-        vec = np.zeros(m + 1, dtype=complex)
-        vec[m] = amps[m]
-        blocks[BlockIndex(2 * int(m), int(m))] = vec
-    return ThreeModeState(blocks=blocks, trunc_error=max(0.0, 1.0 - kept))
+    cut = int(np.argmax(pdtrc(np.arange(hi + 1), mu) < eps))
+    n = np.arange(cut + 1)
+    weights = np.exp(-mu + xlogy(n, mu) - gammaln(n + 1.0))  # xlogy(0, 0) = 0: mu = 0 is the vacuum
+    amps = np.sqrt(weights / weights.sum()) * np.exp(1j * n * np.angle(alpha))
+    return pair_state(amps[:, None], trunc_error=float(pdtrc(cut, mu)))
 
 
-def make_twin_beam(chi: complex, eps: float = 1e-10) -> ThreeModeState:
+def make_twin_beam(chi: complex, eps: float = 1e-10):
     """Two-mode squeezed pair state sum chi^n |n, n, 0> with vacuum pump.
 
     Truncated at the smallest N with geometric tail below eps, then
@@ -60,19 +45,14 @@ def make_twin_beam(chi: complex, eps: float = 1e-10) -> ThreeModeState:
     if q >= 1.0:
         raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got |chi|={abs(chi)}")
     if q == 0.0:
-        return ThreeModeState(blocks={BlockIndex(0, 0): np.ones(1, dtype=complex)})
+        return pair_state(np.ones((1, 1)))
     # tail after keeping n = 0..N is q^(N+1)
     cut = max(0, math.ceil(math.log(eps) / math.log(q)) - 1)
     n = np.arange(cut + 1)
     amps = np.sqrt(1.0 - q) * np.asarray(chi, dtype=complex) ** n
     kept = 1.0 - q ** (cut + 1)
     amps = amps / math.sqrt(kept)
-    blocks: dict[BlockIndex, np.ndarray] = {}
-    for m in n:
-        vec = np.zeros(m + 1, dtype=complex)
-        vec[0] = amps[m]
-        blocks[BlockIndex(2 * int(m), int(m))] = vec
-    return ThreeModeState(blocks=blocks, trunc_error=q ** (cut + 1))
+    return pair_state(amps[None, :], trunc_error=q ** (cut + 1))
 
 
 def predicted_twin_beam_param(alpha: complex, tau: float) -> complex:

@@ -156,6 +156,8 @@ def test_block_info(capsys):
         ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "x", "--out", "x.csv"],
         ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--format", "xml", "--out", "x.csv"],
         ["stage1", "--pump-energy", "4", "--tau-max", "1", "--tau-steps", "3", "--phase-grid", "512", "--out", "x.csv"],
+        # at tau1 = 0 stage 1 delivers no pairs, so eta would be roundoff over roundoff
+        ["pipeline", "--pump-energy", "4", "--tau1", "0", "--tau2", "0.7", "--out", "x.csv"],
     ],
 )
 def test_config_errors_exit_2(args, capsys):

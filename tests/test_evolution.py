@@ -1,17 +1,25 @@
-"""State container and exact block evolution against a dense oracle."""
+"""State container, the pair layout, and exact block evolution against a dense oracle."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import triwave.evolution
 from triwave import (
     FockTriple,
     ThreeModeState,
     dense_oracle_evolve,
     evolve,
     evolve_recombination,
+    make_coherent_pump,
+    make_twin_beam,
     mean_photon,
 )
+from triwave.evolution import pair_matrices, pair_state
 
 
 def cube_triples(cutoff, s_max):
@@ -145,3 +153,80 @@ def test_recombination_differs_from_trilinear_evolution():
     rec = evolve_recombination(state, math.pi / 2)
     assert abs(rec.amplitude(FockTriple(0, 0, 2)) - (-1.0)) < 1e-10
     assert abs(abs(tri.amplitude(FockTriple(0, 0, 2))) - 1.0) > 0.05
+
+
+def _block_scatter(state, j=0):
+    """Pair matrix of time column j by the per-block scatter that pair_matrices replaced (reference)."""
+    dim = state.mode_support()[0] + 1
+    amps = np.zeros((dim, dim), dtype=complex)
+    for (_, k), vec in state.blocks.items():
+        n = np.arange(k + 1)
+        amps[n, k - n] = vec.reshape(k + 1, -1)[:, j]
+    return amps
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_twin_beam(math.sqrt(6.0 / 8.0), 1e-8),
+        lambda: make_twin_beam(math.sqrt(54.0 / 56.0), 1e-8),
+        lambda: make_coherent_pump(9.0 * np.exp(0.3j)),
+    ],
+    ids=["twin-beam-6", "twin-beam-54", "pump-81"],
+)
+@pytest.mark.parametrize("tau", [None, 0.7, np.array([0.1, 0.5, 1.2, 2.9])], ids=["unevolved", "scalar", "4-times"])
+def test_pair_matrices_equal_the_block_scatter(make, tau):
+    state = make() if tau is None else evolve(make(), tau)
+    got = list(pair_matrices(state))
+    assert len(got) == np.size(tau)  # np.size(None) is 1
+    for j, amps in enumerate(got):
+        expected = _block_scatter(state, j)
+        assert amps.shape == expected.shape
+        assert amps.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    shape=st.sampled_from(["row", "column", "triangular"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_state_round_trip(rows, cols, shape, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    if shape == "row":
+        A = A[:1]
+    elif shape == "column":
+        A = A[:, :1]
+    else:
+        A[np.add.outer(np.arange(rows), np.arange(cols)) >= max(rows, cols)] = 0.0
+    state = pair_state(A, trunc_error=1e-9)
+    K = sum(A.shape) - 2
+    assert list(state.blocks) == [(2 * k, k) for k in range(K + 1)]
+    assert state.trunc_error == 1e-9
+    for (q, r), amp in np.ndenumerate(A):
+        assert state.amplitude(FockTriple(r, r, q)) == amp
+    (got,) = pair_matrices(state)
+    expected = np.zeros((K + 1, K + 1), dtype=complex)
+    expected[: A.shape[0], : A.shape[1]] = A
+    assert np.array_equal(got, expected)
+
+
+def test_pair_matrices_reject_a_block_off_the_pair_layout():
+    state = ThreeModeState.from_fock_dict({(1, 1, 0): 0.6, (2, 1, 0): 0.8})  # |2, 1, 0> is in block (3, 2)
+    with pytest.raises(ValueError, match="s=3, k=2"):
+        list(pair_matrices(state))
+
+
+@pytest.mark.parametrize("module", ["states", "experiments"])
+def test_only_evolution_builds_pair_blocks(module):
+    # the (2k, k) layout has one owner: the other modules go through pair_state and pair_matrices
+    path = Path(triwave.evolution.__file__).with_name(f"{module}.py")
+    offending = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            offending += [alias.name for alias in node.names if alias.name == "BlockIndex"]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreeModeState":
+            offending.append("ThreeModeState(...)")
+    assert offending == []

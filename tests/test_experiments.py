@@ -187,6 +187,23 @@ def test_find_optimal_tau_rejects_vacuum():
         find_optimal_tau(0.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: find_optimal_tau(1e-200),
+        lambda: scaling_study([1e-300, 1.0, 2.0]),
+        lambda: stage2_sweep(1e-200, [0.1]),
+        lambda: stage1_sweep(1e-200, [0.1]),
+        lambda: find_peak_conversion_tau(1e-200),
+    ],
+    ids=["find-optimal-tau", "scaling-study", "stage2-sweep", "stage1-sweep", "find-peak-conversion-tau"],
+)
+def test_inputs_truncated_to_vacuum_are_rejected(call):
+    # a parameter this small truncates to the vacuum, and every eta would divide by its zero energy
+    with pytest.raises(ValueError, match="no photons"):
+        call()
+
+
 def test_find_optimal_tau_window_validation():
     # a NaN tolerance used to return the coarse-bracket midpoint, and an infinite window (inf, 0, nan)
     bad = [
@@ -364,6 +381,14 @@ def test_pipeline_rejects_bad_times(tau1, tau2):
         full_pipeline(3.0, tau1, tau2)
     with pytest.raises(ValueError):
         pipeline_record(3.0, tau1, tau2)
+
+
+@pytest.mark.parametrize("alpha, tau1", [(2.0, 0.0), (1e-150, 0.3)], ids=["no-time", "no-pairs"])
+def test_pipeline_record_rejects_a_stage_1_without_pairs(alpha, tau1):
+    # eta divides by the stage-1 pair energy: roundoff at tau1 = 0, exactly 0 for a vacuum-like pump
+    full_pipeline(alpha, tau1, 0.7)
+    with pytest.raises(ValueError, match="no pairs"):
+        pipeline_record(alpha, tau1, 0.7)
 
 
 def test_pipeline_record_scores_full_pipeline():

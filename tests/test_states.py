@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 from triwave import (
     FockTriple,
+    ThreeModeState,
     evolve,
     make_coherent_pump,
     make_twin_beam,
@@ -39,12 +41,44 @@ def test_coherent_pump_structure():
 
 
 def test_coherent_pump_tail_below_eps():
-    mu = 9.0
-    eps = 1e-10
-    state = make_coherent_pump(3.0, eps=eps)
-    cut = max(index.k for index in state.blocks)
-    assert poisson.sf(cut, mu) < eps
-    assert state.trunc_error < eps
+    # eps below the ~1e-16 rounding floor of 1 - cumsum(weights) needs the survival function itself
+    for eps in (1e-10, 1e-17, 1e-300):
+        for mu in (0.5, 9.0, 81.0, 300.0):
+            state = make_coherent_pump(math.sqrt(mu), eps=eps)
+            cut = max(index.k for index in state.blocks)
+            assert poisson.sf(cut, mu) < eps, (mu, eps)
+            assert poisson.sf(cut - 1, mu) >= eps, (mu, eps)  # the smallest such cut
+            assert state.trunc_error == pytest.approx(poisson.sf(cut, mu), rel=1e-9)
+            assert state.trunc_error < eps
+
+
+@pytest.mark.parametrize("alpha, eps", [(1.5, 1e-10), (9.0 * np.exp(0.3j), 1e-10), (0.3, 1e-6)])
+def test_coherent_pump_blocks_match_fock_construction(alpha, eps):
+    # one block (2m, m) per pump count m, ascending, holding the amplitude at local index m
+    state = make_coherent_pump(alpha, eps)
+    mu = abs(alpha) ** 2
+    cut = len(state.blocks) - 1
+    n = np.arange(cut + 1)
+    weights = np.exp(-mu + n * math.log(mu) - gammaln(n + 1.0))
+    amps = np.sqrt(weights / weights.sum()) * np.exp(1j * n * np.angle(alpha))
+    expected = ThreeModeState.from_fock_dict({(0, 0, m): amps[m] for m in n}, normalize=False)
+    assert list(state.blocks) == list(expected.blocks)
+    assert all(np.array_equal(state.blocks[i], expected.blocks[i]) for i in expected.blocks)
+
+
+@pytest.mark.parametrize("chi, eps", [(0.6, 1e-10), (math.sqrt(54.0 / 56.0), 1e-8), (0.5j, 1e-6)])
+def test_twin_beam_blocks_match_fock_construction(chi, eps):
+    # one block (2m, m) per pair count m, ascending, holding the amplitude at local index 0
+    state = make_twin_beam(chi, eps)
+    q = abs(chi) ** 2
+    cut = len(state.blocks) - 1
+    amps = np.sqrt(1.0 - q) * np.asarray(chi, dtype=complex) ** np.arange(cut + 1) / math.sqrt(1.0 - q ** (cut + 1))
+    expected = ThreeModeState.from_fock_dict(
+        {(m, m, 0): amps[m] for m in range(cut + 1)}, normalize=False, trunc_error=q ** (cut + 1)
+    )
+    assert list(state.blocks) == list(expected.blocks)
+    assert all(np.array_equal(state.blocks[i], expected.blocks[i]) for i in expected.blocks)
+    assert state.trunc_error == expected.trunc_error
 
 
 def test_coherent_pump_phase():
