@@ -165,15 +165,6 @@ def build_recombination_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
     return _assemble(index, recombination_offdiag(index))
 
 
-@lru_cache(maxsize=None)
-def block_occupations(index: BlockIndex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-local-index occupations (n_a, n_b, n_c) for block (s, k)."""
-    s, k = index
-    d = block_dimension(s, k)
-    n = np.arange(d)
-    return k - n, s - k - n, n
-
-
 def _assemble(index: BlockIndex, offdiag: np.ndarray) -> BlockHamiltonian:
     d = len(offdiag) + 1
     # the kept half is allocated before the solve, so freeing the full

@@ -25,7 +25,7 @@ from .blocks import block_dimension, recombination_offdiag, trilinear_offdiag
 from .evolution import evolve  # noqa: F401  (unused; perfbench/test_perfbench.py reads triwave.cli.evolve)
 from .experiments import best_peak_index, pipeline_record, scaling_study, stage1_sweep, stage2_sweep
 from .metrics import PHASE_GRID_MIN
-from .states import EPS_CEILING
+from .states import EPS_CEILING, make_coherent_pump, make_twin_beam
 
 
 def main(argv=None) -> int:
@@ -151,11 +151,39 @@ def _parse_args(argv) -> argparse.Namespace:
         if not os.path.isdir(out_dir):
             parser.error(f"--out directory does not exist: {out_dir}")
         args.fmt = args.fmt or ("json" if args.out.lower().endswith(".json") else "csv")
+    if "eps" in args:
+        _check_inputs(parser, args)
     return args
 
 
+def _check_inputs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse an input energy that the states constructors reject, or truncate to the vacuum at --eps."""
+    if "pump_energy" in args:
+        flag, make, params = "--pump-energy", make_coherent_pump, [_alpha(args.pump_energy, args.pump_phase)]
+    elif "n_in" in args:
+        flag, make, params = "--n-in", make_twin_beam, [_chi(args.n_in, args.chi_phase)]
+    else:
+        flag, make, params = "--n-in-list", make_twin_beam, [_chi(n_in) for n_in in args.n_in_list]
+    for param in params:
+        try:
+            if make(param, args.eps).mode_support() == (0, 0, 0):
+                parser.error(f"{flag} truncates to the vacuum at --eps {args.eps}, leaving no photons to convert")
+        except ValueError as exc:
+            parser.error(f"{flag}: {exc}")
+
+
+def _alpha(pump_energy: float, phase: float) -> complex:
+    """Coherent pump amplitude, |alpha|^2 = pump_energy."""
+    return math.sqrt(pump_energy) * complex(np.exp(1j * phase))
+
+
+def _chi(n_in: float, phase: float = 0.0) -> complex:
+    """Twin-beam pair amplitude with n_in mean photons in all: |chi|^2 = n_in / (n_in + 2)."""
+    return math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(1j * phase))
+
+
 def _run_stage1(args: argparse.Namespace) -> int:
-    alpha = math.sqrt(args.pump_energy) * complex(np.exp(1j * args.pump_phase))
+    alpha = _alpha(args.pump_energy, args.pump_phase)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     records = stage1_sweep(alpha, taus, eps=args.eps)
     _write(args, records)
@@ -165,7 +193,7 @@ def _run_stage1(args: argparse.Namespace) -> int:
 
 
 def _run_stage2(args: argparse.Namespace) -> int:
-    chi = math.sqrt(args.n_in / (args.n_in + 2.0)) * complex(np.exp(1j * args.chi_phase))
+    chi = _chi(args.n_in, args.chi_phase)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
     records = stage2_sweep(chi, taus, eps=args.eps, phase_grid=args.phase_grid)
     _write(args, records)
@@ -176,7 +204,7 @@ def _run_stage2(args: argparse.Namespace) -> int:
 
 
 def _run_pipeline(args: argparse.Namespace) -> int:
-    alpha = math.sqrt(args.pump_energy) * complex(np.exp(1j * args.pump_phase))
+    alpha = _alpha(args.pump_energy, args.pump_phase)
     record = pipeline_record(alpha, args.tau1, args.tau2, eps=args.eps, phase_grid=args.phase_grid)
     _write(args, [record])
     print(f"pipeline: n_out={record.n_c:.6g} overlap={record.overlap:.6g} purity={record.purity:.6g}")

@@ -2,9 +2,11 @@
 
 A pure state is stored as a map from BlockIndex to a local coefficient
 vector, so only the invariant subspaces that are actually populated are
-kept.  Evolution applies the cached eigendecomposition of each block and
-never mixes blocks.  pair_state and pair_matrices map a state with
-n_a = n_b to and from its pair matrix; no other module knows that layout.
+kept; ThreeModeState.occupations is the one place that maps the stored
+coefficients to their Fock triples.  Evolution applies the cached
+eigendecomposition of each block and never mixes blocks.  pair_state and
+pair_matrices map a state with n_a = n_b to and from its pair matrix; no
+other module knows that layout.
 
 dense_oracle_evolve is an independent cross-check: it builds the full
 Hamiltonian on a truncated Fock cube straight from the ladder rules and
@@ -21,7 +23,7 @@ from scipy.linalg import eigh
 from .blocks import (
     BlockIndex,
     FockTriple,
-    block_occupations,
+    block_dimension,
     build_block_hamiltonian,
     build_recombination_hamiltonian,
     fock_to_block,
@@ -51,7 +53,7 @@ class ThreeModeState:
             index, n = fock_to_block(triple)
             vec = blocks.get(index)
             if vec is None:
-                vec = np.zeros(min(index.k, index.s - index.k) + 1, dtype=complex)
+                vec = np.zeros(block_dimension(*index), dtype=complex)
                 blocks[index] = vec
             vec[n] += amp
         state = cls(blocks=blocks, trunc_error=trunc_error)
@@ -73,22 +75,25 @@ class ThreeModeState:
             return 0.0 + 0.0j
         return complex(vec[n])
 
+    def occupations(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat (n_a, n_b, n_c) of every stored coefficient, in storage order.
+
+        Local index n of block (s, k) is the Fock triple |k-n, s-k-n, n>.
+        """
+        labels = np.array(list(self.blocks), dtype=np.int64).reshape(-1, 2)
+        sizes = np.array([len(vec) for vec in self.blocks.values()], dtype=np.int64)
+        n = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        s, k = np.repeat(labels, sizes, axis=0).T
+        return k - n, s - k - n, n
+
     def to_fock_dict(self) -> dict[FockTriple, complex]:
-        out: dict[FockTriple, complex] = {}
-        for index, vec in self.blocks.items():
-            n_a, n_b, n_c = block_occupations(index)
-            for j in range(len(vec)):
-                out[FockTriple(int(n_a[j]), int(n_b[j]), int(n_c[j]))] = complex(vec[j])
-        return out
+        amps = np.concatenate([np.zeros(0, dtype=complex), *self.blocks.values()])
+        triples = zip(*(occ.tolist() for occ in self.occupations()))
+        return {FockTriple(*triple): amp for triple, amp in zip(triples, amps.tolist())}
 
     def mode_support(self) -> tuple[int, int, int]:
         """Structural maxima (n_a, n_b, n_c) over the stored blocks."""
-        na = nb = nc = 0
-        for s, k in self.blocks:
-            na = max(na, k)
-            nb = max(nb, s - k)
-            nc = max(nc, min(k, s - k))
-        return na, nb, nc
+        return tuple(int(occ.max(initial=0)) for occ in self.occupations())
 
 
 def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
@@ -105,23 +110,23 @@ def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
 def pair_matrices(state: ThreeModeState):
     """Yield the (K+1, K+1) pair matrix, K the largest k, of each time column of a state in the blocks (2k, k).
 
-    A state evolved to T times yields T matrices, one at a time.  A block with s != 2k raises ValueError.
+    A state evolved to T times yields T matrices, one at a time.  An empty state or a block
+    with s != 2k raises ValueError.
     """
-    index = np.array(list(state.blocks), dtype=int).reshape(-1, 2)
-    off = index[index[:, 0] != 2 * index[:, 1]]
-    if len(off):
-        raise ValueError(f"block (s={off[0, 0]}, k={off[0, 1]}) is not a pair block (2k, k)")
-    ks = index[:, 1]
-    dim = int(ks.max()) + 1
-    sizes = ks + 1
-    flat = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # local index q
-    flat *= dim - 1
-    flat += np.repeat(ks, sizes)  # k + q (dim - 1): row q, column k - q
-    vecs = [vec.reshape(len(vec), -1) for vec in state.blocks.values()]
-    for j in range(vecs[0].shape[1]):
-        amps = np.zeros(dim * dim, dtype=complex)
-        amps[flat] = np.concatenate([vec[:, j] for vec in vecs])
-        yield amps.reshape(dim, dim)
+    for s, k in state.blocks:
+        if s != 2 * k:
+            raise ValueError(f"block (s={s}, k={k}) is not a pair block (2k, k)")
+    if not state.blocks:
+        raise ValueError("the state is empty, so it has no pair matrix")
+    dim = max(k for _, k in state.blocks) + 1
+    step = max(dim - 1, 1)  # row q, column k - q sits at flat k + q (dim - 1); dim = 1 has only k = 0
+    vecs = {k: vec.reshape(k + 1, -1) for (_, k), vec in state.blocks.items()}
+    for j in range(next(iter(vecs.values())).shape[1]):
+        amps = np.zeros((dim, dim), dtype=complex)
+        flat = amps.reshape(-1)
+        for k, vec in vecs.items():
+            flat[k : k * dim + 1 : step] = vec[:, j]
+        yield amps
 
 
 def evolve(state: ThreeModeState, tau) -> ThreeModeState:

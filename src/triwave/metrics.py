@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_occupations
 from .evolution import ThreeModeState
 
 _MODE_AXIS = {"a": 0, "b": 1, "c": 2}
@@ -76,35 +75,20 @@ def overlap_with_product(
         if bra_ab.ndim != 2:
             raise ValueError("bra_ab must be a 2-D array indexed [n_a, n_b]")
 
-    na_max, nb_max, nc_max = state.mode_support()
-    radix = (na_max + 1, nb_max + 1, nc_max + 1)
-
-    keys_parts: list[np.ndarray] = []
-    weight_parts: list[np.ndarray] = []
-    for index, vec in state.blocks.items():
-        n_a, n_b, n_c = block_occupations(index)
-        w = np.asarray(vec, dtype=complex).copy()
-        key = np.zeros(len(vec), dtype=np.int64)
-        if bra_ab is not None:
-            w *= _pair_bra_factor(bra_ab, n_a, n_b)
+    n_a, n_b, n_c = state.occupations()
+    weights = _coefficients(state)
+    if bra_ab is not None:
+        weights *= _bra_factor(bra_ab, n_a, n_b)
+        modes = [(bra_c, n_c)]
+    else:
+        modes = [(bra_a, n_a), (bra_b, n_b), (bra_c, n_c)]
+    # a traced mode becomes a digit of the key that labels the surviving Fock states
+    keys = np.zeros(len(weights), dtype=np.int64)
+    for bra, occ in modes:
+        if bra is None:
+            keys = keys * (int(occ.max(initial=0)) + 1) + occ
         else:
-            if bra_a is None:
-                key = key * radix[0] + n_a
-            else:
-                w *= _bra_factor(bra_a, n_a)
-            if bra_b is None:
-                key = key * radix[1] + n_b
-            else:
-                w *= _bra_factor(bra_b, n_b)
-        if bra_c is None:
-            key = key * radix[2] + n_c
-        else:
-            w *= _bra_factor(bra_c, n_c)
-        keys_parts.append(key)
-        weight_parts.append(w)
-
-    keys = np.concatenate(keys_parts)
-    weights = np.concatenate(weight_parts)
+            weights *= _bra_factor(bra, occ)
     uniq, inverse = np.unique(keys, return_inverse=True)
     sums = np.zeros(len(uniq), dtype=complex)
     np.add.at(sums, inverse, weights)
@@ -117,12 +101,16 @@ def reduce_mode_c(state: ThreeModeState, cutoff: int | None = None) -> ReducedDe
     cutoff defaults to the structural mode-c support of the state; a
     smaller value is refused rather than silently dropping population.
     """
-    _, _, nc_max = state.mode_support()
+    n_a, n_b, n_c = state.occupations()
+    nc_max = int(n_c.max(initial=0))
     if cutoff is None:
         cutoff = nc_max
     elif cutoff < nc_max:
         raise ValueError(f"cutoff {cutoff} below mode-c support {nc_max}")
-    pair = _mode_pair_matrix(state, cutoff + 1)
+    # amplitudes with rows over distinct (n_a, n_b) pairs, columns n_c; each Fock triple occurs once
+    uniq, rows = np.unique(n_a * (int(n_b.max(initial=0)) + 1) + n_b, return_inverse=True)
+    pair = np.zeros((len(uniq), cutoff + 1), dtype=complex)
+    pair[rows, n_c] = _coefficients(state)
     rho = pair.T @ pair.conj()
     rho = 0.5 * (rho + rho.conj().T)
     return ReducedDensityMatrix(mode="c", matrix=rho)
@@ -133,11 +121,7 @@ def mean_photon(state: ThreeModeState, mode: str) -> float:
     axis = _MODE_AXIS.get(mode)
     if axis is None:
         raise ValueError(f"mode must be one of 'a', 'b', 'c', got {mode!r}")
-    total = 0.0
-    for index, vec in state.blocks.items():
-        occ = block_occupations(index)[axis]
-        total += float(np.sum(np.abs(vec) ** 2 * occ))
-    return total
+    return float(np.abs(_coefficients(state)) ** 2 @ state.occupations()[axis])
 
 
 def conversion_rate_down(state_out: ThreeModeState, pump_energy: float) -> float:
@@ -230,24 +214,6 @@ def _matched_tail(sums: np.ndarray, mod: float, phase_grid: int) -> tuple[float,
     return overlap, mod * complex(np.exp(1j * theta))
 
 
-def _mode_pair_matrix(state: ThreeModeState, nc_dim: int) -> np.ndarray:
-    """Amplitudes arranged as rows over distinct (n_a, n_b) pairs, columns n_c."""
-    na_max, nb_max, _ = state.mode_support()
-    keys_parts, col_parts, val_parts = [], [], []
-    for index, vec in state.blocks.items():
-        n_a, n_b, n_c = block_occupations(index)
-        keys_parts.append(n_a * (nb_max + 1) + n_b)
-        col_parts.append(n_c)
-        val_parts.append(np.asarray(vec, dtype=complex))
-    keys = np.concatenate(keys_parts)
-    cols = np.concatenate(col_parts)
-    vals = np.concatenate(val_parts)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    out = np.zeros((len(uniq), nc_dim), dtype=complex)
-    out[inverse, cols] = vals  # each Fock triple occurs exactly once
-    return out
-
-
 def _lag_sums(matrix: np.ndarray) -> np.ndarray:
     """t_d = sum_m matrix[m + d, m] for d = 0 .. dim - 1.
 
@@ -317,16 +283,15 @@ def _refine_peak(left: float, centre: float, right: float) -> tuple[float, float
     return shift, value
 
 
-def _bra_factor(bra: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _coefficients(state: ThreeModeState) -> np.ndarray:
+    """Every stored coefficient of a state, flat, in the order of state.occupations()."""
+    return np.concatenate([np.zeros(0, dtype=complex), *state.blocks.values()])
+
+
+def _bra_factor(bra: np.ndarray, *idx: np.ndarray) -> np.ndarray:
+    """conj(bra[idx]) for one index array per axis of bra, and 0 where an index lies beyond it."""
     bra = np.asarray(bra, dtype=complex)
-    out = np.zeros(idx.shape, dtype=complex)
-    mask = idx < len(bra)
-    out[mask] = np.conj(bra[idx[mask]])
-    return out
-
-
-def _pair_bra_factor(bra_ab: np.ndarray, n_a: np.ndarray, n_b: np.ndarray) -> np.ndarray:
-    out = np.zeros(n_a.shape, dtype=complex)
-    mask = (n_a < bra_ab.shape[0]) & (n_b < bra_ab.shape[1])
-    out[mask] = np.conj(bra_ab[n_a[mask], n_b[mask]])
+    out = np.zeros(idx[0].shape, dtype=complex)
+    mask = np.logical_and.reduce([i < size for i, size in zip(idx, bra.shape)])
+    out[mask] = np.conj(bra[tuple(i[mask] for i in idx)])
     return out

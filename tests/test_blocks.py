@@ -18,7 +18,6 @@ from triwave import (
     recombination_offdiag,
     trilinear_offdiag,
 )
-from triwave.blocks import block_occupations
 
 
 def all_triples(s_max):
@@ -155,13 +154,6 @@ def test_spectrum_symmetric_about_zero():
 def test_builders_cache_instances():
     assert build_block_hamiltonian(BlockIndex(6, 3)) is build_block_hamiltonian(BlockIndex(6, 3))
     assert build_recombination_hamiltonian(BlockIndex(6, 3)) is build_recombination_hamiltonian(BlockIndex(6, 3))
-
-
-def test_block_occupations_values():
-    n_a, n_b, n_c = block_occupations(BlockIndex(4, 2))
-    assert np.array_equal(n_a, [2, 1, 0])
-    assert np.array_equal(n_b, [2, 1, 0])
-    assert np.array_equal(n_c, [0, 1, 2])
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,6 +158,11 @@ def test_block_info(capsys):
         ["stage1", "--pump-energy", "4", "--tau-max", "1", "--tau-steps", "3", "--phase-grid", "512", "--out", "x.csv"],
         # at tau1 = 0 stage 1 delivers no pairs, so eta would be roundoff over roundoff
         ["pipeline", "--pump-energy", "4", "--tau1", "0", "--tau2", "0.7", "--out", "x.csv"],
+        # inputs the states constructors truncate to the vacuum carry no photons to convert
+        ["stage1", "--pump-energy", "1e-300", "--tau-max", "1", "--tau-steps", "3", "--out", "x.csv"],
+        ["stage2", "--n-in", "1e-300", "--tau-max", "1", "--tau-steps", "3", "--out", "x.csv"],
+        ["pipeline", "--pump-energy", "1e-300", "--tau1", "0.3", "--tau2", "0.7", "--out", "x.csv"],
+        ["scaling", "--n-in-list", "1e-300,1,2", "--out", "x.csv"],
     ],
 )
 def test_config_errors_exit_2(args, capsys):

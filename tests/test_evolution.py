@@ -12,6 +12,7 @@ import triwave.evolution
 from triwave import (
     FockTriple,
     ThreeModeState,
+    block_to_fock,
     dense_oracle_evolve,
     evolve,
     evolve_recombination,
@@ -56,6 +57,28 @@ def test_to_fock_dict_roundtrip():
     back = state.to_fock_dict()
     for triple, amp in amps.items():
         assert abs(back[FockTriple(*triple)] - amp) < 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 4)),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        max_size=30,
+    )
+)
+def test_occupations_match_block_to_fock(amplitudes):
+    state = ThreeModeState.from_fock_dict(amplitudes, normalize=False)
+    n_a, n_b, n_c = state.occupations()
+    assert all(np.issubdtype(occ.dtype, np.integer) for occ in (n_a, n_b, n_c))
+    position = 0
+    for index, vec in state.blocks.items():
+        for n, amp in enumerate(vec):
+            triple = block_to_fock(index, n)
+            assert (n_a[position], n_b[position], n_c[position]) == triple
+            assert amp == amplitudes.get(triple, 0.0)
+            position += 1
+    assert position == len(n_a) == len(n_b) == len(n_c)
 
 
 def test_mode_support():
@@ -219,14 +242,16 @@ def test_pair_matrices_reject_a_block_off_the_pair_layout():
         list(pair_matrices(state))
 
 
-@pytest.mark.parametrize("module", ["states", "experiments"])
+@pytest.mark.parametrize("module", ["states", "experiments", "metrics"])
 def test_only_evolution_builds_pair_blocks(module):
-    # the (2k, k) layout has one owner: the other modules go through pair_state and pair_matrices
+    # the (2k, k) layout and the block-to-Fock map have one owner: the other modules go through
+    # pair_state, pair_matrices and ThreeModeState.occupations, and import nothing from blocks
     path = Path(triwave.evolution.__file__).with_name(f"{module}.py")
     offending = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom):
-            offending += [alias.name for alias in node.names if alias.name == "BlockIndex"]
+            from_blocks = node.module in ("blocks", "triwave.blocks")
+            offending += [alias.name for alias in node.names if from_blocks or alias.name == "BlockIndex"]
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreeModeState":
             offending.append("ThreeModeState(...)")
     assert offending == []

@@ -24,6 +24,7 @@ from triwave import (
     reciprocal_peak_likelihood,
     reduce_mode_c,
 )
+from triwave.evolution import pair_matrices
 
 
 def pcs_density(lam, cutoff=160):
@@ -65,6 +66,10 @@ def test_overlap_short_bra_treated_as_zero_padded():
     state = bell_like_state()
     # reference with no single-photon component misses half the state
     assert abs(overlap_with_product(state, bra_c=np.array([1.0])) - 1 / math.sqrt(2)) < 1e-12
+    # a joint reference is padded along each axis on its own
+    pair = ThreeModeState.from_fock_dict({(2, 0, 0): 0.6, (0, 2, 0): 0.8})
+    assert abs(overlap_with_product(pair, bra_ab=np.ones((3, 1))) - 0.6) < 1e-12
+    assert abs(overlap_with_product(pair, bra_ab=np.ones((1, 3))) - 0.8) < 1e-12
 
 
 def test_overlap_joint_pair_bra():
@@ -250,3 +255,30 @@ def test_matched_overlap_rho_matches_pure_state_form():
     o_rho, lam_rho = matched_pcs_overlap_rho(reduce_mode_c(state))
     assert abs(o_state - o_rho) < 1e-10
     assert abs(lam_state - lam_rho) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "read, expected",
+    [
+        (ThreeModeState.norm, 0.0),
+        (lambda state: mean_photon(state, "c"), 0.0),
+        (overlap_with_product, 0.0),
+        (lambda state: overlap_with_product(state, bra_ab=np.ones((2, 2)), bra_c=np.ones(2)), 0.0),
+        (lambda state: reduce_mode_c(state).matrix, np.zeros((1, 1), dtype=complex)),
+        (ThreeModeState.mode_support, (0, 0, 0)),
+        (ThreeModeState.to_fock_dict, {}),
+        (lambda state: list(pair_matrices(state)), ValueError),
+    ],
+    ids=["norm", "mean_photon", "overlap-traced", "overlap-bra_ab", "reduce_mode_c", "mode_support",
+         "to_fock_dict", "pair_matrices"],
+)
+def test_empty_state(read, expected):
+    # ThreeModeState() is the default state: every read is zero, and it has no pair matrix
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="the state is empty"):
+            read(ThreeModeState())
+    elif isinstance(expected, np.ndarray):
+        got = read(ThreeModeState())
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+    else:
+        assert read(ThreeModeState()) == expected
