@@ -73,8 +73,8 @@ def _energy_list(text: str) -> tuple[float, ...]:
             values = [start + step * i for i in range(int(math.floor((stop - start) / step + 1e-9)) + 1)]
     except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"could not be parsed: {exc}") from None
-    if len(values) < 3 or not all(0.0 < v < math.inf for v in values):
-        raise argparse.ArgumentTypeError(f"needs at least 3 energies, each finite and positive, got {text}")
+    if len(values) < 3 or len(set(values)) < 2 or not all(0.0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(f"needs 3 or more finite, positive energies, not all equal, got {text}")
     return tuple(values)
 
 

@@ -66,9 +66,10 @@ class ThreeModeState:
         return state
 
     def norm(self) -> float:
-        return np.sqrt(sum(float(np.vdot(v, v).real) for v in self.blocks.values()))
+        return np.sqrt(sum(float(np.vdot(v, v).real) for v in self._vectors()))
 
     def amplitude(self, triple) -> complex:
+        self._vectors()  # refuses a state of several times
         index, n = fock_to_block(triple)
         vec = self.blocks.get(index)
         if vec is None or n >= len(vec):
@@ -87,13 +88,20 @@ class ThreeModeState:
         return k - n, s - k - n, n
 
     def to_fock_dict(self) -> dict[FockTriple, complex]:
-        amps = np.concatenate([np.zeros(0, dtype=complex), *self.blocks.values()])
+        amps = np.concatenate([np.zeros(0, dtype=complex), *self._vectors()])
         triples = zip(*(occ.tolist() for occ in self.occupations()))
         return {FockTriple(*triple): amp for triple, amp in zip(triples, amps.tolist())}
 
     def mode_support(self) -> tuple[int, int, int]:
         """Structural maxima (n_a, n_b, n_c) over the stored blocks."""
         return tuple(int(occ.max(initial=0)) for occ in self.occupations())
+
+    def _vectors(self):
+        """The block vectors of a state at one time; ValueError for several, which only pair_matrices reads."""
+        for vec in self.blocks.values():
+            if vec.ndim != 1:
+                raise ValueError(f"the state holds {vec.shape[1]} times; read each time through pair_matrices")
+        return self.blocks.values()
 
 
 def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
@@ -133,7 +141,8 @@ def evolve(state: ThreeModeState, tau) -> ThreeModeState:
     """Evolve under the trilinear Hamiltonian for dimensionless time tau.
 
     tau may also be a 1-D array of T times: each block vector of the result
-    then has shape (d, T), column j holding the state at tau[j].
+    then has shape (d, T), column j holding the state at tau[j].  Only
+    pair_matrices reads the coefficients of such a state; the rest refuse it.
     """
     return _evolve(build_block_hamiltonian, state, tau)
 
@@ -145,7 +154,7 @@ def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState:
 
 def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState:
     tau = np.asarray(tau, dtype=float)  # converted once, not per block
-    blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
+    blocks = {index: build(index).propagate(vec, tau) for index, vec in zip(state.blocks, state._vectors())}
     return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
 
 

@@ -9,7 +9,8 @@ into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
 so each output is read once, by pair_matrices, as the pair matrix A of
 sum A[q, r] |r, r, q>: its moments give the photon numbers, A A^dag the
 mode-c density matrix, and the pipeline contracts G = A^T A* with the
-stage-2 response per pair.
+stage-2 response per pair.  Every stage-2 record, of a sweep, an optimum or
+the pipeline, is scored from its mode-c density matrix by _stage2_record.
 """
 from __future__ import annotations
 
@@ -118,24 +119,8 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1
     taus = _check_tau_grid(tau_grid)
     beam = make_twin_beam(chi, eps)
     energy_in = _input_energy(beam)
-
-    def one(tau: float) -> SweepRecord:
-        (amps,) = pair_matrices(evolve(beam, tau))
-        overlap, lam, pur, delta_phi, n_out = _score_output(_rho_c(amps), phase_grid)
-        n_pair = _moments(amps)[1]
-        return SweepRecord(
-            tau=float(tau),
-            overlap=overlap,
-            eta=2.0 * n_out / energy_in,
-            purity=pur,
-            delta_phi=delta_phi,
-            n_a=n_pair,
-            n_b=n_pair,
-            n_c=n_out,
-            lambda_or_chi=lam,
-        )
-
-    return [one(tau) for tau in taus]
+    outputs = ((tau, amps) for tau in taus for amps in pair_matrices(evolve(beam, tau)))
+    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid) for tau, amps in outputs]
 
 
 def find_optimal_tau(
@@ -153,10 +138,11 @@ def find_optimal_tau(
     times.  The overlap tends to 1 trivially as tau -> 0 (vacuum output
     matches a vacuum reference), so the bracket targets the best interior
     peak of the coarse scan rather than that boundary artifact.  Returns
-    (tau_opt, overlap, eta).
+    (tau_opt, overlap, eta), the last two read from rho_c at tau_opt, as in
+    stage2_sweep(chi, [tau_opt], eps, phase_grid) and scaling_study.
     """
-    tau_opt, overlap, amps, energy_in = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
-    return tau_opt, overlap, 2.0 * _moments(amps)[0] / energy_in
+    record = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
+    return record.tau, record.overlap, record.eta
 
 
 def find_peak_conversion_tau(
@@ -203,8 +189,8 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-D arrays of equal length")
-    if len(xs) < 3:
-        raise ValueError("power-law fit needs at least 3 points")
+    if len(xs) < 3 or len(np.unique(xs)) < 2:
+        raise ValueError("power-law fit needs at least 3 points, not all at the same x")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("power-law fit needs finite data")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
@@ -230,27 +216,14 @@ def scaling_study(
     records and fits of tau_opt against input and output photon numbers.
     """
     n_in_values = [float(n_in) for n_in in n_in_values]
-    if len(n_in_values) < 3 or not all(0.0 < n_in < math.inf for n_in in n_in_values):
-        raise ValueError(f"scaling needs 3 or more finite, positive input photon numbers, got {n_in_values}")
+    if len(n_in_values) < 3 or len(set(n_in_values)) < 2 or not all(0.0 < n < math.inf for n in n_in_values):
+        raise ValueError(f"scaling needs 3 or more finite, positive energies, not all equal, got {n_in_values}")
     points: list[ScalingPoint] = []
     for n_in in n_in_values:
         chi = math.sqrt(n_in / (n_in + 2.0))
-        tau_opt, _, amps, energy_in = _stage2_optimum(
-            chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL, phase_grid
-        )
-        overlap, lam, pur, delta_phi, n_out = _score_output(_rho_c(amps), phase_grid)
-        points.append(
-            ScalingPoint(
-                n_in=n_in,
-                n_out=n_out,
-                tau_opt=tau_opt,
-                overlap=overlap,
-                eta=2.0 * n_out / energy_in,
-                purity=pur,
-                delta_phi=delta_phi,
-                matched_lambda=lam,
-            )
-        )
+        rec = _stage2_optimum(chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL, phase_grid)
+        points.append(ScalingPoint(n_in=n_in, n_out=rec.n_c, tau_opt=rec.tau, overlap=rec.overlap, eta=rec.eta,
+                                   purity=rec.purity, delta_phi=rec.delta_phi, matched_lambda=rec.lambda_or_chi))
     fits = {
         "tau_opt_vs_n_in": fit_power_law([p.n_in for p in points], [p.tau_opt for p in points]),
         "tau_opt_vs_n_out": fit_power_law([p.n_out for p in points], [p.tau_opt for p in points]),
@@ -282,18 +255,7 @@ def pipeline_record(
     energy_in = 2.0 * _moments(amps)[1]
     if tau1 == 0.0 or energy_in == 0.0:  # at tau1 = 0 the pair energy is roundoff, not 0
         raise ValueError("stage 1 delivers no pairs to convert: the record needs tau1 > 0 and a non-empty pump")
-    overlap, lam, pur, delta_phi, n_out = _score_output(rho, phase_grid)
-    return SweepRecord(
-        tau=float(tau2),
-        overlap=overlap,
-        eta=2.0 * n_out / energy_in,
-        purity=pur,
-        delta_phi=delta_phi,
-        n_a=float("nan"),
-        n_b=float("nan"),
-        n_c=n_out,
-        lambda_or_chi=lam,
-    )
+    return _stage2_record(tau2, rho, energy_in, math.nan, phase_grid)
 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarray]:
@@ -332,21 +294,29 @@ def _rho_c(amps: np.ndarray) -> ReducedDensityMatrix:
     return ReducedDensityMatrix("c", amps @ amps.conj().T)
 
 
-def _score_output(rho: ReducedDensityMatrix, phase_grid: int) -> tuple[float, complex, float, float, float]:
-    """Matched overlap, its lam, purity, delta_phi and mean photon number of a mode-c output."""
+def _stage2_record(tau, rho, energy_in, n_pair, phase_grid) -> SweepRecord:
+    """The one scoring of a stage-2 output: its record at tau from its mode-c rho (n_a = n_b = n_pair)."""
     overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
     n_out = float(np.real(np.diag(rho.matrix)) @ np.arange(rho.matrix.shape[0]))
-    return overlap, lam, purity(rho), reciprocal_peak_likelihood(rho, phase_grid), n_out
+    return SweepRecord(
+        tau=float(tau),
+        overlap=overlap,
+        eta=2.0 * n_out / energy_in,
+        purity=purity(rho),
+        delta_phi=reciprocal_peak_likelihood(rho, phase_grid),
+        n_a=n_pair,
+        n_b=n_pair,
+        n_c=n_out,
+        lambda_or_chi=lam,
+    )
 
 
-def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
-    """The search of find_optimal_tau.
+def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid) -> SweepRecord:
+    """The search of find_optimal_tau, returning the _stage2_record at tau_opt.
 
-    Returns (tau_opt, overlap, pair matrix at tau_opt, twin-beam energy).
-    The golden search evaluates tau_opt last, so its pair matrix is kept
-    from that evaluation instead of being evolved again.  The search is
-    scored from each pair matrix directly; rho_c is left to the caller,
-    which forms it once, at tau_opt.
+    Each time is scored from its pair matrix A by _pair_matched_overlap,
+    without forming rho_c; that score only drives the search.  The golden
+    section evaluates tau_opt last, so its A is kept and scored, not evolved again.
     """
     beam = make_twin_beam(chi, eps)
     energy_in = _input_energy(beam)
@@ -359,8 +329,9 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid):
             values.append(_pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0])
         return values
 
-    tau_opt, overlap = _grid_then_golden(objective, window, coarse_points, tol)
-    return tau_opt, overlap, last["amps"], energy_in
+    tau_opt, _ = _grid_then_golden(objective, window, coarse_points, tol)
+    amps = last["amps"]
+    return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid)
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:

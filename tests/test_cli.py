@@ -163,6 +163,8 @@ def test_block_info(capsys):
         ["stage2", "--n-in", "1e-300", "--tau-max", "1", "--tau-steps", "3", "--out", "x.csv"],
         ["pipeline", "--pump-energy", "1e-300", "--tau1", "0.3", "--tau2", "0.7", "--out", "x.csv"],
         ["scaling", "--n-in-list", "1e-300,1,2", "--out", "x.csv"],
+        # a single distinct energy leaves the power-law fits rank-deficient
+        ["scaling", "--n-in-list", "2,2,2", "--out", "x.csv"],
     ],
 )
 def test_config_errors_exit_2(args, capsys):

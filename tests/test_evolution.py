@@ -18,7 +18,10 @@ from triwave import (
     evolve_recombination,
     make_coherent_pump,
     make_twin_beam,
+    matched_pcs_overlap,
     mean_photon,
+    overlap_with_product,
+    reduce_mode_c,
 )
 from triwave.evolution import pair_matrices, pair_state
 
@@ -255,3 +258,28 @@ def test_only_evolution_builds_pair_blocks(module):
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreeModeState":
             offending.append("ThreeModeState(...)")
     assert offending == []
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        ThreeModeState.norm,
+        lambda state: state.amplitude((0, 0, 0)),
+        ThreeModeState.to_fock_dict,
+        lambda state: mean_photon(state, "a"),
+        reduce_mode_c,
+        lambda state: overlap_with_product(state, bra_c=[1.0]),
+        matched_pcs_overlap,
+        lambda state: evolve(state, 0.3),
+    ],
+    ids=["norm", "amplitude", "to_fock_dict", "mean_photon", "reduce_mode_c",
+         "overlap_with_product", "matched_pcs_overlap", "evolve"],
+)
+def test_states_of_several_times_are_refused(read):
+    # read as one time, (d, T) vectors give norm() = sqrt(T), and mean_photon sums the times of dimension-1 blocks
+    beam = evolve(make_twin_beam(math.sqrt(0.5)), np.array([0.3, 0.9]))
+    single = evolve(ThreeModeState.from_fock_dict({(1, 0, 0): 1.0}), np.array([0.3, 0.9]))
+    for state in (beam, single):
+        with pytest.raises(ValueError, match="holds 2 times.*pair_matrices"):
+            read(state)
+    assert len(list(pair_matrices(beam))) == 2  # the one reader of several times

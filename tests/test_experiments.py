@@ -1,5 +1,7 @@
 """Sweep drivers, optimizers, power-law fits, and the chained pipeline."""
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +300,44 @@ def test_fit_power_law_validation():
         fit_power_law([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])
     with pytest.raises(ValueError, match="finite"):
         fit_power_law([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="same x"):  # polyfit is rank-deficient on one distinct x
+        fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.fixture(scope="module")
+def scaling_at_1e_8():
+    points, _ = scaling_study([2.0, 6.0, 12.0], eps=1e-8)
+    return {p.n_in: p for p in points}
+
+
+@pytest.mark.parametrize("stage, energy", [(2, 2.0), (2, 6.0), (2, 12.0), (1, 16.0)])
+def test_optimizers_report_the_sweep_record_at_tau_opt(stage, energy, scaling_at_1e_8):
+    # the optimum of each search is the sweep's record at tau_opt, bit for bit
+    if stage == 1:
+        tau_opt, eta = find_peak_conversion_tau(math.sqrt(energy))
+        (rec,) = stage1_sweep(math.sqrt(energy), [tau_opt])
+        assert (rec.tau, rec.eta) == (tau_opt, eta)
+        return
+    chi = math.sqrt(energy / (energy + 2.0))
+    found = find_optimal_tau(chi, eps=1e-8)
+    point = scaling_at_1e_8[energy]
+    (rec,) = stage2_sweep(chi, [found[0]], eps=1e-8)
+    assert found == (point.tau_opt, point.overlap, point.eta) == (rec.tau, rec.overlap, rec.eta)
+    assert (point.n_out, point.purity, point.delta_phi, point.matched_lambda) == (
+        rec.n_c, rec.purity, rec.delta_phi, rec.lambda_or_chi
+    )
+
+
+def test_records_are_built_in_one_place_each():
+    # SweepRecord comes from stage1_sweep and the stage-2 scorer only, ScalingPoint from scaling_study only
+    tree = ast.parse(Path(triwave.experiments.__file__).read_text())
+    sites = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("SweepRecord", "ScalingPoint"):
+                sites.add((node.func.id, getattr(stmt, "name", "<module>")))
+    expected = {("SweepRecord", "stage1_sweep"), ("SweepRecord", "_stage2_record"), ("ScalingPoint", "scaling_study")}
+    assert sites == expected
 
 
 def test_scaling_study_smoke():
@@ -316,7 +356,8 @@ def test_scaling_study_smoke():
 
 
 @pytest.mark.parametrize(
-    "energies", [[30.0, 54.0, -1.0], [30.0, 54.0], [2.0, math.nan, 4.0], [2.0, math.inf, 4.0], [0.0, 1.0, 2.0]]
+    "energies",
+    [[30.0, 54.0, -1.0], [30.0, 54.0], [2.0, math.nan, 4.0], [2.0, math.inf, 4.0], [0.0, 1.0, 2.0], [2.0, 2.0, 2.0]],
 )
 def test_scaling_study_checks_energies_before_any_search(monkeypatch, energies):
     calls = []
