@@ -10,8 +10,11 @@ per block and cached.
 
 A zero-diagonal tridiagonal matrix is bipartite: with D = diag((-1)^n),
 D H D = -H, so its spectrum is +-lambda and the eigenvector for -lambda is
-D v when v belongs to +lambda (Golub & Kahan 1965).  Only the lambda >= 0
-half is stored, d - d//2 columns (the zero mode first when d is odd), so
+D v when v belongs to +lambda (Golub & Kahan 1965).  Grouping even and odd
+rows gives H = [[0, B], [B^T, 0]] with B lower bidiagonal, and each singular
+triple B v = sigma u gives the eigenvector (u, v)/sqrt(2) of lambda = sigma,
+so the lambda >= 0 half is built from the SVD of B alone and is all that is
+stored: d - d//2 columns (the zero mode first when d is odd), so
 the cache holds sum d * ceil(d/2) * 8 bytes: 166 MiB for the N_in = 54
 twin beam of the scaling study.  Propagation folds the mirror back in on
 the even and odd rows of the block; see BlockHamiltonian.propagate.
@@ -27,7 +30,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 # on the reversed columns (im b, re b, im a, re a) this gives -i b and -i a
@@ -167,13 +169,21 @@ def build_recombination_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
 
 def _assemble(index: BlockIndex, offdiag: np.ndarray) -> BlockHamiltonian:
     d = len(offdiag) + 1
-    # the kept half is allocated before the solve, so freeing the full
-    # eigensystem leaves no heap hole beneath it
-    vecs = np.empty((d, d - d // 2))
-    vals, full = eigh_tridiagonal(np.zeros(d), offdiag)
-    vecs[:] = full[:, d // 2 :]
-    vals = vals[d // 2 :]
-    vals[: d % 2] = 0.0  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
+    half, odd = d // 2, d % 2
+    # the kept half is allocated before the solve, so freeing the singular
+    # vectors leaves no heap hole beneath it
+    vecs = np.empty((d, d - half))
+    vals = np.zeros(d - half)  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
+    # B = H[0::2, 1::2], and B v = σ u, Bᵀ u = σ v make (u, ±v)/√2 the eigenvectors of ±σ
+    bidiag = np.zeros((d - half, half))
+    bidiag.flat[:: half + 1] = offdiag[0::2]  # B[i, i]
+    bidiag.flat[half :: half + 1] = offdiag[1::2]  # B[i + 1, i]
+    u, sigma, vt = np.linalg.svd(bidiag)
+    vecs[0::2, :odd] = u[:, half:]  # the null vector of Bᵀ when d is odd: the zero mode, odd rows 0
+    vecs[1::2, :odd] = 0.0
+    vecs[0::2, odd:] = u[:, :half][:, ::-1] / np.sqrt(2.0)  # σ descending, λ ascending
+    vecs[1::2, odd:] = vt[::-1].T / np.sqrt(2.0)
+    vals[odd:] = sigma[::-1]
     return BlockHamiltonian(index=index, offdiag=offdiag, eigenvalues=vals, eigenvectors=vecs)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .blocks import (
     BlockIndex,
@@ -198,4 +197,4 @@ def _oracle_eigensystem(cutoff: int):
                     j = flat(n_a, n_b, n_c)
                     ham[i, j] += amp
                     ham[j, i] += amp
-    return eigh(ham)
+    return np.linalg.eigh(ham)

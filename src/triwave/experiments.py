@@ -97,8 +97,11 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
         (amps,) = pair_matrices(evolve(pump, tau))
         n_c, n_pair = _moments(amps)
         chi = predicted_twin_beam_param(pump_alpha, tau)
-        # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1
-        ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) / math.cosh(tau * abs(pump_alpha))
+        # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1;
+        # written with e^-x, it underflows to 0 where cosh would overflow (x > 710)
+        x = tau * abs(pump_alpha)
+        sech = 2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))
+        ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) * sech
         return SweepRecord(
             tau=float(tau),
             overlap=min(1.0, float(np.linalg.norm(amps @ np.conj(ref)))),  # rounding can exceed 1 as tau -> 0

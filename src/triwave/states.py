@@ -5,7 +5,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .evolution import pair_state
 
@@ -16,21 +15,30 @@ def make_coherent_pump(alpha: complex, eps: float = 1e-10):
     """Vacuum signal and idler with a coherent pump, |0, 0, alpha>.
 
     The Poisson photon distribution of the pump is truncated at the
-    smallest N whose tail probability, read from the Poisson survival
-    function, falls below eps, then renormalized.  Weights are evaluated
-    through log-factorials so large pump energies stay finite.
+    smallest N whose tail probability P(n > N) falls below eps, then
+    renormalized.  The tail is summed from far above N down, smallest
+    terms first, so it stays accurate far below the rounding floor of
+    1 - sum.  Weights are evaluated through log-factorials so large pump
+    energies stay finite.
     """
     _check_eps(eps)
     _check_finite("alpha", alpha)
     mu = abs(alpha) ** 2
-    hi = int(mu + 12.0 * math.sqrt(mu) + 30.0)
-    while pdtrc(hi, mu) >= eps:
-        hi = int(hi * 1.5) + 10
-    cut = int(np.argmax(pdtrc(np.arange(hi + 1), mu) < eps))
-    n = np.arange(cut + 1)
-    weights = np.exp(-mu + xlogy(n, mu) - gammaln(n + 1.0))  # xlogy(0, 0) = 0: mu = 0 is the vacuum
-    amps = np.sqrt(weights / weights.sum()) * np.exp(1j * n * np.angle(alpha))
-    return pair_state(amps[:, None], trunc_error=float(pdtrc(cut, mu)))
+    if mu == 0.0:
+        return pair_state(np.ones((1, 1)))
+    log_mu = math.log(mu)
+    # above the mean the terms fall at least geometrically, so a top term
+    # e^-50 below eps leaves an unsummed tail far below eps
+    top = int(mu + 12.0 * math.sqrt(mu) + 30.0)
+    while -mu + top * log_mu - math.lgamma(top + 1.0) > math.log(eps) - 50.0:
+        top = int(top * 1.5) + 10
+    n = np.arange(top + 1)
+    pmf = np.exp(-mu + n * log_mu - np.array([math.lgamma(m + 1.0) for m in range(top + 1)]))
+    survival = np.cumsum(pmf[:0:-1])[::-1]  # survival[m] = P(n > m), summed from the top down
+    cut = int(np.argmax(survival < eps))
+    weights = pmf[: cut + 1]
+    amps = np.sqrt(weights / weights.sum()) * np.exp(1j * n[: cut + 1] * np.angle(alpha))
+    return pair_state(amps[:, None], trunc_error=float(survival[cut]))
 
 
 def make_twin_beam(chi: complex, eps: float = 1e-10):

@@ -226,6 +226,24 @@ def test_propagate_parity_of_basis_input(k, n_b, build, i0, tau):
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "build, index",
+    [(build_block_hamiltonian, BlockIndex(2 * k, k)) for k in (1, 2, 3, 10, 101, 255, 256, 506)]
+    + [(build_block_hamiltonian, BlockIndex(s, k)) for s, k in ((5, 1), (9, 4), (30, 7), (61, 40), (300, 120))]
+    + [(build_recombination_hamiltonian, BlockIndex(s, k)) for s, k in ((4, 2), (21, 10), (200, 64), (1012, 506))],
+)
+def test_stored_half_matches_tridiagonal_eigensystem(build, index):
+    # the half built from the SVD of the bidiagonal B against LAPACK's tridiagonal solver
+    ham = build(index)
+    d = ham.dimension
+    reference = eigh_tridiagonal(np.zeros(d), ham.offdiag, eigvals_only=True)
+    vals, vecs = mirrored_eigensystem(ham)
+    scale = reference[-1]
+    assert np.abs(vals - reference).max() <= 1e-12 * scale
+    assert np.abs(ham.matrix() @ vecs - vecs * vals).max() <= 1e-11 * scale
+    assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("tau", [0.5, 3.0])
 def test_propagate_largest_scaling_block_matches_full_eigensystem(tau):
     # (1012, 506), dimension 507, is the largest block of the N_in = 54 twin

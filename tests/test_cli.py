@@ -2,6 +2,8 @@
 import ast
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -250,3 +252,21 @@ def test_cli_imports_no_private_triwave_name():
                 if alias.name.split(".")[0] == "triwave":
                     private += [name for name in alias.name.split(".") if name.startswith("_")]
     assert private == []
+
+
+def test_package_loads_no_scipy():
+    # numpy serves every run; scipy is only a reference for the tests
+    src = Path(triwave.cli.__file__).resolve().parents[1]
+    code = "import sys, triwave, triwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    # nor later, through an import inside a function
+    imported = []
+    for path in (src / "triwave").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append(node.module)
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []

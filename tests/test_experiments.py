@@ -61,6 +61,14 @@ def test_stage1_sweep_saturated_pump_reference():
     assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(512.0, rel=1e-7)
 
 
+def test_stage1_sweep_long_times_stay_finite():
+    # tau |alpha| = 800 and 2e300: past the overflow of cosh, sech underflows to 0
+    for alpha, taus, weight in ((16.0, [50.0], 512.0), (2.0, [0.0, 1e300], 8.0)):
+        for rec in stage1_sweep(alpha, taus):
+            assert all(math.isfinite(v) for v in (rec.overlap, rec.eta, rec.purity, rec.n_a, rec.n_b, rec.n_c))
+            assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(weight, rel=1e-7)
+
+
 @pytest.mark.parametrize("energy", [16.0, 81.0])
 def test_stage1_scoring_matches_marginal_definitions(energy):
     # overlap with the twin-beam bra diag(t) on (a, b), the mode-c purity,

@@ -1,8 +1,11 @@
 """Input state constructors and the parametric-limit prediction."""
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import poisson
 
@@ -52,6 +55,40 @@ def test_coherent_pump_tail_below_eps():
             assert state.trunc_error < eps
 
 
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(0.0, 1000.0, exclude_min=True), log_eps=st.floats(-300.0, -4.0))
+def test_coherent_pump_truncation_matches_poisson_survival(mu, log_eps):
+    # the tail summed from the top against scipy's survival function
+    eps = 10.0**log_eps
+    alpha = math.sqrt(mu)
+    mu = abs(alpha) ** 2  # the energy the constructor sees
+    state = make_coherent_pump(alpha, eps=eps)
+    cut = len(state.blocks) - 1
+    assert poisson.sf(cut, mu) < eps
+    assert cut == 0 or poisson.sf(cut - 1, mu) >= eps  # the smallest such cut
+    # scipy flushes a subnormal survival to 0 (P(n > 0) = 2.2e-311 at mu = 2.2e-311 reads 0)
+    assert state.trunc_error == pytest.approx(poisson.sf(cut, mu), rel=1e-9, abs=sys.float_info.min)
+
+
+@pytest.mark.parametrize("alpha, eps", [(0.3, 1e-10), (1.5, 1e-17), (3.0 * np.exp(1j), 1e-10)])
+def test_coherent_pump_weights_match_log_factorial_formula(alpha, eps):
+    # within 1e-13 only for small pumps: above |alpha| ~ 3 the log-space terms
+    # -mu + n log mu - log n! themselves round at 1e-13
+    state = make_coherent_pump(alpha, eps)
+    mu = abs(alpha) ** 2
+    n = np.arange(len(state.blocks))
+    expected = np.exp(-mu + n * math.log(mu) - gammaln(n + 1.0))
+    kept = np.array([abs(state.amplitude(FockTriple(0, 0, m))) ** 2 for m in n])
+    assert kept == pytest.approx(expected / expected.sum(), rel=1e-13, abs=0.0)
+
+
+def test_coherent_pump_zero_is_vacuum():
+    state = make_coherent_pump(0.0)
+    assert list(state.blocks) == [(0, 0)]
+    assert state.amplitude(FockTriple(0, 0, 0)) == 1.0
+    assert state.trunc_error == 0.0
+
+
 @pytest.mark.parametrize("alpha, eps", [(1.5, 1e-10), (9.0 * np.exp(0.3j), 1e-10), (0.3, 1e-6)])
 def test_coherent_pump_blocks_match_fock_construction(alpha, eps):
     # one block (2m, m) per pump count m, ascending, holding the amplitude at local index m
@@ -59,7 +96,7 @@ def test_coherent_pump_blocks_match_fock_construction(alpha, eps):
     mu = abs(alpha) ** 2
     cut = len(state.blocks) - 1
     n = np.arange(cut + 1)
-    weights = np.exp(-mu + n * math.log(mu) - gammaln(n + 1.0))
+    weights = np.exp(-mu + n * math.log(mu) - np.array([math.lgamma(m + 1.0) for m in n]))
     amps = np.sqrt(weights / weights.sum()) * np.exp(1j * n * np.angle(alpha))
     expected = ThreeModeState.from_fock_dict({(0, 0, m): amps[m] for m in n}, normalize=False)
     assert list(state.blocks) == list(expected.blocks)
