@@ -17,7 +17,10 @@ so the lambda >= 0 half is built from the SVD of B alone and is all that is
 stored: d - d//2 columns (the zero mode first when d is odd), so
 the cache holds sum d * ceil(d/2) * 8 bytes: 166 MiB for the N_in = 54
 twin beam of the scaling study.  Propagation folds the mirror back in on
-the even and odd rows of the block; see BlockHamiltonian.propagate.
+the even and odd rows of the block; see BlockHamiltonian.propagate.  Every
+input of the experiments, the coherent pump and the twin beam, puts one Fock
+vector in each block (2k, k) (Walls & Barakat 1970), so propagate reads it
+from one stored row, with no projection.
 
 The same decomposition carries the ideal recombination Hamiltonian
 a^dag b^dag (b^dag b + 1)^(-1/2) c + h.c., whose blocks follow the su(2)
@@ -92,13 +95,38 @@ class BlockHamiltonian:
         vec.shape + tau.shape, column j evolved to tau[j].  a and b are
         projected once per call, and each parity maps all T times back in
         one product; a single time is the case T = 1.
+
+        A vector with one non-zero entry α at local index j, as every input
+        of the experiments puts in each block (the pump at j = k, the twin
+        beam and the unit pairs at j = 0), needs no projection: with u row j
+        of the stored half, doubled except on the zero mode, rows of j's
+        parity p get α V_p (cos λτ ∘ u) and the others -iα V_q (sin λτ ∘ u),
+        one real column per time.
         """
         tau = np.asarray(tau, dtype=float)
-        phase = self.eigenvalues[:, None, None] * tau.reshape(-1, 1)
+        phase = self.eigenvalues[:, None] * tau  # (m, T), or (m, 1) for one time
         c, s = np.cos(phase), np.sin(phase)
+        d = len(vec)
+        (nonzero,) = vec.nonzero()
+        if len(nonzero) == 1:
+            j = nonzero[0]
+            alpha, p, u = 2.0 * complex(vec[j]), j % 2, self.eigenvectors[j]  # 2: each λ > 0 has a mirror
+            if d % 2:
+                c[0] = 0.5  # the zero mode (first when d is odd) is its own mirror
+            # the real and imaginary parts are written apart: a complex factor would be cast
+            # through a scratch buffer on every block, which raised stage-1 peak RSS by 2%
+            out = np.empty((d, c.shape[1]), dtype=complex)
+            same = self.eigenvectors[p::2] @ (c * u[:, None])
+            np.multiply(same, alpha.real, out=out.real[p::2])
+            np.multiply(same, alpha.imag, out=out.imag[p::2])
+            cross = self.eigenvectors[1 - p :: 2] @ (s * u[:, None])  # times -i alpha = alpha.imag - i alpha.real
+            np.multiply(cross, alpha.imag, out=out.real[1 - p :: 2])
+            np.multiply(cross, -alpha.real, out=out.imag[1 - p :: 2])
+            return out.reshape((d,) + tau.shape)
+        c, s = c[:, :, None], s[:, :, None]
         v_e, v_o = self.eigenvectors[0::2], self.eigenvectors[1::2]
         x = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2)
-        d, m = len(x), len(phase)
+        m = len(phase)
         # ab[:, 0] holds re a, im a, re b, im b; the factor 2 of c and s sits here,
         # except on the zero mode (first when d is odd), which is its own mirror
         ab = np.empty((m, 1, 4))

@@ -22,6 +22,7 @@ from dataclasses import fields
 import numpy as np
 
 from .blocks import block_dimension, recombination_offdiag, trilinear_offdiag
+from .evolution import check_time_domain
 from .evolution import evolve  # noqa: F401  (unused; perfbench/test_perfbench.py reads triwave.cli.evolve)
 from .experiments import best_peak_index, pipeline_record, scaling_study, stage1_sweep, stage2_sweep
 from .metrics import PHASE_GRID_MIN
@@ -157,7 +158,9 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def _check_inputs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Refuse an input energy that the states constructors reject, or truncate to the vacuum at --eps."""
+    """Refuse an input energy that the states constructors reject, that truncates to the vacuum at --eps,
+    or whose exact time domain does not hold the largest time asked for."""
+    tau_max = max((getattr(args, name) for name in ("tau_max", "tau1", "tau2") if name in args), default=0.0)
     if "pump_energy" in args:
         flag, make, params = "--pump-energy", make_coherent_pump, [_alpha(args.pump_energy, args.pump_phase)]
     elif "n_in" in args:
@@ -166,8 +169,10 @@ def _check_inputs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         flag, make, params = "--n-in-list", make_twin_beam, [_chi(n_in) for n_in in args.n_in_list]
     for param in params:
         try:
-            if make(param, args.eps).mode_support() == (0, 0, 0):
+            state = make(param, args.eps)
+            if state.mode_support() == (0, 0, 0):
                 parser.error(f"{flag} truncates to the vacuum at --eps {args.eps}, leaving no photons to convert")
+            check_time_domain(state, tau_max)
         except ValueError as exc:
             parser.error(f"{flag}: {exc}")
 

@@ -26,9 +26,13 @@ from .blocks import (
     build_block_hamiltonian,
     build_recombination_hamiltonian,
     fock_to_block,
+    trilinear_offdiag,
 )
 
 MAX_ORACLE_CUTOFF = 8
+
+# past lambda |tau| = 2^53 * 1e-8 the rounding of the phase alone exceeds the 1e-8 exactness bar
+_PHASE_LIMIT = 2.0**53 * 1e-8
 
 
 @dataclass
@@ -134,6 +138,22 @@ def pair_matrices(state: ThreeModeState):
         for k, vec in vecs.items():
             flat[k : k * dim + 1 : step] = vec[:, j]
         yield amps
+
+
+def check_time_domain(state, tau: float) -> None:
+    """Raise ValueError if evolving a state in the blocks (2k, k) to time tau leaves the exact domain.
+
+    The phase lambda tau of propagate keeps the 1e-8 exactness bar while
+    lambda_max |tau| <= 2^53 * 1e-8.  lambda_max is bounded before any
+    eigensystem is built by Gershgorin: twice the largest coupling
+    (K - n) sqrt(n + 1) of block (2K, K), K the state's largest pair count.
+    At N_in = 54 (K = 506) the limit is tau = 1.0e4.
+    """
+    top = max((k for _, k in state.blocks), default=0)
+    lam_max = 2.0 * float(trilinear_offdiag(BlockIndex(2 * top, top)).max(initial=0.0))
+    if lam_max > 0.0 and abs(tau) > _PHASE_LIMIT / lam_max:
+        raise ValueError(f"tau = {tau:g} is outside the exact time domain of this input, |tau| <= "
+                         f"{_PHASE_LIMIT / lam_max:.6g}: past it the rounding of the phase lambda tau alone exceeds 1e-8")
 
 
 def evolve(state: ThreeModeState, tau) -> ThreeModeState:

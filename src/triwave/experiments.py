@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import evolve, pair_matrices, pair_state
+from .evolution import check_time_domain, evolve, pair_matrices, pair_state
 from .metrics import (
     ReducedDensityMatrix,
     _pair_matched_overlap,
@@ -31,8 +31,8 @@ from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_para
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# coarse-scan times per evolve; each time's pair matrix is scored and dropped
-# before the next is formed, so the batch bounds memory at a few states
+# times per evolve in the coarse scans and the sweeps; each time's pair matrix
+# is scored and dropped before the next is formed, so memory stays at a few states
 _SCAN_CHUNK = 4
 
 _STAGE2_WINDOW = (0.0, 3.0)
@@ -89,12 +89,11 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     by the undepleted-pump approximation at each time.  delta_phi is not
     meaningful for the mode pair and is recorded as NaN.
     """
-    taus = _check_tau_grid(tau_grid)
     pump = make_coherent_pump(pump_alpha, eps)
+    taus = _check_tau_grid(tau_grid, pump)
     pump_energy = _input_energy(pump)
 
-    def one(tau: float) -> SweepRecord:
-        (amps,) = pair_matrices(evolve(pump, tau))
+    def one(tau: float, amps: np.ndarray) -> SweepRecord:
         n_c, n_pair = _moments(amps)
         chi = predicted_twin_beam_param(pump_alpha, tau)
         # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1;
@@ -106,7 +105,7 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
             tau=float(tau),
             overlap=min(1.0, float(np.linalg.norm(amps @ np.conj(ref)))),  # rounding can exceed 1 as tau -> 0
             eta=n_pair / pump_energy,
-            purity=purity(_rho_c(amps)),  # equals the (a, b) purity
+            purity=_pair_purity(amps),  # equals the (a, b) purity
             delta_phi=float("nan"),
             n_a=n_pair,
             n_b=n_pair,
@@ -114,16 +113,16 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
             lambda_or_chi=chi,
         )
 
-    return [one(tau) for tau in taus]
+    return [one(tau, amps) for tau, amps in _pair_outputs(pump, taus)]
 
 
 def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1024) -> list[SweepRecord]:
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
-    taus = _check_tau_grid(tau_grid)
     beam = make_twin_beam(chi, eps)
+    taus = _check_tau_grid(tau_grid, beam)
     energy_in = _input_energy(beam)
-    outputs = ((tau, amps) for tau in taus for amps in pair_matrices(evolve(beam, tau)))
-    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid) for tau, amps in outputs]
+    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid)
+            for tau, amps in _pair_outputs(beam, taus)]
 
 
 def find_optimal_tau(
@@ -165,7 +164,7 @@ def find_peak_conversion_tau(
     def objective(taus: np.ndarray) -> list[float]:
         return [_moments(amps)[1] / pump_energy for amps in pair_matrices(evolve(pump, taus))]
 
-    return _grid_then_golden(objective, window, coarse_points, tol)
+    return _grid_then_golden(objective, pump, window, coarse_points, tol)
 
 
 def best_peak_index(values: np.ndarray) -> int:
@@ -263,9 +262,10 @@ def pipeline_record(
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarray]:
     """The body of full_pipeline; also returns the stage-1 pair matrix."""
-    for tau in (tau1, tau2):
-        _check_tau_grid([tau])
-    (amps,) = pair_matrices(evolve(make_coherent_pump(pump_alpha, eps), tau1))
+    pump = make_coherent_pump(pump_alpha, eps)
+    for tau in (tau1, tau2):  # the stage-2 pair counts reach the pump's, so one bound covers both
+        _check_tau_grid([tau], pump)
+    (amps,) = pair_matrices(evolve(pump, tau1))
     density = amps.T @ amps.conj()
     dim = len(amps)  # output support is bounded by the pair count
     (response,) = pair_matrices(evolve(pair_state(np.ones((1, dim))), tau2))  # |r, r, 0> for every r
@@ -287,9 +287,20 @@ def _input_energy(state) -> float:
 
 def _moments(amps: np.ndarray) -> tuple[float, float]:
     """(n_c, n_a = n_b) of a pair matrix: sum |A[n, r]|^2 times n, and times r."""
-    weights = np.abs(amps) ** 2
+    weights = np.abs(amps)
+    weights *= weights  # squared in place: one temporary the size of A, not two
     occ = np.arange(len(amps))
     return float(occ @ weights.sum(axis=1)), float(weights.sum(axis=0) @ occ)
+
+
+def _pair_purity(amps: np.ndarray) -> float:
+    """Tr rho_c^2 of a pair matrix, summed over blocks of 32 rows of conj(rho_c) = A* A^T.
+
+    Neither rho_c nor a conjugate of A is ever whole: at pump 256 the two
+    would add 4 MiB per time to the four evolved times a sweep holds.
+    """
+    rows = (np.abs(amps[i : i + 32].conj() @ amps.T) for i in range(0, len(amps), 32))
+    return float(sum(np.sum(w * w) for w in rows))
 
 
 def _rho_c(amps: np.ndarray) -> ReducedDensityMatrix:
@@ -332,12 +343,13 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid) -> SweepRe
             values.append(_pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0])
         return values
 
-    tau_opt, _ = _grid_then_golden(objective, window, coarse_points, tol)
+    tau_opt, _ = _grid_then_golden(objective, beam, window, coarse_points, tol)
     amps = last["amps"]
     return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid)
 
 
-def _check_tau_grid(tau_grid) -> np.ndarray:
+def _check_tau_grid(tau_grid, state) -> np.ndarray:
+    """The times of tau_grid as an array, refused unless finite, ascending, >= 0 and inside state's time domain."""
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
         raise ValueError("tau grid must be a non-empty 1-D sequence")
@@ -347,14 +359,24 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
         raise ValueError("tau grid must be non-negative")
     if len(taus) > 1 and np.any(np.diff(taus) <= 0.0):
         raise ValueError("tau grid must be strictly ascending")
+    check_time_domain(state, taus[-1])
     return taus
 
 
-def _grid_then_golden(objective, window, coarse_points, tol) -> tuple[float, float]:
+def _pair_outputs(state, taus):
+    """(tau, A) for each time of taus: one evolve per _SCAN_CHUNK times, each A formed after the last is scored."""
+    for i in range(0, len(taus), _SCAN_CHUNK):
+        chunk = taus[i : i + _SCAN_CHUNK]
+        yield from zip(chunk, pair_matrices(evolve(state, chunk)))
+
+
+def _grid_then_golden(objective, state, window, coarse_points, tol) -> tuple[float, float]:
     """Coarse scan, bracket around best_peak_index, golden section.
 
-    objective maps a 1-D array of times to their values.  The coarse grid
-    goes to it _SCAN_CHUNK times at a time, each golden-section step as one.
+    objective maps a 1-D array of times to their values for the input state,
+    whose time domain must hold the window.  The coarse grid goes to it
+    _SCAN_CHUNK times at a time, as the sweeps evolve theirs, and each
+    golden-section step as one.
     """
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
@@ -363,6 +385,7 @@ def _grid_then_golden(objective, window, coarse_points, tol) -> tuple[float, flo
         raise ValueError(f"coarse grid needs a whole number of points, at least 2, got {coarse_points}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    check_time_domain(state, hi)
     coarse_points = int(coarse_points)
     taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
     values = np.concatenate([objective(taus[i : i + _SCAN_CHUNK]) for i in range(0, coarse_points, _SCAN_CHUNK)])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
@@ -224,6 +224,56 @@ def test_propagate_parity_of_basis_input(k, n_b, build, i0, tau):
     assert np.abs(out.imag[same]).max(initial=0.0) <= 1e-14
     assert np.abs(out.real[~same]).max(initial=0.0) <= 1e-14
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(1, 60),
+    n_b=st.integers(0, 3),
+    build=st.sampled_from([build_block_hamiltonian, build_recombination_hamiltonian]),
+    j=st.integers(0, 59),
+    edge=st.sampled_from([None, "first", "last"]),
+    alpha=st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    taus=st.one_of(st.floats(-3.0, 3.0), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)),
+)
+def test_propagate_one_entry_matches_dense_eigh(d, n_b, build, j, edge, alpha, taus):
+    # a vector alpha e_j, the form every experiment input takes in each block, runs the unit-response
+    # path; the reference diagonalizes the dense block, and the two phases differ by up to about
+    # 6e-16 lambda_max |tau| (3.8e-13 seen at d = 60, tau = 3), so the bound carries four times that
+    ham = build(BlockIndex(2 * (d - 1) + n_b, d - 1))
+    assert ham.dimension == d
+    j = {None: j % d, "first": 0, "last": d - 1}[edge]
+    vals, vecs = np.linalg.eigh(ham.matrix())
+    tau = np.asarray(taus, dtype=float)
+    vec = np.zeros(d, dtype=complex)
+    vec[j] = alpha
+    expected = vecs @ (np.exp(-1j * vals[:, None] * tau.reshape(1, -1)) * (alpha * vecs[j])[:, None])
+    out = ham.propagate(vec, tau)
+    assert out.shape == (d,) + tau.shape
+    tol = (1e-13 + 2.5e-15 * vals.max() * np.abs(tau).max()) * abs(alpha)
+    assert np.max(np.abs(out.reshape(d, -1) - expected)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 60),
+    build=st.sampled_from([build_block_hamiltonian, build_recombination_hamiltonian]),
+    i=st.integers(0, 59),
+    shift=st.integers(1, 59),
+    xy=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    taus=st.one_of(st.floats(-3.0, 3.0), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)),
+)
+def test_propagate_two_entries_is_the_sum_of_unit_responses(d, build, i, shift, xy, taus):
+    # two non-zero entries take the projection path, each unit vector the one-entry path:
+    # linearity ties the two paths together
+    ham = build(BlockIndex(2 * (d - 1), d - 1))
+    i, j = i % d, (i + shift) % d
+    x, y = complex(xy[0], xy[1]), complex(xy[2], xy[3])
+    assume(i != j and x != 0.0 and y != 0.0)
+    e_i, e_j = np.eye(d)[i], np.eye(d)[j]
+    both = ham.propagate(x * e_i + y * e_j, taus)
+    parts = x * ham.propagate(e_i, taus) + y * ham.propagate(e_j, taus)
+    assert np.max(np.abs(both - parts)) <= 1e-14
 
 
 @pytest.mark.parametrize(

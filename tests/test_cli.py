@@ -167,6 +167,9 @@ def test_block_info(capsys):
         ["scaling", "--n-in-list", "1e-300,1,2", "--out", "x.csv"],
         # a single distinct energy leaves the power-law fits rank-deficient
         ["scaling", "--n-in-list", "2,2,2", "--out", "x.csv"],
+        # times past the exact domain of the input, 1.06e6 for pump 4, where the phase keeps no 1e-8
+        ["stage1", "--pump-energy", "4", "--tau-max", "1e300", "--tau-steps", "2", "--out", "x.csv"],
+        ["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "1e7", "--out", "x.csv"],
     ],
 )
 def test_config_errors_exit_2(args, capsys):

@@ -31,8 +31,10 @@ from triwave import (
     scaling_study,
     stage1_sweep,
     stage2_sweep,
+    trilinear_offdiag,
 )
-from triwave.experiments import _moments, _rho_c
+from triwave.evolution import check_time_domain
+from triwave.experiments import _SCAN_CHUNK, _moments, _pair_purity, _rho_c
 from triwave.metrics import _lag_sums, _pair_lag_sums, _pair_matched_overlap, _pcs_weights
 
 
@@ -62,8 +64,9 @@ def test_stage1_sweep_saturated_pump_reference():
 
 
 def test_stage1_sweep_long_times_stay_finite():
-    # tau |alpha| = 800 and 2e300: past the overflow of cosh, sech underflows to 0
-    for alpha, taus, weight in ((16.0, [50.0], 512.0), (2.0, [0.0, 1e300], 8.0)):
+    # tau |alpha| = 800 and 2e5: past the overflow of cosh, sech underflows to 0 (2e300 is now
+    # outside the exact time domain, see test_times_outside_the_exact_domain_are_rejected)
+    for alpha, taus, weight in ((16.0, [50.0], 512.0), (2.0, [0.0, 1e5], 8.0)):
         for rec in stage1_sweep(alpha, taus):
             assert all(math.isfinite(v) for v in (rec.overlap, rec.eta, rec.purity, rec.n_a, rec.n_b, rec.n_c))
             assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(weight, rel=1e-7)
@@ -97,6 +100,27 @@ def test_stage1_overlap_decays_with_time():
     grid = np.array([0.05, 0.3])
     records = stage1_sweep(9.0, grid)
     assert records[1].overlap < records[0].overlap
+
+
+@pytest.mark.parametrize(
+    "sweep, param", [(stage1_sweep, 9.0 * np.exp(0.4j)), (stage2_sweep, math.sqrt(6.0 / 8.0))], ids=["stage1", "stage2"]
+)
+def test_batched_sweeps_equal_per_time_sweeps(monkeypatch, sweep, param):
+    # 25 times, not a multiple of the chunk: 7 evolves, and every field as from one call per time
+    grid = np.linspace(0.05, 1.25, 25)
+    sizes = []
+
+    def counting_evolve(state, tau):
+        sizes.append(np.size(tau))
+        return evolve(state, tau)
+
+    monkeypatch.setattr(triwave.experiments, "evolve", counting_evolve)
+    batched = sweep(param, grid)
+    assert sizes == [_SCAN_CHUNK] * 6 + [1] and _SCAN_CHUNK == 4
+    singles = [sweep(param, [tau])[0] for tau in grid]
+    for got, want in zip(batched, singles):
+        for name, value in vars(want).items():
+            np.testing.assert_allclose(getattr(got, name), value, rtol=1e-13, atol=0.0, err_msg=name)
 
 
 def test_stage2_sweep_single_pair_limit():
@@ -166,6 +190,50 @@ def test_tau_grid_validation():
             stage2_sweep(0.5, np.array([0.1, bad]))
         with pytest.raises(ValueError):
             stage1_sweep(2.0, np.array([bad]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: stage1_sweep(2.0, [1e15]),
+        lambda: stage1_sweep(2.0, [0.1, 1e300]),
+        lambda: stage2_sweep(0.5, [0.1, 1e15]),
+        lambda: find_peak_conversion_tau(2.0, window=(0.0, 1e15)),
+        lambda: find_optimal_tau(0.5, window=(0.0, 1e15)),
+        lambda: full_pipeline(2.0, 1e15, 0.5),
+        lambda: pipeline_record(2.0, 0.3, 1e15),
+    ],
+    ids=["stage1-sweep", "stage1-sweep-1e300", "stage2-sweep", "find-peak-conversion-tau", "find-optimal-tau",
+         "pipeline-tau1", "pipeline-tau2"],
+)
+def test_times_outside_the_exact_domain_are_rejected(monkeypatch, call):
+    # past lambda_max tau = 2^53 * 1e-8 the phase has no 1e-8 left: at t = 1e15 the pump-4 sweep
+    # read n_a 2.086, and 1.825 at t + 0.125; the check runs before any evolve
+    calls = []
+    monkeypatch.setattr(triwave.experiments, "evolve", lambda state, tau: calls.append(tau))
+    with pytest.raises(ValueError, match="exact time domain"):
+        call()
+    assert calls == []
+
+
+def test_time_at_the_domain_limit_still_runs():
+    # the limit is 2^53 * 1e-8 over the Gershgorin bound 2 max (K - n) sqrt(n + 1) of block (2K, K)
+    pump = make_coherent_pump(2.0)
+    top = pump.mode_support()[2]
+    limit = 2.0**53 * 1e-8 / (2.0 * trilinear_offdiag((2 * top, top)).max())
+    assert 1e6 < limit < 1.1e6
+    (rec,) = stage1_sweep(2.0, [limit])
+    assert rec.n_a + rec.n_b + 2 * rec.n_c == pytest.approx(8.0, rel=1e-7)
+    with pytest.raises(ValueError, match="exact time domain"):
+        stage1_sweep(2.0, [np.nextafter(limit, math.inf)])
+
+
+def test_domain_limit_at_the_largest_scaling_input():
+    # N_in = 54 at eps = 1e-8 reaches K = 506, where lambda_max = 8765.5 and the bound is 8788
+    beam = make_twin_beam(math.sqrt(54.0 / 56.0), eps=1e-8)
+    with pytest.raises(ValueError, match=r"\|tau\| <= 1024[0-9]\."):
+        check_time_domain(beam, 1.1e4)
+    check_time_domain(beam, 1.0e4)
 
 
 def test_best_peak_index_prefers_interior_peak():
@@ -262,6 +330,15 @@ def test_coarse_scans_match_public_references(monkeypatch):
     ]
     for values, reference in zip(scanned, expected):
         assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 365])
+def test_pair_purity_matches_the_density_matrix_path(size):
+    # stage 1 sums Tr rho_c^2 over blocks of 32 rows of A* A^T instead of forming rho_c = A A^dag
+    rng = np.random.default_rng(size)
+    amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    amps /= np.linalg.norm(amps)
+    assert abs(_pair_purity(amps) - purity(_rho_c(amps))) <= 1e-14
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 255, 256, 257, 507, 600])
