@@ -6,7 +6,8 @@ kept; ThreeModeState.occupations is the one place that maps the stored
 coefficients to their Fock triples.  Evolution applies the cached
 eigendecomposition of each block and never mixes blocks.  pair_state and
 pair_matrices map a state with n_a = n_b to and from its pair matrix; no
-other module knows that layout.
+other module knows that layout.  check_time_domain bounds the times such a
+state can be evolved to exactly.
 
 dense_oracle_evolve is an independent cross-check: it builds the full
 Hamiltonian on a truncated Fock cube straight from the ladder rules and
@@ -140,7 +141,7 @@ def pair_matrices(state: ThreeModeState):
         yield amps
 
 
-def check_time_domain(state, tau: float) -> None:
+def check_time_domain(state: ThreeModeState, tau: float) -> None:
     """Raise ValueError if evolving a state in the blocks (2k, k) to time tau leaves the exact domain.
 
     The phase lambda tau of propagate keeps the 1e-8 exactness bar while
