@@ -35,10 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-# on the reversed columns (im b, re b, im a, re a) this gives -i b and -i a
-_TIMES_MINUS_I = np.array([1.0, -1.0, 1.0, -1.0])
-
-
 class BlockIndex(NamedTuple):
     """Conserved quantum numbers labelling one invariant subspace."""
 
@@ -87,9 +83,11 @@ class BlockHamiltonian:
 
         Each pair v, (-1)^n v adds v_n v_m (e^(-iλτ) + (-1)^(n+m) e^(iλτ)):
         2cos λτ between rows of equal parity, -2i sin λτ across.  With
-        a = V_eᵀ x_e and b = V_oᵀ x_o on the even and odd rows,
-        ψ_e = V_e (c a - i s b) and ψ_o = V_o (c b - i s a).  Vectors are
-        handled as real (d, 2) views, so all arithmetic is real.
+        c = cos λτ and s = sin λτ, except c = 1/2 on the zero mode (first
+        when d is odd), which is its own mirror, and a = 2 V_eᵀ x_e and
+        b = 2 V_oᵀ x_o on the even and odd rows,
+        ψ_e = V_e (c a - i s b) and ψ_o = V_o (c b - i s a).  Every
+        product is real, on complex-as-float views.
 
         tau is one time or a 1-D array of T times, and the result has shape
         vec.shape + tau.shape, column j evolved to tau[j].  a and b are
@@ -99,23 +97,22 @@ class BlockHamiltonian:
         A vector with one non-zero entry α at local index j, as every input
         of the experiments puts in each block (the pump at j = k, the twin
         beam and the unit pairs at j = 0), needs no projection: with u row j
-        of the stored half, doubled except on the zero mode, rows of j's
-        parity p get α V_p (cos λτ ∘ u) and the others -iα V_q (sin λτ ∘ u),
-        one real column per time.
+        of the stored half, a or b is 2α u, so rows of j's parity p get
+        2α V_p (c ∘ u) and the others -2iα V_q (s ∘ u), one real column per time.
         """
         tau = np.asarray(tau, dtype=float)
         phase = self.eigenvalues[:, None] * tau  # (m, T), or (m, 1) for one time
         c, s = np.cos(phase), np.sin(phase)
         d = len(vec)
+        if d % 2:
+            c[0] = 0.5  # the zero mode is its own mirror, so it undoes the factor 2 of a, b and α
+        out = np.empty((d, c.shape[1]), dtype=complex)
         (nonzero,) = vec.nonzero()
         if len(nonzero) == 1:
             j = nonzero[0]
-            alpha, p, u = 2.0 * complex(vec[j]), j % 2, self.eigenvectors[j]  # 2: each λ > 0 has a mirror
-            if d % 2:
-                c[0] = 0.5  # the zero mode (first when d is odd) is its own mirror
+            alpha, p, u = 2.0 * complex(vec[j]), j % 2, self.eigenvectors[j]
             # the real and imaginary parts are written apart: a complex factor would be cast
             # through a scratch buffer on every block, which raised stage-1 peak RSS by 2%
-            out = np.empty((d, c.shape[1]), dtype=complex)
             same = self.eigenvectors[p::2] @ (c * u[:, None])
             np.multiply(same, alpha.real, out=out.real[p::2])
             np.multiply(same, alpha.imag, out=out.imag[p::2])
@@ -123,23 +120,13 @@ class BlockHamiltonian:
             np.multiply(cross, alpha.imag, out=out.real[1 - p :: 2])
             np.multiply(cross, -alpha.real, out=out.imag[1 - p :: 2])
             return out.reshape((d,) + tau.shape)
-        c, s = c[:, :, None], s[:, :, None]
         v_e, v_o = self.eigenvectors[0::2], self.eigenvectors[1::2]
         x = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2)
-        m = len(phase)
-        # ab[:, 0] holds re a, im a, re b, im b; the factor 2 of c and s sits here,
-        # except on the zero mode (first when d is odd), which is its own mirror
-        ab = np.empty((m, 1, 4))
-        np.matmul(v_e.T, x[0::2], out=ab[:, 0, :2])
-        np.matmul(v_o.T, x[1::2], out=ab[:, 0, 2:])
-        mirrored = ab[d % 2 :]
-        mirrored += mirrored
-        # p[:, j] holds c a - i s b, then c b - i s a, at tau[j]
-        p = c * ab + s * (ab[:, :, ::-1] * _TIMES_MINUS_I)
-        out = np.empty((d, 2 * p.shape[1]))
-        np.matmul(v_e, p[:, :, :2].reshape(m, -1), out=out[0::2])
-        np.matmul(v_o, p[:, :, 2:].reshape(m, -1), out=out[1::2])
-        return out.view(complex).reshape((d,) + tau.shape)
+        a = (2.0 * (v_e.T @ x[0::2])).view(complex)  # (m, 1)
+        b = (2.0 * (v_o.T @ x[1::2])).view(complex)
+        np.matmul(v_e, (c * a - 1j * s * b).view(float), out=out.view(float)[0::2])
+        np.matmul(v_o, (c * b - 1j * s * a).view(float), out=out.view(float)[1::2])
+        return out.reshape((d,) + tau.shape)
 
 
 def block_dimension(s: int, k: int) -> int:

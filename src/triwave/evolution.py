@@ -6,8 +6,8 @@ kept; ThreeModeState.occupations is the one place that maps the stored
 coefficients to their Fock triples.  Evolution applies the cached
 eigendecomposition of each block and never mixes blocks.  pair_state and
 pair_matrices map a state with n_a = n_b to and from its pair matrix; no
-other module knows that layout.  check_time_domain bounds the times such a
-state can be evolved to exactly.
+other module knows that layout.  evolve refuses a time outside the exact
+domain; check_time_domain bounds that domain before any block is built.
 
 dense_oracle_evolve is an independent cross-check: it builds the full
 Hamiltonian on a truncated Fock cube straight from the ladder rules and
@@ -163,6 +163,10 @@ def evolve(state: ThreeModeState, tau) -> ThreeModeState:
     tau may also be a 1-D array of T times: each block vector of the result
     then has shape (d, T), column j holding the state at tau[j].  Only
     pair_matrices reads the coefficients of such a state; the rest refuse it.
+
+    A nan or infinite tau, or lambda_max |tau| > 2^53 * 1e-8 with lambda_max
+    the largest eigenvalue of the state's blocks, raises ValueError before any
+    block is propagated: check_time_domain's domain, with the exact lambda_max.
     """
     return _evolve(build_block_hamiltonian, state, tau)
 
@@ -174,7 +178,11 @@ def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState:
 
 def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState:
     tau = np.asarray(tau, dtype=float)  # converted once, not per block
-    blocks = {index: build(index).propagate(vec, tau) for index, vec in zip(state.blocks, state._vectors())}
+    hams = [build(index) for index, _ in zip(state.blocks, state._vectors())]  # a state of several times raises first
+    lam_max = max((ham.eigenvalues[-1] for ham in hams), default=0.0)  # ascending, so the last is the largest
+    if not (np.isfinite(tau).all() and lam_max * np.max(np.abs(tau), initial=0.0) <= _PHASE_LIMIT):
+        raise ValueError(f"tau = {tau} is outside the exact time domain of this state: lambda_max |tau| <= 2^53 * 1e-8")
+    blocks = {index: ham.propagate(vec, tau) for (index, vec), ham in zip(state.blocks.items(), hams)}
     return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
 
 

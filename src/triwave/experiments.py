@@ -90,7 +90,7 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     meaningful for the mode pair and is recorded as NaN.
     """
     pump = make_coherent_pump(pump_alpha, eps)
-    taus = _check_tau_grid(tau_grid, pump)
+    outputs = _pair_outputs(pump, tau_grid)
     pump_energy = _input_energy(pump)
 
     def one(tau: float, amps: np.ndarray) -> SweepRecord:
@@ -113,16 +113,15 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
             lambda_or_chi=chi,
         )
 
-    return [one(tau, amps) for tau, amps in _pair_outputs(pump, taus)]
+    return [one(tau, amps) for tau, amps in outputs]
 
 
 def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1024) -> list[SweepRecord]:
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
     beam = make_twin_beam(chi, eps)
-    taus = _check_tau_grid(tau_grid, beam)
+    outputs = _pair_outputs(beam, tau_grid)
     energy_in = _input_energy(beam)
-    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid)
-            for tau, amps in _pair_outputs(beam, taus)]
+    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid) for tau, amps in outputs]
 
 
 def find_optimal_tau(
@@ -161,10 +160,11 @@ def find_peak_conversion_tau(
     pump = make_coherent_pump(pump_alpha, eps)
     pump_energy = _input_energy(pump)
 
-    def objective(taus: np.ndarray) -> list[float]:
-        return [_moments(amps)[1] / pump_energy for amps in pair_matrices(evolve(pump, taus))]
+    def eta(amps: np.ndarray) -> float:
+        return _moments(amps)[1] / pump_energy
 
-    return _grid_then_golden(objective, pump, window, coarse_points, tol)
+    tau_opt, amps = _grid_then_golden(eta, pump, window, coarse_points, tol)
+    return tau_opt, eta(amps)
 
 
 def best_peak_index(values: np.ndarray) -> int:
@@ -263,12 +263,11 @@ def pipeline_record(
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarray]:
     """The body of full_pipeline; also returns the stage-1 pair matrix."""
     pump = make_coherent_pump(pump_alpha, eps)
-    for tau in (tau1, tau2):  # the stage-2 pair counts reach the pump's, so one bound covers both
-        _check_tau_grid([tau], pump)
-    (amps,) = pair_matrices(evolve(pump, tau1))
+    _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
+    ((_, amps),) = _pair_outputs(pump, [tau1])
     density = amps.T @ amps.conj()
     dim = len(amps)  # output support is bounded by the pair count
-    (response,) = pair_matrices(evolve(pair_state(np.ones((1, dim))), tau2))  # |r, r, 0> for every r
+    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])  # |r, r, 0> for every r
     rho = np.zeros((dim, dim), dtype=complex)
     for p in range(dim):  # p pairs left, so n <= dim - 1 - p
         col = response[: dim - p, p]
@@ -326,25 +325,18 @@ def _stage2_record(tau, rho, energy_in, n_pair, phase_grid) -> SweepRecord:
 
 
 def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid) -> SweepRecord:
-    """The search of find_optimal_tau, returning the _stage2_record at tau_opt.
+    """The search of find_optimal_tau, returning the _stage2_record of the A at tau_opt that it returns.
 
     Each time is scored from its pair matrix A by _pair_matched_overlap,
-    without forming rho_c; that score only drives the search.  The golden
-    section evaluates tau_opt last, so its A is kept and scored, not evolved again.
+    without forming rho_c; that score only drives the search.
     """
     beam = make_twin_beam(chi, eps)
     energy_in = _input_energy(beam)
-    last = {}
 
-    def objective(taus: np.ndarray) -> list[float]:
-        values = []
-        for amps in pair_matrices(evolve(beam, taus)):
-            last["amps"] = amps
-            values.append(_pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0])
-        return values
+    def overlap(amps: np.ndarray) -> float:
+        return _pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0]
 
-    tau_opt, _ = _grid_then_golden(objective, beam, window, coarse_points, tol)
-    amps = last["amps"]
+    tau_opt, amps = _grid_then_golden(overlap, beam, window, coarse_points, tol)
     return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid)
 
 
@@ -363,20 +355,20 @@ def _check_tau_grid(tau_grid, state) -> np.ndarray:
     return taus
 
 
-def _pair_outputs(state, taus):
-    """(tau, A) for each time of taus: one evolve per _SCAN_CHUNK times, each A formed after the last is scored."""
-    for i in range(0, len(taus), _SCAN_CHUNK):
-        chunk = taus[i : i + _SCAN_CHUNK]
-        yield from zip(chunk, pair_matrices(evolve(state, chunk)))
+def _pair_outputs(state, tau_grid):
+    """(tau, A) for each time of tau_grid, checked before any evolve: the one place experiments evolve,
+    once per _SCAN_CHUNK times, each A formed after the last is scored."""
+    taus = _check_tau_grid(tau_grid, state)
+    chunks = (taus[i : i + _SCAN_CHUNK] for i in range(0, len(taus), _SCAN_CHUNK))
+    return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, pair_matrices(evolve(state, chunk))))
 
 
-def _grid_then_golden(objective, state, window, coarse_points, tol) -> tuple[float, float]:
-    """Coarse scan, bracket around best_peak_index, golden section.
+def _grid_then_golden(score, state, window, coarse_points, tol) -> tuple[float, np.ndarray]:
+    """Coarse scan, bracket around best_peak_index, golden section: (tau_opt, A at tau_opt).
 
-    objective maps a 1-D array of times to their values for the input state,
-    whose time domain must hold the window.  The coarse grid goes to it
-    _SCAN_CHUNK times at a time, as the sweeps evolve theirs, and each
-    golden-section step as one.
+    score maps the pair matrix A of state at one time to the value to maximize.  The coarse
+    grid is evolved _SCAN_CHUNK times per call, as the sweeps are, and each golden-section
+    step and tau_opt one time per call, all through _pair_outputs, which checks every time.
     """
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
@@ -385,17 +377,16 @@ def _grid_then_golden(objective, state, window, coarse_points, tol) -> tuple[flo
         raise ValueError(f"coarse grid needs a whole number of points, at least 2, got {coarse_points}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    check_time_domain(state, hi)
     coarse_points = int(coarse_points)
     taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
-    values = np.concatenate([objective(taus[i : i + _SCAN_CHUNK]) for i in range(0, coarse_points, _SCAN_CHUNK)])
-    best = best_peak_index(values)
+    best = best_peak_index(np.array([score(amps) for _, amps in _pair_outputs(state, taus)]))
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
     right = taus[best + 1] if best < coarse_points - 1 else hi
-    return _golden_max(lambda tau: objective(np.array([tau]))[0], float(left), float(right), tol)
+    tau_opt = _golden_max(lambda tau: score(next(_pair_outputs(state, [tau]))[1]), float(left), float(right), tol)
+    return tau_opt, next(_pair_outputs(state, [tau_opt]))[1]
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section maximization on [lo, hi]; ties prefer the left side."""
     a, b = lo, hi
     c = b - (b - a) * _INVPHI
@@ -410,5 +401,4 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + (b - a) * _INVPHI
             fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)

@@ -56,11 +56,8 @@ def make_twin_beam(chi: complex, eps: float = 1e-10):
         return pair_state(np.ones((1, 1)))
     # tail after keeping n = 0..N is q^(N+1)
     cut = max(0, math.ceil(math.log(eps) / math.log(q)) - 1)
-    n = np.arange(cut + 1)
-    amps = np.sqrt(1.0 - q) * np.asarray(chi, dtype=complex) ** n
-    kept = 1.0 - q ** (cut + 1)
-    amps = amps / math.sqrt(kept)
-    return pair_state(amps[None, :], trunc_error=q ** (cut + 1))
+    tail = q ** (cut + 1)
+    return pair_state(twin_beam_amplitudes(chi, cut)[None, :] / math.sqrt(1.0 - tail), trunc_error=tail)
 
 
 def predicted_twin_beam_param(alpha: complex, tau: float) -> complex:
@@ -79,24 +76,22 @@ def pcs_amplitudes(lam: complex, cutoff: int) -> np.ndarray:
     computations where components beyond the kept support contribute
     nothing.
     """
-    _check_finite("lam", lam)
-    if abs(lam) >= 1.0:
-        raise ValueError(f"phase-coherent parameter must satisfy |lam| < 1, got {abs(lam)}")
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    n = np.arange(cutoff + 1)
-    return np.sqrt(1.0 - abs(lam) ** 2) * np.asarray(lam, dtype=complex) ** n
+    return _geometric_amplitudes("phase-coherent parameter", "lam", lam, cutoff)
 
 
 def twin_beam_amplitudes(chi: complex, cutoff: int) -> np.ndarray:
     """Pair amplitudes sqrt(1-|chi|^2) chi^n of the ideal twin beam."""
-    _check_finite("chi", chi)
-    if abs(chi) >= 1.0:
-        raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got {abs(chi)}")
+    return _geometric_amplitudes("twin-beam parameter", "chi", chi, cutoff)
+
+
+def _geometric_amplitudes(what: str, name: str, z: complex, cutoff: int) -> np.ndarray:
+    """sqrt(1-|z|^2) z^n, n = 0..cutoff; each error names the parameter z as the caller calls it."""
+    _check_finite(name, z)
+    if abs(z) >= 1.0:
+        raise ValueError(f"{what} must satisfy |{name}| < 1, got {abs(z)}")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    n = np.arange(cutoff + 1)
-    return np.sqrt(1.0 - abs(chi) ** 2) * np.asarray(chi, dtype=complex) ** n
+    return np.sqrt(1.0 - abs(z) ** 2) * np.asarray(z, dtype=complex) ** np.arange(cutoff + 1)
 
 
 def _check_eps(eps: float) -> None:

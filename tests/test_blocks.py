@@ -305,8 +305,14 @@ def test_propagate_largest_scaling_block_matches_full_eigensystem(tau):
     vals, vecs = eigh_tridiagonal(np.zeros(507), trilinear_offdiag(index))
     rng = np.random.default_rng(11)
     random = rng.normal(size=507) + 1j * rng.normal(size=507)
-    for vec in (np.eye(507)[0], random / np.linalg.norm(random)):
+    random /= np.linalg.norm(random)
+    for vec in (np.eye(507)[0], random):
         out = ham.propagate(vec, tau)
         full = vecs @ (np.exp(-1j * tau * vals) * (vecs.T @ vec))
         assert np.max(np.abs(out - full)) <= 1e-11
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+    # both times in one call: the projection path's batched form at d = 507
+    taus = np.array([0.5, 3.0])
+    both = ham.propagate(random, taus)
+    full = vecs @ (np.exp(-1j * np.outer(vals, taus)) * (vecs.T @ random)[:, None])
+    assert np.max(np.abs(both - full)) <= 1e-11

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triwave.cli
@@ -238,7 +239,8 @@ def test_pipeline_evolves_pump_once(tmp_path, monkeypatch):
     out = tmp_path / "pipe.csv"
     code = run(["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.9", "--out", str(out)])
     assert code == 0
-    assert calls == [0.3, 0.9]  # stage 1 once, then every pair count in one stage-2 evolve
+    # stage 1 once, then every pair count in one stage-2 evolve, each at one time
+    assert [np.ravel(t).tolist() for t in calls] == [[0.3], [0.9]]
     assert out.read_text().splitlines()[0] == ",".join(SWEEP_HEADER)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triwave.blocks
 import triwave.evolution
 from triwave import (
     FockTriple,
@@ -258,6 +259,37 @@ def test_only_evolution_builds_pair_blocks(module):
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreeModeState":
             offending.append("ThreeModeState(...)")
     assert offending == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evolve(make_coherent_pump(2.0), 1e15),
+        lambda: evolve(make_coherent_pump(2.0), np.array([0.1, 1e15])),
+        lambda: evolve(ThreeModeState.from_fock_dict({(3, 1, 0): 1.0, (0, 2, 2): 0.5j, (5, 5, 5): 0.2}), 1e15),
+        lambda: evolve_recombination(ThreeModeState.from_fock_dict({(2, 2, 0): 1.0, (6, 6, 0): 1.0}), 1e15),
+        lambda: evolve(make_coherent_pump(2.0), math.nan),
+        lambda: evolve(make_coherent_pump(2.0), math.inf),
+        lambda: evolve(make_coherent_pump(2.0), -math.inf),
+        lambda: evolve(ThreeModeState.from_fock_dict({(0, 0, 0): 1.0}), math.inf),  # lambda_max = 0
+    ],
+    ids=["pump-1e15", "pump-1e15-of-two-times", "general-state", "recombination", "nan", "inf", "minus-inf",
+         "vacuum-inf"],
+)
+def test_evolve_refuses_times_outside_the_exact_domain(monkeypatch, call):
+    # at 1e15 the pump-2 state read n_a 2.086, and 1.825 at 1e15 + 0.125; nothing is propagated before the refusal
+    monkeypatch.setattr(triwave.blocks.BlockHamiltonian, "propagate", lambda *args: pytest.fail("propagated"))
+    with pytest.raises(ValueError, match="exact time domain"):
+        call()
+
+
+def test_evolve_domain_ends_at_the_largest_eigenvalue():
+    # the bound is 2^53 * 1e-8 over the exact lambda_max of the state's blocks, read from the cache
+    pump = make_coherent_pump(2.0)
+    limit = 2.0**53 * 1e-8 / max(triwave.blocks.build_block_hamiltonian(i).eigenvalues[-1] for i in pump.blocks)
+    assert abs(evolve(pump, limit * (1.0 - 1e-9)).norm() - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="exact time domain"):
+        evolve(pump, limit * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize(

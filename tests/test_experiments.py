@@ -425,6 +425,17 @@ def test_records_are_built_in_one_place_each():
     assert sites == expected
 
 
+def test_experiments_evolve_in_one_place():
+    # every time the experiments evolve goes through _pair_outputs, which checks it first
+    tree = ast.parse(Path(triwave.experiments.__file__).read_text())
+    sites = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "evolve":
+                sites.add(getattr(stmt, "name", "<module>"))
+    assert sites == {"_pair_outputs"}
+
+
 def test_scaling_study_smoke():
     points, fits = scaling_study([2.0, 4.0, 6.0], eps=1e-6)
     assert [p.n_in for p in points] == [2.0, 4.0, 6.0]
