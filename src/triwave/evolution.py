@@ -5,7 +5,7 @@ vector, so only the invariant subspaces that are actually populated are
 kept; ThreeModeState.occupations is the one place that maps the stored
 coefficients to their Fock triples.  Evolution applies the cached
 eigendecomposition of each block and never mixes blocks.  pair_state and
-pair_matrices map a state with n_a = n_b to and from its pair matrix; no
+pair_matrix map a state with n_a = n_b to and from its pair matrix; no
 other module knows that layout.  evolve refuses a time outside the exact
 domain; check_time_domain bounds that domain before any block is built.
 
@@ -70,10 +70,9 @@ class ThreeModeState:
         return state
 
     def norm(self) -> float:
-        return np.sqrt(sum(float(np.vdot(v, v).real) for v in self._vectors()))
+        return np.sqrt(sum(float(np.vdot(v, v).real) for v in self.blocks.values()))
 
     def amplitude(self, triple) -> complex:
-        self._vectors()  # refuses a state of several times
         index, n = fock_to_block(triple)
         vec = self.blocks.get(index)
         if vec is None or n >= len(vec):
@@ -92,20 +91,13 @@ class ThreeModeState:
         return k - n, s - k - n, n
 
     def to_fock_dict(self) -> dict[FockTriple, complex]:
-        amps = np.concatenate([np.zeros(0, dtype=complex), *self._vectors()])
+        amps = np.concatenate([np.zeros(0, dtype=complex), *self.blocks.values()])
         triples = zip(*(occ.tolist() for occ in self.occupations()))
         return {FockTriple(*triple): amp for triple, amp in zip(triples, amps.tolist())}
 
     def mode_support(self) -> tuple[int, int, int]:
         """Structural maxima (n_a, n_b, n_c) over the stored blocks."""
         return tuple(int(occ.max(initial=0)) for occ in self.occupations())
-
-    def _vectors(self):
-        """The block vectors of a state at one time; ValueError for several, which only pair_matrices reads."""
-        for vec in self.blocks.values():
-            if vec.ndim != 1:
-                raise ValueError(f"the state holds {vec.shape[1]} times; read each time through pair_matrices")
-        return self.blocks.values()
 
 
 def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
@@ -119,11 +111,10 @@ def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
     return ThreeModeState(blocks=blocks, trunc_error=trunc_error)
 
 
-def pair_matrices(state: ThreeModeState):
-    """Yield the (K+1, K+1) pair matrix, K the largest k, of each time column of a state in the blocks (2k, k).
+def pair_matrix(state: ThreeModeState) -> np.ndarray:
+    """The (K+1, K+1) pair matrix, K the largest k, of a state in the blocks (2k, k).
 
-    A state evolved to T times yields T matrices, one at a time.  An empty state or a block
-    with s != 2k raises ValueError.
+    An empty state or a block with s != 2k raises ValueError.
     """
     for s, k in state.blocks:
         if s != 2 * k:
@@ -132,13 +123,11 @@ def pair_matrices(state: ThreeModeState):
         raise ValueError("the state is empty, so it has no pair matrix")
     dim = max(k for _, k in state.blocks) + 1
     step = max(dim - 1, 1)  # row q, column k - q sits at flat k + q (dim - 1); dim = 1 has only k = 0
-    vecs = {k: vec.reshape(k + 1, -1) for (_, k), vec in state.blocks.items()}
-    for j in range(next(iter(vecs.values())).shape[1]):
-        amps = np.zeros((dim, dim), dtype=complex)
-        flat = amps.reshape(-1)
-        for k, vec in vecs.items():
-            flat[k : k * dim + 1 : step] = vec[:, j]
-        yield amps
+    amps = np.zeros((dim, dim), dtype=complex)
+    flat = amps.reshape(-1)
+    for (_, k), vec in state.blocks.items():
+        flat[k : k * dim + 1 : step] = vec
+    return amps
 
 
 def check_time_domain(state: ThreeModeState, tau: float) -> None:
@@ -157,12 +146,13 @@ def check_time_domain(state: ThreeModeState, tau: float) -> None:
                          f"{_PHASE_LIMIT / lam_max:.6g}: past it the rounding of the phase lambda tau alone exceeds 1e-8")
 
 
-def evolve(state: ThreeModeState, tau) -> ThreeModeState:
+def evolve(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     """Evolve under the trilinear Hamiltonian for dimensionless time tau.
 
-    tau may also be a 1-D array of T times: each block vector of the result
-    then has shape (d, T), column j holding the state at tau[j].  Only
-    pair_matrices reads the coefficients of such a state; the rest refuse it.
+    tau may also be a 1-D array of T times: the result is then a list of T
+    states, the j-th at tau[j], each block propagated once for all T times
+    and each state's block vectors views of its column j.  A tau of more
+    than one dimension raises ValueError before any block is built.
 
     A nan or infinite tau, or lambda_max |tau| > 2^53 * 1e-8 with lambda_max
     the largest eigenvalue of the state's blocks, raises ValueError before any
@@ -171,19 +161,23 @@ def evolve(state: ThreeModeState, tau) -> ThreeModeState:
     return _evolve(build_block_hamiltonian, state, tau)
 
 
-def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState:
+def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     """Evolve under the ideal recombination Hamiltonian (reference dynamics); tau as in evolve."""
     return _evolve(build_recombination_hamiltonian, state, tau)
 
 
-def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState:
+def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     tau = np.asarray(tau, dtype=float)  # converted once, not per block
-    hams = [build(index) for index, _ in zip(state.blocks, state._vectors())]  # a state of several times raises first
+    if tau.ndim > 1:
+        raise ValueError(f"tau must be one time or a 1-D array of times, got shape {tau.shape}")
+    hams = [build(index) for index in state.blocks]
     lam_max = max((ham.eigenvalues[-1] for ham in hams), default=0.0)  # ascending, so the last is the largest
     if not (np.isfinite(tau).all() and lam_max * np.max(np.abs(tau), initial=0.0) <= _PHASE_LIMIT):
         raise ValueError(f"tau = {tau} is outside the exact time domain of this state: lambda_max |tau| <= 2^53 * 1e-8")
     blocks = {index: ham.propagate(vec, tau) for (index, vec), ham in zip(state.blocks.items(), hams)}
-    return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
+    if tau.ndim == 0:
+        return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
+    return [ThreeModeState({i: vec[:, j] for i, vec in blocks.items()}, state.trunc_error) for j in range(len(tau))]
 
 
 def dense_oracle_evolve(amplitudes: np.ndarray, tau: float, cutoff: int) -> np.ndarray:

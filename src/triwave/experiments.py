@@ -6,7 +6,7 @@ beam back up into the output mode and scores it against the matched
 phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
-so each output is read once, by pair_matrices, as the pair matrix A of
+so each output is read once, by pair_matrix, as the pair matrix A of
 sum A[q, r] |r, r, q>: its moments give the photon numbers, A A^dag the
 mode-c density matrix, and the pipeline contracts G = A^T A* with the
 stage-2 response per pair.  Every stage-2 record, of a sweep, an optimum or
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import check_time_domain, evolve, pair_matrices, pair_state
+from .evolution import check_time_domain, evolve, pair_matrix, pair_state
 from .metrics import (
     ReducedDensityMatrix,
     _pair_matched_overlap,
@@ -249,14 +249,15 @@ def pipeline_record(
 ) -> SweepRecord:
     """The output of full_pipeline scored as one record at tau2.
 
-    eta is twice the output photon number over the twin-beam energy that
-    stage 1 delivers; if it delivers none (tau1 = 0) it raises ValueError.
+    eta is twice the output photon number over the pair energy stage 1 delivers.  An energy
+    not above 1e8 dim^2 eps_mach^2, the rounding floor of its dim x dim pair matrix under the
+    1e-8 exactness bar, is no pairs and raises ValueError (tau1 = 0 reads 8.8e-30 at pump 81).
     The signal and idler are traced out, so n_a and n_b are NaN.
     """
     rho, amps = _chain(pump_alpha, tau1, tau2, eps)
     energy_in = 2.0 * _moments(amps)[1]
-    if tau1 == 0.0 or energy_in == 0.0:  # at tau1 = 0 the pair energy is roundoff, not 0
-        raise ValueError("stage 1 delivers no pairs to convert: the record needs tau1 > 0 and a non-empty pump")
+    if energy_in <= 1e8 * (len(amps) * np.finfo(float).eps) ** 2:
+        raise ValueError(f"stage 1 delivers no pairs to convert: its pair energy {energy_in:.3g} is rounding")
     return _stage2_record(tau2, rho, energy_in, math.nan, phase_grid)
 
 
@@ -278,7 +279,7 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarra
 
 def _input_energy(state) -> float:
     """Photons a pump or a twin beam brings in, n_c + n_a + n_b; ValueError if it has none."""
-    n_c, n_pair = _moments(next(pair_matrices(state)))
+    n_c, n_pair = _moments(pair_matrix(state))
     if n_c + n_pair == 0.0:
         raise ValueError("the input state carries no photons to convert")
     return n_c + 2.0 * n_pair
@@ -360,7 +361,7 @@ def _pair_outputs(state, tau_grid):
     once per _SCAN_CHUNK times, each A formed after the last is scored."""
     taus = _check_tau_grid(tau_grid, state)
     chunks = (taus[i : i + _SCAN_CHUNK] for i in range(0, len(taus), _SCAN_CHUNK))
-    return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, pair_matrices(evolve(state, chunk))))
+    return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, map(pair_matrix, evolve(state, chunk))))
 
 
 def _grid_then_golden(score, state, window, coarse_points, tol) -> tuple[float, np.ndarray]:

@@ -285,7 +285,7 @@ def _refine_peak(left: float, centre: float, right: float) -> tuple[float, float
 
 def _coefficients(state: ThreeModeState) -> np.ndarray:
     """Every stored coefficient of a state, flat, in the order of state.occupations()."""
-    return np.concatenate([np.zeros(0, dtype=complex), *state._vectors()])
+    return np.concatenate([np.zeros(0, dtype=complex), *state.blocks.values()])
 
 
 def _bra_factor(bra: np.ndarray, *idx: np.ndarray) -> np.ndarray:

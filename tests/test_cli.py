@@ -178,6 +178,15 @@ def test_config_errors_exit_2(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau1", ["1e-300", "1e-200"])
+def test_pipeline_below_the_rounding_floor_exits_1(tmp_path, capsys, tau1):
+    # --tau1 parses, but the pair energy stage 1 delivers is rounding: it wrote eta = 0.5331 and exited 0
+    out = tmp_path / "pipe.json"
+    assert run(["pipeline", "--pump-energy", "81", "--tau1", tau1, "--tau2", "0.7", "--out", str(out)]) == 1
+    assert "error: stage 1 delivers no pairs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["--help"], ["stage1", "--help"]])
 def test_help_exits_0(args, capsys):
     assert run(args) == 0

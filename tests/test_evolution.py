@@ -24,7 +24,7 @@ from triwave import (
     overlap_with_product,
     reduce_mode_c,
 )
-from triwave.evolution import pair_matrices, pair_state
+from triwave.evolution import pair_matrix, pair_state
 
 
 def cube_triples(cutoff, s_max):
@@ -182,13 +182,13 @@ def test_recombination_differs_from_trilinear_evolution():
     assert abs(abs(tri.amplitude(FockTriple(0, 0, 2))) - 1.0) > 0.05
 
 
-def _block_scatter(state, j=0):
-    """Pair matrix of time column j by the per-block scatter that pair_matrices replaced (reference)."""
+def _block_scatter(state):
+    """Pair matrix by the per-block scatter that pair_matrix replaced (reference)."""
     dim = state.mode_support()[0] + 1
     amps = np.zeros((dim, dim), dtype=complex)
     for (_, k), vec in state.blocks.items():
         n = np.arange(k + 1)
-        amps[n, k - n] = vec.reshape(k + 1, -1)[:, j]
+        amps[n, k - n] = vec
     return amps
 
 
@@ -203,11 +203,11 @@ def _block_scatter(state, j=0):
 )
 @pytest.mark.parametrize("tau", [None, 0.7, np.array([0.1, 0.5, 1.2, 2.9])], ids=["unevolved", "scalar", "4-times"])
 def test_pair_matrices_equal_the_block_scatter(make, tau):
-    state = make() if tau is None else evolve(make(), tau)
-    got = list(pair_matrices(state))
-    assert len(got) == np.size(tau)  # np.size(None) is 1
-    for j, amps in enumerate(got):
-        expected = _block_scatter(state, j)
+    states = [make()] if tau is None else evolve(make(), tau)
+    states = states if isinstance(states, list) else [states]
+    assert len(states) == np.size(tau)  # np.size(None) is 1
+    for state in states:
+        amps, expected = pair_matrix(state), _block_scatter(state)
         assert amps.shape == expected.shape
         assert amps.tobytes() == expected.tobytes()
 
@@ -234,7 +234,7 @@ def test_pair_state_round_trip(rows, cols, shape, seed):
     assert state.trunc_error == 1e-9
     for (q, r), amp in np.ndenumerate(A):
         assert state.amplitude(FockTriple(r, r, q)) == amp
-    (got,) = pair_matrices(state)
+    got = pair_matrix(state)
     expected = np.zeros((K + 1, K + 1), dtype=complex)
     expected[: A.shape[0], : A.shape[1]] = A
     assert np.array_equal(got, expected)
@@ -243,13 +243,13 @@ def test_pair_state_round_trip(rows, cols, shape, seed):
 def test_pair_matrices_reject_a_block_off_the_pair_layout():
     state = ThreeModeState.from_fock_dict({(1, 1, 0): 0.6, (2, 1, 0): 0.8})  # |2, 1, 0> is in block (3, 2)
     with pytest.raises(ValueError, match="s=3, k=2"):
-        list(pair_matrices(state))
+        pair_matrix(state)
 
 
 @pytest.mark.parametrize("module", ["states", "experiments", "metrics"])
 def test_only_evolution_builds_pair_blocks(module):
     # the (2k, k) layout and the block-to-Fock map have one owner: the other modules go through
-    # pair_state, pair_matrices and ThreeModeState.occupations, and import nothing from blocks
+    # pair_state, pair_matrix and ThreeModeState.occupations, and import nothing from blocks
     path = Path(triwave.evolution.__file__).with_name(f"{module}.py")
     offending = []
     for node in ast.walk(ast.parse(path.read_text())):
@@ -259,6 +259,16 @@ def test_only_evolution_builds_pair_blocks(module):
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ThreeModeState":
             offending.append("ThreeModeState(...)")
     assert offending == []
+
+
+@pytest.mark.parametrize("module", ["__init__", "blocks", "cli", "experiments", "metrics", "states"])
+def test_only_evolution_reads_private_attributes_of_a_state(module):
+    # a state's private parts belong to evolution: the other modules read its blocks, its trunc_error
+    # and its public methods, and no other attribute with a leading underscore of anything
+    path = Path(triwave.evolution.__file__).with_name(f"{module}.py")
+    private = [node.attr for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")]
+    assert private == []
 
 
 @pytest.mark.parametrize(
@@ -292,6 +302,15 @@ def test_evolve_domain_ends_at_the_largest_eigenvalue():
         evolve(pump, limit * (1.0 + 1e-9))
 
 
+def _as_array(value):
+    """A reader's output as one complex array: a state by its Fock triples and amplitudes."""
+    if isinstance(value, ThreeModeState):
+        value = value.to_fock_dict()
+    if isinstance(value, dict):
+        return np.array([[*triple, amp] for triple, amp in value.items()], dtype=complex)
+    return np.asarray(getattr(value, "matrix", value), dtype=complex)
+
+
 @pytest.mark.parametrize(
     "read",
     [
@@ -307,11 +326,38 @@ def test_evolve_domain_ends_at_the_largest_eigenvalue():
     ids=["norm", "amplitude", "to_fock_dict", "mean_photon", "reduce_mode_c",
          "overlap_with_product", "matched_pcs_overlap", "evolve"],
 )
-def test_states_of_several_times_are_refused(read):
-    # read as one time, (d, T) vectors give norm() = sqrt(T), and mean_photon sums the times of dimension-1 blocks
-    beam = evolve(make_twin_beam(math.sqrt(0.5)), np.array([0.3, 0.9]))
-    single = evolve(ThreeModeState.from_fock_dict({(1, 0, 0): 1.0}), np.array([0.3, 0.9]))
-    for state in (beam, single):
-        with pytest.raises(ValueError, match="holds 2 times.*pair_matrices"):
-            read(state)
-    assert len(list(pair_matrices(beam))) == 2  # the one reader of several times
+def test_evolve_over_several_times_returns_one_state_per_time(read):
+    # each state holds one time, so every reader takes it; a batched column can differ in the last bit
+    beam = make_twin_beam(math.sqrt(0.5))
+    general = ThreeModeState.from_fock_dict({(3, 1, 0): 1.0, (0, 2, 2): 0.5j, (2, 2, 1): 0.3, (1, 0, 0): 0.2},
+                                            trunc_error=1e-9)
+    taus = np.array([0.3, 0.9])
+    for state in (beam, general):
+        states = evolve(state, taus)
+        assert isinstance(states, list) and len(states) == 2
+        for first, second in zip(states[0].blocks.values(), states[1].blocks.values()):
+            assert first.base is not None and first.base is second.base  # two columns of one propagate
+        for tau, batched in zip(taus, states):
+            single = evolve(state, tau)
+            assert batched.trunc_error == single.trunc_error == state.trunc_error
+            got, expected = _as_array(read(batched)), _as_array(read(single))
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("tau", [np.array([[0.1, 0.2]]), np.zeros((2, 1)), np.zeros((1, 1, 1))],
+                         ids=["1x2", "2x1", "1x1x1"])
+@pytest.mark.parametrize("step", [evolve, evolve_recombination])
+def test_evolve_refuses_a_tau_of_more_than_one_dimension(monkeypatch, step, tau):
+    # at a (1, 2) tau the blocks came out (d, 1, 2), and every reader then said the state held 1 time
+    monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(triwave.blocks.BlockHamiltonian, "propagate", lambda *args: pytest.fail("propagated"))
+    with pytest.raises(ValueError, match="1-D array of times"):
+        step(make_coherent_pump(2.0), tau)
+
+
+def test_evolve_returns_as_many_states_as_times():
+    assert evolve(make_coherent_pump(2.0), np.array([])) == []
+    assert [state.blocks for state in evolve(ThreeModeState(), np.array([0.1, 0.2]))] == [{}, {}]
+    assert isinstance(evolve(make_coherent_pump(2.0), np.float64(0.1)), ThreeModeState)

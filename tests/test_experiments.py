@@ -520,9 +520,13 @@ def test_pipeline_rejects_bad_times(tau1, tau2):
         pipeline_record(3.0, tau1, tau2)
 
 
-@pytest.mark.parametrize("alpha, tau1", [(2.0, 0.0), (1e-150, 0.3)], ids=["no-time", "no-pairs"])
+@pytest.mark.parametrize(
+    "alpha, tau1", [(2.0, 0.0), (1e-150, 0.3), (9.0, 1e-300), (9.0, 1e-200)],
+    ids=["no-time", "no-pairs", "9.0-1e-300", "9.0-1e-200"],
+)
 def test_pipeline_record_rejects_a_stage_1_without_pairs(alpha, tau1):
-    # eta divides by the stage-1 pair energy: roundoff at tau1 = 0, exactly 0 for a vacuum-like pump
+    # eta divides by the stage-1 pair energy: rounding at tau1 = 0 and at 1e-300 (8.8e-30 at pump 81,
+    # where eta read 0.5331), exactly 0 for a vacuum-like pump
     full_pipeline(alpha, tau1, 0.7)
     with pytest.raises(ValueError, match="no pairs"):
         pipeline_record(alpha, tau1, 0.7)

@@ -24,7 +24,7 @@ from triwave import (
     reciprocal_peak_likelihood,
     reduce_mode_c,
 )
-from triwave.evolution import pair_matrices
+from triwave.evolution import pair_matrix
 
 
 def pcs_density(lam, cutoff=160):
@@ -267,7 +267,7 @@ def test_matched_overlap_rho_matches_pure_state_form():
         (lambda state: reduce_mode_c(state).matrix, np.zeros((1, 1), dtype=complex)),
         (ThreeModeState.mode_support, (0, 0, 0)),
         (ThreeModeState.to_fock_dict, {}),
-        (lambda state: list(pair_matrices(state)), ValueError),
+        (pair_matrix, ValueError),
     ],
     ids=["norm", "mean_photon", "overlap-traced", "overlap-bra_ab", "reduce_mode_c", "mode_support",
          "to_fock_dict", "pair_matrices"],
