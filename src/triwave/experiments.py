@@ -220,9 +220,11 @@ def scaling_study(
     n_in_values = [float(n_in) for n_in in n_in_values]
     if len(n_in_values) < 3 or len(set(n_in_values)) < 2 or not all(0.0 < n < math.inf for n in n_in_values):
         raise ValueError(f"scaling needs 3 or more finite, positive energies, not all equal, got {n_in_values}")
+    chis = [math.sqrt(n_in / (n_in + 2.0)) for n_in in n_in_values]
+    for chi in chis:  # refuse every input before the first search, holding no beam across the searches
+        _input_energy(make_twin_beam(chi, eps))
     points: list[ScalingPoint] = []
-    for n_in in n_in_values:
-        chi = math.sqrt(n_in / (n_in + 2.0))
+    for n_in, chi in zip(n_in_values, chis):
         rec = _stage2_optimum(chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL, phase_grid)
         points.append(ScalingPoint(n_in=n_in, n_out=rec.n_c, tau_opt=rec.tau, overlap=rec.overlap, eta=rec.eta,
                                    purity=rec.purity, delta_phi=rec.delta_phi, matched_lambda=rec.lambda_or_chi))
@@ -256,8 +258,10 @@ def pipeline_record(
     """
     rho, amps = _chain(pump_alpha, tau1, tau2, eps)
     energy_in = 2.0 * _moments(amps)[1]
-    if energy_in <= 1e8 * (len(amps) * np.finfo(float).eps) ** 2:
-        raise ValueError(f"stage 1 delivers no pairs to convert: its pair energy {energy_in:.3g} is rounding")
+    floor = 1e8 * (len(amps) * np.finfo(float).eps) ** 2
+    if energy_in <= floor:
+        raise ValueError(f"stage 1 delivers no pairs to convert: its pair energy {energy_in:.3g} "
+                         f"is not above the rounding floor {floor:.3g}")
     return _stage2_record(tau2, rho, energy_in, math.nan, phase_grid)
 
 

@@ -70,25 +70,21 @@ def overlap_with_product(
     """
     if bra_ab is not None and (bra_a is not None or bra_b is not None):
         raise ValueError("bra_ab replaces bra_a and bra_b; do not pass both")
-    if bra_ab is not None:
-        bra_ab = np.asarray(bra_ab, dtype=complex)
-        if bra_ab.ndim != 2:
-            raise ValueError("bra_ab must be a 2-D array indexed [n_a, n_b]")
 
     n_a, n_b, n_c = state.occupations()
     weights = _coefficients(state)
     if bra_ab is not None:
-        weights *= _bra_factor(bra_ab, n_a, n_b)
-        modes = [(bra_c, n_c)]
+        weights *= _bra_factor("bra_ab", bra_ab, n_a, n_b)
+        modes = [("bra_c", bra_c, n_c)]
     else:
-        modes = [(bra_a, n_a), (bra_b, n_b), (bra_c, n_c)]
+        modes = [("bra_a", bra_a, n_a), ("bra_b", bra_b, n_b), ("bra_c", bra_c, n_c)]
     # a traced mode becomes a digit of the key that labels the surviving Fock states
     keys = np.zeros(len(weights), dtype=np.int64)
-    for bra, occ in modes:
+    for name, bra, occ in modes:
         if bra is None:
             keys = keys * (int(occ.max(initial=0)) + 1) + occ
         else:
-            weights *= _bra_factor(bra, occ)
+            weights *= _bra_factor(name, bra, occ)
     uniq, inverse = np.unique(keys, return_inverse=True)
     sums = np.zeros(len(uniq), dtype=complex)
     np.add.at(sums, inverse, weights)
@@ -288,9 +284,11 @@ def _coefficients(state: ThreeModeState) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype=complex), *state.blocks.values()])
 
 
-def _bra_factor(bra: np.ndarray, *idx: np.ndarray) -> np.ndarray:
+def _bra_factor(name: str, bra: np.ndarray, *idx: np.ndarray) -> np.ndarray:
     """conj(bra[idx]) for one index array per axis of bra, and 0 where an index lies beyond it."""
     bra = np.asarray(bra, dtype=complex)
+    if bra.ndim != len(idx):  # one axis per mode the bra scores
+        raise ValueError(f"{name} must be a {len(idx)}-D array of amplitudes, got {bra.ndim}-D")
     out = np.zeros(idx[0].shape, dtype=complex)
     mask = np.logical_and.reduce([i < size for i, size in zip(idx, bra.shape)])
     out[mask] = np.conj(bra[tuple(i[mask] for i in idx)])

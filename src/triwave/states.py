@@ -23,15 +23,18 @@ def make_coherent_pump(alpha: complex, eps: float = 1e-10):
     """
     _check_eps(eps)
     _check_finite("alpha", alpha)
-    mu = abs(alpha) ** 2
-    if mu == 0.0:
-        return pair_state(np.ones((1, 1)))
-    log_mu = math.log(mu)
-    # above the mean the terms fall at least geometrically, so a top term
-    # e^-50 below eps leaves an unsummed tail far below eps
-    top = int(mu + 12.0 * math.sqrt(mu) + 30.0)
-    while -mu + top * log_mu - math.lgamma(top + 1.0) > math.log(eps) - 50.0:
-        top = int(top * 1.5) + 10
+    try:  # |alpha|^2, or lgamma(top + 1) from |alpha|^2 ~ 2.6e305 on, passes the float range
+        mu = abs(alpha) ** 2
+        if mu == 0.0:
+            return pair_state(np.ones((1, 1)))
+        log_mu = math.log(mu)
+        # above the mean the terms fall at least geometrically, so a top term
+        # e^-50 below eps leaves an unsummed tail far below eps
+        top = int(mu + 12.0 * math.sqrt(mu) + 30.0)
+        while -mu + top * log_mu - math.lgamma(top + 1.0) > math.log(eps) - 50.0:
+            top = int(top * 1.5) + 10
+    except OverflowError:
+        raise ValueError(f"alpha is too large for its Poisson weights in floats, got |alpha|={abs(alpha):.6g}") from None
     n = np.arange(top + 1)
     pmf = np.exp(-mu + n * log_mu - np.array([math.lgamma(m + 1.0) for m in range(top + 1)]))
     survival = np.cumsum(pmf[:0:-1])[::-1]  # survival[m] = P(n > m), summed from the top down

@@ -179,12 +179,58 @@ def test_config_errors_exit_2(args, capsys):
 
 
 @pytest.mark.parametrize("tau1", ["1e-300", "1e-200"])
-def test_pipeline_below_the_rounding_floor_exits_1(tmp_path, capsys, tau1):
+def test_pipeline_below_the_rounding_floor_exits_2(tmp_path, capsys, tau1):
     # --tau1 parses, but the pair energy stage 1 delivers is rounding: it wrote eta = 0.5331 and exited 0
     out = tmp_path / "pipe.json"
-    assert run(["pipeline", "--pump-energy", "81", "--tau1", tau1, "--tau2", "0.7", "--out", str(out)]) == 1
+    assert run(["pipeline", "--pump-energy", "81", "--tau1", tau1, "--tau2", "0.7", "--out", str(out)]) == 2
     assert "error: stage 1 delivers no pairs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stage2", "--n-in", "2", "--tau-min", "0.5", "--tau-max", "0.5", "--tau-steps", "3"],
+        ["stage1", "--pump-energy", "4", "--tau-max", "1", "--tau-steps", "3", "--eps", "0.5"],
+        ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--eps", "0.5"],
+        ["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.7", "--eps", "0.5"],
+        ["scaling", "--n-in-list", "1,2,3", "--eps", "0.5"],
+        ["scaling", "--n-in-list", "0,2,4"],
+        ["scaling", "--n-in-list", "1,2"],
+        ["scaling", "--n-in-list", "1,2,nan"],
+        ["scaling", "--n-in-list", "2,2,2"],
+        ["scaling", "--n-in-list", "1e-300,1,2"],
+        ["scaling", "--n-in-list", "1,2,1e-300"],
+        ["stage1", "--pump-energy", "1e-300", "--tau-max", "1", "--tau-steps", "3"],
+        ["stage2", "--n-in", "1e-300", "--tau-max", "1", "--tau-steps", "3"],
+        ["stage1", "--pump-energy", "4", "--tau-max", "1e300", "--tau-steps", "2"],
+        ["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "1e7"],
+        # past 2.6e305 the pump's log-factorial weights leave the float range
+        ["stage1", "--pump-energy", "1e307", "--tau-max", "1", "--tau-steps", "3"],
+        ["block-info", "--s", "2", "--k", "3"],
+    ],
+)
+def test_inputs_the_library_refuses_exit_2_before_any_evolve(tmp_path, monkeypatch, capsys, args):
+    # the CLI leaves these rules to the library, which refuses the input before it evolves anything
+    original = triwave.evolution.evolve
+
+    def refuse(state, tau):
+        raise AssertionError("evolved")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("triwave.") and getattr(module, "evolve", None) is original:
+            monkeypatch.setattr(module, "evolve", refuse)
+    out = tmp_path / "x.csv"
+    assert run(args + ([] if args[0] == "block-info" else ["--out", str(out)])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_runtime_failure_exits_1(tmp_path, capsys):
+    # --out names a directory: the run computes, then cannot open its output
+    assert run(["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--out", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["--help"], ["stage1", "--help"]])

@@ -468,6 +468,16 @@ def test_scaling_study_checks_energies_before_any_search(monkeypatch, energies):
     assert calls == []
 
 
+def test_scaling_study_refuses_a_vacuum_energy_before_any_search(monkeypatch):
+    # the last energy truncates to the vacuum, and is refused before the first two energies are searched
+    def refuse(state, tau):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(triwave.experiments, "evolve", refuse)
+    with pytest.raises(ValueError, match="carries no photons"):
+        scaling_study([1.0, 2.0, 1e-300])
+
+
 def test_pipeline_density_matrix_is_valid():
     alpha = 3.0
     tau1 = math.atanh(math.sqrt(1.0 / 3.0)) / alpha

@@ -85,6 +85,16 @@ def test_overlap_joint_bra_excludes_per_mode_bras():
         overlap_with_product(state, bra_a=np.array([1.0]), bra_ab=np.eye(2))
 
 
+@pytest.mark.parametrize("name", ["bra_a", "bra_b", "bra_c", "bra_ab"])
+@pytest.mark.parametrize("rank", ["fewer", "more"])
+def test_overlap_refuses_a_bra_with_the_wrong_number_of_axes(name, rank):
+    # each single-mode bra is 1-D and bra_ab is 2-D; a 0-D or 2-D single-mode bra raised TypeError or IndexError
+    axes = 2 if name == "bra_ab" else 1
+    bra = np.ones((2,) * (axes - 1 if rank == "fewer" else axes + 1))
+    with pytest.raises(ValueError, match=f"{name} must be a {axes}-D array"):
+        overlap_with_product(bell_like_state(), **{name: bra})
+
+
 def test_overlap_no_bra_is_norm():
     state = ThreeModeState.from_fock_dict({(1, 0, 0): 0.6, (0, 1, 0): 0.8}, normalize=False)
     assert abs(overlap_with_product(state) - 1.0) < 1e-14

@@ -182,6 +182,13 @@ def test_constructors_reject_non_finite_amplitude(call, name):
         call()
 
 
+@pytest.mark.parametrize("energy", [1e306, 3e306, 1e307, 1.7e308])
+def test_coherent_pump_refuses_weights_past_the_float_range(energy):
+    # from |alpha|^2 ~ 2.6e305 on, lgamma overflows in the tail search, before any array is allocated
+    with pytest.raises(ValueError, match="alpha is too large"):
+        make_coherent_pump(math.sqrt(energy))
+
+
 def test_twin_beam_zero_is_vacuum():
     state = make_twin_beam(0.0)
     assert abs(state.amplitude(FockTriple(0, 0, 0)) - 1.0) < 1e-14
