@@ -15,6 +15,7 @@ exponentiates it.  Desk scale only (cutoff at most 8).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -90,10 +91,13 @@ class ThreeModeState:
         s, k = np.repeat(labels, sizes, axis=0).T
         return k - n, s - k - n, n
 
+    def coefficients(self) -> np.ndarray:
+        """Every stored coefficient, flat, in the order of occupations(); a new array."""
+        return np.concatenate([np.zeros(0, dtype=complex), *self.blocks.values()])
+
     def to_fock_dict(self) -> dict[FockTriple, complex]:
-        amps = np.concatenate([np.zeros(0, dtype=complex), *self.blocks.values()])
         triples = zip(*(occ.tolist() for occ in self.occupations()))
-        return {FockTriple(*triple): amp for triple, amp in zip(triples, amps.tolist())}
+        return {FockTriple(*triple): amp for triple, amp in zip(triples, self.coefficients().tolist())}
 
     def mode_support(self) -> tuple[int, int, int]:
         """Structural maxima (n_a, n_b, n_c) over the stored blocks."""
@@ -131,19 +135,23 @@ def pair_matrix(state: ThreeModeState) -> np.ndarray:
 
 
 def check_time_domain(state: ThreeModeState, tau: float) -> None:
-    """Raise ValueError if evolving a state in the blocks (2k, k) to time tau leaves the exact domain.
+    """Raise ValueError if evolving state to time tau leaves the exact domain.
 
     The phase lambda tau of propagate keeps the 1e-8 exactness bar while
-    lambda_max |tau| <= 2^53 * 1e-8.  lambda_max is bounded before any
-    eigensystem is built by Gershgorin: twice the largest coupling
-    (K - n) sqrt(n + 1) of block (2K, K), K the state's largest pair count.
+    lambda_max |tau| <= 2^53 * 1e-8, so a nan or infinite tau is refused.
+    lambda_max is bounded before any eigensystem is built by Gershgorin:
+    twice the largest coupling (K - n) sqrt(n + 1) of block (2K, K), with
+    K = ceil(s_max / 2) from the state's largest weight s_max.  Every
+    coupling (k - n)(s - k - n)(n + 1) of a block (s, k), s <= s_max, is at
+    most (K - n)^2 (n + 1) by AM-GM, so the bound holds for every block.
     At N_in = 54 (K = 506) the limit is tau = 1.0e4.
     """
-    top = max((k for _, k in state.blocks), default=0)
+    top = -(-max((s for s, _ in state.blocks), default=0) // 2)
     lam_max = 2.0 * float(trilinear_offdiag(BlockIndex(2 * top, top)).max(initial=0.0))
-    if lam_max > 0.0 and abs(tau) > _PHASE_LIMIT / lam_max:
+    limit = _PHASE_LIMIT / lam_max if lam_max > 0.0 else math.inf
+    if not (math.isfinite(tau) and abs(tau) <= limit):
         raise ValueError(f"tau = {tau:g} is outside the exact time domain of this input, |tau| <= "
-                         f"{_PHASE_LIMIT / lam_max:.6g}: past it the rounding of the phase lambda tau alone exceeds 1e-8")
+                         f"{limit:.6g}: past it the rounding of the phase lambda tau alone exceeds 1e-8")
 
 
 def evolve(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:

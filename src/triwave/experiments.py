@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import check_time_domain, evolve, pair_matrix, pair_state
-from .metrics import (
-    ReducedDensityMatrix,
-    _pair_matched_overlap,
-    matched_pcs_overlap_rho,
-    purity,
-    reciprocal_peak_likelihood,
-)
+from .metrics import _pair_matched_overlap, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -235,7 +229,7 @@ def scaling_study(
     return points, fits
 
 
-def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10) -> ReducedDensityMatrix:
+def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10) -> np.ndarray:
     """Chain both stages and return the output-mode density matrix.
 
     Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a
@@ -265,7 +259,7 @@ def pipeline_record(
     return _stage2_record(tau2, rho, energy_in, math.nan, phase_grid)
 
 
-def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarray]:
+def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, np.ndarray]:
     """The body of full_pipeline; also returns the stage-1 pair matrix."""
     pump = make_coherent_pump(pump_alpha, eps)
     _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
@@ -277,8 +271,7 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[ReducedDensityMatrix, np.ndarra
     for p in range(dim):  # p pairs left, so n <= dim - 1 - p
         col = response[: dim - p, p]
         rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    return ReducedDensityMatrix(mode="c", matrix=rho), amps
+    return 0.5 * (rho + rho.conj().T), amps
 
 
 def _input_energy(state) -> float:
@@ -307,15 +300,15 @@ def _pair_purity(amps: np.ndarray) -> float:
     return float(sum(np.sum(w * w) for w in rows))
 
 
-def _rho_c(amps: np.ndarray) -> ReducedDensityMatrix:
+def _rho_c(amps: np.ndarray) -> np.ndarray:
     """Mode-c density matrix A A^dag of a pair matrix (a and b traced out)."""
-    return ReducedDensityMatrix("c", amps @ amps.conj().T)
+    return amps @ amps.conj().T
 
 
 def _stage2_record(tau, rho, energy_in, n_pair, phase_grid) -> SweepRecord:
     """The one scoring of a stage-2 output: its record at tau from its mode-c rho (n_a = n_b = n_pair)."""
     overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
-    n_out = float(np.real(np.diag(rho.matrix)) @ np.arange(rho.matrix.shape[0]))
+    n_out = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
     return SweepRecord(
         tau=float(tau),
         overlap=overlap,

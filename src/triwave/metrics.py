@@ -4,6 +4,8 @@ Conventions used throughout:
 
 * overlaps are amplitude-style, O = sqrt(<ref| rho_kept |ref>), so they live
   in [0, 1] alongside the conversion rates;
+* a mode-c density matrix is a complex (n+1) x (n+1) numpy array over the
+  Fock states 0..n;
 * the canonical phase distribution of a single-mode density matrix is
   p(phi) = (2 pi)^-1 sum_{n,m} exp(i (n - m) phi) rho_nm, and the phase
   sensitivity is the reciprocal peak likelihood delta_phi = 1 / max p;
@@ -14,8 +16,6 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolution import ThreeModeState
@@ -25,30 +25,6 @@ _MODE_AXIS = {"a": 0, "b": 1, "c": 2}
 PHASE_GRID_MIN = 256
 
 _LAG_COLUMNS = 16  # columns per FFT block in _pair_lag_sums
-
-
-@dataclass
-class ReducedDensityMatrix:
-    """Single-mode (or mode-pair) marginal in the Fock basis."""
-
-    mode: str
-    matrix: np.ndarray
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def validate(self, herm_tol: float = 1e-12, trace_tol: float = 1e-10, eig_floor: float = -1e-10) -> None:
-        """Check Hermiticity, unit trace, and positivity; raise on failure."""
-        mat = self.matrix
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > herm_tol:
-            raise ValueError(f"density matrix not Hermitian, deviation {herm:.3e}")
-        deficit = abs(self.trace() - 1.0)
-        if deficit > trace_tol:
-            raise ValueError(f"density matrix trace off by {deficit:.3e}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < eig_floor:
-            raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
 
 
 def overlap_with_product(
@@ -72,7 +48,7 @@ def overlap_with_product(
         raise ValueError("bra_ab replaces bra_a and bra_b; do not pass both")
 
     n_a, n_b, n_c = state.occupations()
-    weights = _coefficients(state)
+    weights = state.coefficients()
     if bra_ab is not None:
         weights *= _bra_factor("bra_ab", bra_ab, n_a, n_b)
         modes = [("bra_c", bra_c, n_c)]
@@ -91,8 +67,8 @@ def overlap_with_product(
     return float(np.sqrt(max(0.0, float(np.sum(np.abs(sums) ** 2)))))
 
 
-def reduce_mode_c(state: ThreeModeState, cutoff: int | None = None) -> ReducedDensityMatrix:
-    """Partial trace over modes a and b, returning the pump-mode marginal.
+def reduce_mode_c(state: ThreeModeState, cutoff: int | None = None) -> np.ndarray:
+    """Partial trace over modes a and b: the pump-mode density matrix, (cutoff + 1) x (cutoff + 1).
 
     cutoff defaults to the structural mode-c support of the state; a
     smaller value is refused rather than silently dropping population.
@@ -106,10 +82,9 @@ def reduce_mode_c(state: ThreeModeState, cutoff: int | None = None) -> ReducedDe
     # amplitudes with rows over distinct (n_a, n_b) pairs, columns n_c; each Fock triple occurs once
     uniq, rows = np.unique(n_a * (int(n_b.max(initial=0)) + 1) + n_b, return_inverse=True)
     pair = np.zeros((len(uniq), cutoff + 1), dtype=complex)
-    pair[rows, n_c] = _coefficients(state)
+    pair[rows, n_c] = state.coefficients()
     rho = pair.T @ pair.conj()
-    rho = 0.5 * (rho + rho.conj().T)
-    return ReducedDensityMatrix(mode="c", matrix=rho)
+    return 0.5 * (rho + rho.conj().T)
 
 
 def mean_photon(state: ThreeModeState, mode: str) -> float:
@@ -117,7 +92,7 @@ def mean_photon(state: ThreeModeState, mode: str) -> float:
     axis = _MODE_AXIS.get(mode)
     if axis is None:
         raise ValueError(f"mode must be one of 'a', 'b', 'c', got {mode!r}")
-    return float(np.abs(_coefficients(state)) ** 2 @ state.occupations()[axis])
+    return float(np.abs(state.coefficients()) ** 2 @ state.occupations()[axis])
 
 
 def conversion_rate_down(state_out: ThreeModeState, pump_energy: float) -> float:
@@ -135,21 +110,21 @@ def conversion_rate_up(state_out: ThreeModeState, twin_beam_energy: float) -> fl
     return 2.0 * mean_photon(state_out, "c") / twin_beam_energy
 
 
-def purity(rho: ReducedDensityMatrix) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr rho^2 of a marginal."""
-    return float(np.sum(np.abs(rho.matrix) ** 2))
+    return float(np.sum(np.abs(rho) ** 2))
 
 
-def phase_distribution(rho: ReducedDensityMatrix, grid_points: int = 1024) -> np.ndarray:
+def phase_distribution(rho: np.ndarray, grid_points: int = 1024) -> np.ndarray:
     """Canonical phase distribution sampled on a uniform grid over [0, 2 pi).
 
     Needs at least PHASE_GRID_MIN grid points; the Riemann sum over the grid
     equals the trace whenever the grid is finer than the matrix dimension.
     """
-    return _grid_profile(np.conj(_lag_sums(rho.matrix)), grid_points) / (2.0 * np.pi)
+    return _grid_profile(np.conj(_lag_sums(rho)), grid_points) / (2.0 * np.pi)
 
 
-def reciprocal_peak_likelihood(rho: ReducedDensityMatrix, grid_points: int = 1024) -> float:
+def reciprocal_peak_likelihood(rho: np.ndarray, grid_points: int = 1024) -> float:
     """Phase sensitivity 1 / max p(phi).
 
     The grid maximum is refined by a local quadratic fit through the best
@@ -169,7 +144,7 @@ def matched_pcs_overlap(state: ThreeModeState, phase_grid: int = 1024) -> tuple[
     return matched_pcs_overlap_rho(reduce_mode_c(state), phase_grid)
 
 
-def matched_pcs_overlap_rho(rho: ReducedDensityMatrix, phase_grid: int = 1024) -> tuple[float, complex]:
+def matched_pcs_overlap_rho(rho: np.ndarray, phase_grid: int = 1024) -> tuple[float, complex]:
     """Best overlap with a phase-coherent state matched to the output energy.
 
     The modulus of the reference parameter lam is fixed by the mean output
@@ -179,10 +154,9 @@ def matched_pcs_overlap_rho(rho: ReducedDensityMatrix, phase_grid: int = 1024) -
     Returns (overlap, lam).  For a vacuum output mode the profile is flat,
     so theta = 0 and lam = 0.
     """
-    mat = rho.matrix
-    n_bar = float(np.real(np.diag(mat)) @ np.arange(mat.shape[0]))
-    mod, weights = _pcs_weights(n_bar, mat.shape[0])
-    return _matched_tail(_lag_sums(weights[:, np.newaxis] * mat * weights[np.newaxis, :]), mod, phase_grid)
+    n_bar = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
+    mod, weights = _pcs_weights(n_bar, len(rho))
+    return _matched_tail(_lag_sums(weights[:, np.newaxis] * rho * weights[np.newaxis, :]), mod, phase_grid)
 
 
 def _pair_matched_overlap(amps: np.ndarray, n_bar: float, phase_grid: int) -> tuple[float, complex]:
@@ -277,11 +251,6 @@ def _refine_peak(left: float, centre: float, right: float) -> tuple[float, float
     shift = float(np.clip(shift, -0.5, 0.5))
     value = centre - 0.25 * (left - right) * shift
     return shift, value
-
-
-def _coefficients(state: ThreeModeState) -> np.ndarray:
-    """Every stored coefficient of a state, flat, in the order of state.occupations()."""
-    return np.concatenate([np.zeros(0, dtype=complex), *state.blocks.values()])
 
 
 def _bra_factor(name: str, bra: np.ndarray, *idx: np.ndarray) -> np.ndarray:

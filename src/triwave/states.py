@@ -72,29 +72,14 @@ def predicted_twin_beam_param(alpha: complex, tau: float) -> complex:
     return -1j * math.tanh(tau * abs(alpha)) * complex(np.exp(1j * np.angle(alpha)))
 
 
-def pcs_amplitudes(lam: complex, cutoff: int) -> np.ndarray:
-    """Phase-coherent state amplitudes sqrt(1-|lam|^2) lam^n, n = 0..cutoff.
-
-    Not renormalized after truncation; meant as a bra in overlap
-    computations where components beyond the kept support contribute
-    nothing.
-    """
-    return _geometric_amplitudes("phase-coherent parameter", "lam", lam, cutoff)
-
-
 def twin_beam_amplitudes(chi: complex, cutoff: int) -> np.ndarray:
-    """Pair amplitudes sqrt(1-|chi|^2) chi^n of the ideal twin beam."""
-    return _geometric_amplitudes("twin-beam parameter", "chi", chi, cutoff)
-
-
-def _geometric_amplitudes(what: str, name: str, z: complex, cutoff: int) -> np.ndarray:
-    """sqrt(1-|z|^2) z^n, n = 0..cutoff; each error names the parameter z as the caller calls it."""
-    _check_finite(name, z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"{what} must satisfy |{name}| < 1, got {abs(z)}")
+    """Pair amplitudes sqrt(1-|chi|^2) chi^n, n = 0..cutoff, of the ideal twin beam, not renormalized."""
+    _check_finite("chi", chi)
+    if abs(chi) >= 1.0:
+        raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got {abs(chi)}")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    return np.sqrt(1.0 - abs(z) ** 2) * np.asarray(z, dtype=complex) ** np.arange(cutoff + 1)
+    return np.sqrt(1.0 - abs(chi) ** 2) * np.asarray(chi, dtype=complex) ** np.arange(cutoff + 1)
 
 
 def _check_eps(eps: float) -> None:

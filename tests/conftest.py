@@ -3,7 +3,11 @@
 Acceptance tests register one verdict line per criterion; the hook below
 replays them after the normal summary so a plain `pytest -v` shows every
 verdict even though per-test stdout is captured.
+
+check_density_matrix is the tests' one check of a density matrix, a plain
+complex 2-D array.
 """
+import numpy as np
 
 CRITERION_LINES: list[str] = []
 
@@ -18,3 +22,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+def check_density_matrix(mat: np.ndarray) -> None:
+    """Check Hermiticity (1e-12), unit trace (1e-10) and positivity (eigenvalues >= -1e-10); raise on failure."""
+    herm = np.max(np.abs(mat - mat.conj().T))
+    if herm > 1e-12:
+        raise ValueError(f"density matrix not Hermitian, deviation {herm:.3e}")
+    deficit = abs(float(np.trace(mat).real) - 1.0)
+    if deficit > 1e-10:
+        raise ValueError(f"density matrix trace off by {deficit:.3e}")
+    smallest = float(np.linalg.eigvalsh(mat)[0])
+    if smallest < -1e-10:
+        raise ValueError(f"density matrix has negative eigenvalue {smallest:.3e}")
+
+
+def is_complex_matrix(mat) -> bool:
+    """True for a square complex 2-D numpy array, the form every density matrix takes."""
+    return type(mat) is np.ndarray and mat.dtype == complex and mat.ndim == 2 and mat.shape[0] == mat.shape[1]

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from conftest import record_criterion
+from conftest import check_density_matrix, record_criterion
 from triwave import (
     FockTriple,
-    ReducedDensityMatrix,
     ThreeModeState,
     dense_oracle_evolve,
     evolve,
@@ -250,7 +249,7 @@ def pcs_phase_density(n_bar):
     lam, fock_states = pcs_truncation(n_bar)
     vec = lam ** np.arange(fock_states)
     vec = vec / np.linalg.norm(vec)
-    return ReducedDensityMatrix(mode="c", matrix=np.outer(vec, vec))
+    return np.outer(vec, vec)
 
 
 def pcs_exact_uncertainty(n_bar):
@@ -268,7 +267,7 @@ def coherent_phase_density(n_bar):
     n = np.arange(cutoff + 1)
     vec = np.exp(-0.5 * n_bar + 0.5 * n * np.log(n_bar) - 0.5 * gammaln(n + 1))
     vec = vec / np.linalg.norm(vec)
-    return ReducedDensityMatrix(mode="c", matrix=np.outer(vec, vec))
+    return np.outer(vec, vec)
 
 
 def test_criterion_7_phase_uncertainty_scaling(scaling_data):
@@ -320,7 +319,7 @@ def test_criterion_8_pipeline_consistency():
     n_in = 2.0 * abs(chi) ** 2 / (1.0 - abs(chi) ** 2)
     tau2, ideal_overlap, _ = find_optimal_tau(chi)
     rho = full_pipeline(alpha, tau1, tau2)
-    rho.validate()
+    check_density_matrix(rho)
     pipeline_overlap, _ = matched_pcs_overlap_rho(rho)
     diff = abs(pipeline_overlap - ideal_overlap)
     ok = abs(n_in - 4.0) <= 1e-9 and diff < 0.05

@@ -24,7 +24,7 @@ from triwave import (
     overlap_with_product,
     reduce_mode_c,
 )
-from triwave.evolution import pair_matrix, pair_state
+from triwave.evolution import check_time_domain, pair_matrix, pair_state
 
 
 def cube_triples(cutoff, s_max):
@@ -74,15 +74,18 @@ def test_to_fock_dict_roundtrip():
 def test_occupations_match_block_to_fock(amplitudes):
     state = ThreeModeState.from_fock_dict(amplitudes, normalize=False)
     n_a, n_b, n_c = state.occupations()
+    coefficients = state.coefficients()
     assert all(np.issubdtype(occ.dtype, np.integer) for occ in (n_a, n_b, n_c))
     position = 0
     for index, vec in state.blocks.items():
         for n, amp in enumerate(vec):
             triple = block_to_fock(index, n)
             assert (n_a[position], n_b[position], n_c[position]) == triple
-            assert amp == amplitudes.get(triple, 0.0)
+            assert amp == amplitudes.get(triple, 0.0) == coefficients[position]
             position += 1
-    assert position == len(n_a) == len(n_b) == len(n_c)
+    assert position == len(n_a) == len(n_b) == len(n_c) == len(coefficients)
+    assert coefficients.dtype == complex
+    assert not any(np.shares_memory(coefficients, vec) for vec in state.blocks.values())
 
 
 def test_mode_support():
@@ -300,6 +303,32 @@ def test_evolve_domain_ends_at_the_largest_eigenvalue():
     assert abs(evolve(pump, limit * (1.0 - 1e-9)).norm() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="exact time domain"):
         evolve(pump, limit * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize(
+    "make, tau",
+    [
+        (lambda: make_coherent_pump(2.0), math.nan),
+        (ThreeModeState, math.inf),
+        # block (100, 1) has lambda = 9.95; a bound from the largest pair count K = 1 read 2, limit 4.5e7
+        (lambda: ThreeModeState.from_fock_dict({(1, 99, 0): 1.0}), 4.05e7),
+    ],
+    ids=["pump-nan", "empty-inf", "weight-100-pair-count-1"],
+)
+def test_check_time_domain_refuses_what_evolve_refuses(make, tau):
+    with pytest.raises(ValueError, match="exact time domain"):
+        check_time_domain(make(), tau)
+    with pytest.raises(ValueError, match="exact time domain"):
+        evolve(make(), tau)
+
+
+def test_check_time_domain_bound_covers_every_block_of_a_weight():
+    # the Gershgorin bound of block (2K, K), K = ceil(s / 2), is at least lambda_max of each block (s, k)
+    for s in range(41):
+        top = -(-s // 2)
+        bound = 2.0 * triwave.blocks.trilinear_offdiag((2 * top, top)).max(initial=0.0)
+        for k in range(s + 1):
+            assert triwave.blocks.build_block_hamiltonian((s, k)).eigenvalues[-1] <= bound * (1.0 + 1e-12)
 
 
 def _as_array(value):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_density_matrix, is_complex_matrix
 from triwave import (
-    ReducedDensityMatrix,
     ThreeModeState,
     conversion_rate_down,
     conversion_rate_up,
@@ -18,7 +18,6 @@ from triwave import (
     matched_pcs_overlap_rho,
     mean_photon,
     overlap_with_product,
-    pcs_amplitudes,
     phase_distribution,
     purity,
     reciprocal_peak_likelihood,
@@ -30,7 +29,12 @@ from triwave.evolution import pair_matrix
 def pcs_density(lam, cutoff=160):
     vec = lam ** np.arange(cutoff + 1)
     vec = vec / np.linalg.norm(vec)
-    return ReducedDensityMatrix(mode="c", matrix=np.outer(vec, vec.conj()))
+    return np.outer(vec, vec.conj())
+
+
+def pcs_bra(lam, cutoff):
+    """Phase-coherent amplitudes sqrt(1 - |lam|^2) lam^n, n = 0..cutoff, written out independently."""
+    return math.sqrt(1.0 - abs(lam) ** 2) * complex(lam) ** np.arange(cutoff + 1)
 
 
 def bell_like_state():
@@ -102,37 +106,35 @@ def test_overlap_no_bra_is_norm():
 
 def test_reduce_mode_c_entangled():
     rho = reduce_mode_c(bell_like_state())
-    assert rho.matrix.shape == (2, 2)
-    assert np.allclose(rho.matrix, np.diag([0.5, 0.5]), atol=1e-14)
-    rho.validate()
+    assert is_complex_matrix(rho) and rho.shape == (2, 2)
+    assert np.allclose(rho, np.diag([0.5, 0.5]), atol=1e-14)
+    check_density_matrix(rho)
     assert abs(purity(rho) - 0.5) < 1e-13
 
 
 def test_reduce_mode_c_product():
     state = ThreeModeState.from_fock_dict({(0, 0, 0): 1.0, (0, 0, 1): 1.0})
     rho = reduce_mode_c(state)
-    assert np.allclose(rho.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
+    assert is_complex_matrix(rho)
+    assert np.allclose(rho, 0.5 * np.ones((2, 2)), atol=1e-14)
     assert abs(purity(rho) - 1.0) < 1e-13
 
 
 def test_reduce_mode_c_cutoff_control():
     state = bell_like_state()
     rho = reduce_mode_c(state, cutoff=4)
-    assert rho.matrix.shape == (5, 5)
+    assert is_complex_matrix(rho) and rho.shape == (5, 5)
     with pytest.raises(ValueError):
         reduce_mode_c(state, cutoff=0)
 
 
 def test_validate_rejects_bad_matrices():
-    bad_herm = ReducedDensityMatrix(mode="c", matrix=np.array([[0.5, 0.1], [0.3, 0.5]]))
     with pytest.raises(ValueError):
-        bad_herm.validate()
-    bad_trace = ReducedDensityMatrix(mode="c", matrix=np.diag([0.7, 0.7]))
+        check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
     with pytest.raises(ValueError):
-        bad_trace.validate()
-    bad_positive = ReducedDensityMatrix(mode="c", matrix=np.array([[1.5, 0.0], [0.0, -0.5]]))
+        check_density_matrix(np.diag([0.7, 0.7]))
     with pytest.raises(ValueError):
-        bad_positive.validate()
+        check_density_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
 
 
 def test_mean_photon_values():
@@ -175,7 +177,7 @@ def test_phase_distribution_matches_brute_force_beyond_grid(size, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=size) + 1j * rng.normal(size=size)
     psi /= np.linalg.norm(psi)
-    rho = ReducedDensityMatrix(mode="c", matrix=np.outer(psi, psi.conj()))
+    rho = np.outer(psi, psi.conj())
     phis = 2 * np.pi * np.arange(256) / 256
     brute = np.abs(np.exp(1j * np.outer(phis, np.arange(size))) @ psi) ** 2 / (2 * np.pi)
     assert np.max(np.abs(phase_distribution(rho, 256) - brute)) <= 1e-12
@@ -191,7 +193,7 @@ def test_phase_distribution_grid_validation():
 
 
 def test_vacuum_phase_is_uniform():
-    rho = ReducedDensityMatrix(mode="c", matrix=np.eye(1, dtype=complex))
+    rho = np.eye(1, dtype=complex)
     p = phase_distribution(rho)
     assert np.allclose(p, 1 / (2 * np.pi), atol=1e-14)
     assert abs(reciprocal_peak_likelihood(rho) - 2 * np.pi) < 1e-12
@@ -231,12 +233,12 @@ def test_matched_overlap_agrees_with_direct_product_overlap():
     for state, grid in cases:
         overlap, lam = matched_pcs_overlap(state, grid)
         cutoff = state.mode_support()[2]
-        direct = overlap_with_product(state, bra_c=pcs_amplitudes(lam, cutoff))
+        direct = overlap_with_product(state, bra_c=pcs_bra(lam, cutoff))
         assert abs(overlap - direct) < 1e-10
         # the chosen phase lies within one grid step of the brute-force grid maximum
         thetas = 2 * np.pi * np.arange(grid) / grid
-        refs = np.array([pcs_amplitudes(abs(lam) * np.exp(1j * t), cutoff) for t in thetas])
-        brute = np.einsum("gi,ij,gj->g", refs.conj(), reduce_mode_c(state).matrix, refs).real
+        refs = np.array([pcs_bra(abs(lam) * np.exp(1j * t), cutoff) for t in thetas])
+        brute = np.einsum("gi,ij,gj->g", refs.conj(), reduce_mode_c(state), refs).real
         assert abs(np.angle(lam * np.exp(-1j * thetas[np.argmax(brute)]))) <= 2 * np.pi / grid
 
 
@@ -274,7 +276,7 @@ def test_matched_overlap_rho_matches_pure_state_form():
         (lambda state: mean_photon(state, "c"), 0.0),
         (overlap_with_product, 0.0),
         (lambda state: overlap_with_product(state, bra_ab=np.ones((2, 2)), bra_c=np.ones(2)), 0.0),
-        (lambda state: reduce_mode_c(state).matrix, np.zeros((1, 1), dtype=complex)),
+        (lambda state: reduce_mode_c(state), np.zeros((1, 1), dtype=complex)),
         (ThreeModeState.mode_support, (0, 0, 0)),
         (ThreeModeState.to_fock_dict, {}),
         (pair_matrix, ValueError),

@@ -17,7 +17,6 @@ from triwave import (
     make_twin_beam,
     mean_photon,
     overlap_with_product,
-    pcs_amplitudes,
     predicted_twin_beam_param,
     stage1_sweep,
     twin_beam_amplitudes,
@@ -169,13 +168,10 @@ def test_twin_beam_rejects_unphysical_param():
         (lambda: make_coherent_pump(math.nan), "alpha"),
         (lambda: make_twin_beam(math.nan), "chi"),
         # abs(nan) >= 1 is false, so only the finiteness check stops a NaN
-        (lambda: pcs_amplitudes(math.nan, 2), "lam"),
         (lambda: twin_beam_amplitudes(complex(math.nan, 0.0), 2), "chi"),
-        (lambda: pcs_amplitudes(math.inf, 2), "lam"),
         (lambda: twin_beam_amplitudes(math.inf, 2), "chi"),
     ],
-    ids=["pump-inf", "stage1-inf", "pump-nan", "twin-beam-nan",
-         "pcs-amplitudes-nan", "twin-beam-amplitudes-nan", "pcs-amplitudes-inf", "twin-beam-amplitudes-inf"],
+    ids=["pump-inf", "stage1-inf", "pump-nan", "twin-beam-nan", "twin-beam-amplitudes-nan", "twin-beam-amplitudes-inf"],
 )
 def test_constructors_reject_non_finite_amplitude(call, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -226,14 +222,6 @@ def test_predicted_param_matches_dynamics_at_strong_pump():
     assert overlap_with_product(out, bra_ab=bra_wrong) < overlap - 1e-4
 
 
-def test_pcs_amplitudes_geometric():
-    lam = 0.5 * np.exp(0.4j)
-    amps = pcs_amplitudes(lam, 5)
-    assert amps.shape == (6,)
-    assert abs(amps[0] - math.sqrt(1 - 0.25)) < 1e-14
-    assert np.allclose(amps, amps[0] * lam ** np.arange(6), atol=1e-14)
-
-
 def test_twin_beam_amplitudes_geometric():
     chi = 0.7j
     amps = twin_beam_amplitudes(chi, 4)
@@ -241,7 +229,7 @@ def test_twin_beam_amplitudes_geometric():
     assert np.allclose(amps, amps[0] * chi ** np.arange(5), atol=1e-14)
 
 
-@pytest.mark.parametrize("func", [pcs_amplitudes, twin_beam_amplitudes])
+@pytest.mark.parametrize("func", [twin_beam_amplitudes])
 def test_geometric_amplitudes_reject_unit_modulus(func):
     with pytest.raises(ValueError):
         func(1.0, 4)
