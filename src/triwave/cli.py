@@ -25,7 +25,6 @@ import numpy as np
 from .blocks import block_dimension, recombination_offdiag, trilinear_offdiag
 from .evolution import evolve  # noqa: F401  (unused; perfbench/test_perfbench.py reads triwave.cli.evolve)
 from .experiments import best_peak_index, pipeline_record, scaling_study, stage1_sweep, stage2_sweep
-from .metrics import PHASE_GRID_MIN
 
 
 def main(argv=None) -> int:
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s1.add_argument("--pump-energy", type=_POSITIVE, required=True, help="mean pump photon number |alpha|^2")
     s1.add_argument("--pump-phase", type=_FINITE, default=0.0, help="pump phase arg(alpha) in radians")
     _add_tau_args(s1)
-    _add_common_args(s1, phase_grid=False)
+    _add_common_args(s1)
     s1.set_defaults(run=_run_stage1)
 
     s2 = sub.add_parser("stage2", help="sweep up-conversion of a twin beam")
@@ -125,11 +124,8 @@ def _add_tau_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tau-steps", type=_number(int, lo=2), required=True, help="number of grid points")
 
 
-def _add_common_args(sub: argparse.ArgumentParser, phase_grid: bool = True) -> None:
+def _add_common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--eps", type=_POSITIVE, default=1e-10, help="input truncation tail (default 1e-10)")
-    if phase_grid:
-        sub.add_argument("--phase-grid", type=_number(int, lo=PHASE_GRID_MIN), default=1024,
-                         help="phase grid points (default 1024)")
     sub.add_argument("--out", type=str, required=True, help="output file path")
     sub.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None,
                      help="output format; default follows the --out extension")
@@ -170,7 +166,7 @@ def _run_stage1(args: argparse.Namespace) -> int:
 def _run_stage2(args: argparse.Namespace) -> int:
     chi = _chi(args.n_in, args.chi_phase)
     taus = np.linspace(args.tau_min, args.tau_max, args.tau_steps)
-    records = stage2_sweep(chi, taus, eps=args.eps, phase_grid=args.phase_grid)
+    records = stage2_sweep(chi, taus, eps=args.eps)
     _write(args, records)
     # the overlap is trivially 1 at tau = 0, so summarize the interior peak
     best = records[best_peak_index(np.array([r.overlap for r in records]))]
@@ -180,14 +176,14 @@ def _run_stage2(args: argparse.Namespace) -> int:
 
 def _run_pipeline(args: argparse.Namespace) -> int:
     alpha = _alpha(args.pump_energy, args.pump_phase)
-    record = pipeline_record(alpha, args.tau1, args.tau2, eps=args.eps, phase_grid=args.phase_grid)
+    record = pipeline_record(alpha, args.tau1, args.tau2, eps=args.eps)
     _write(args, [record])
     print(f"pipeline: n_out={record.n_c:.6g} overlap={record.overlap:.6g} purity={record.purity:.6g}")
     return 0
 
 
 def _run_scaling(args: argparse.Namespace) -> int:
-    points, fits = scaling_study(args.n_in_list, eps=args.eps, phase_grid=args.phase_grid)
+    points, fits = scaling_study(args.n_in_list, eps=args.eps)
     _write(args, points, fits)
     fit_in, fit_out = fits["tau_opt_vs_n_in"], fits["tau_opt_vs_n_out"]
     print(f"scaling: {len(points)} energies, tau_opt fits {fit_in.prefactor:.4g}*N_in^{fit_in.exponent:.4g}, "

@@ -6,8 +6,8 @@ kept; ThreeModeState.occupations is the one place that maps the stored
 coefficients to their Fock triples.  Evolution applies the cached
 eigendecomposition of each block and never mixes blocks.  pair_state and
 pair_matrix map a state with n_a = n_b to and from its pair matrix; no
-other module knows that layout.  evolve refuses a time outside the exact
-domain; check_time_domain bounds that domain before any block is built.
+other module knows that layout.  check_time_domain is the one rule on the
+exact time domain; evolve applies it before any block is built.
 
 dense_oracle_evolve is an independent cross-check: it builds the full
 Hamiltonian on a truncated Fock cube straight from the ladder rules and
@@ -160,17 +160,19 @@ def evolve(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     tau may also be a 1-D array of T times: the result is then a list of T
     states, the j-th at tau[j], each block propagated once for all T times
     and each state's block vectors views of its column j.  A tau of more
-    than one dimension raises ValueError before any block is built.
-
-    A nan or infinite tau, or lambda_max |tau| > 2^53 * 1e-8 with lambda_max
-    the largest eigenvalue of the state's blocks, raises ValueError before any
-    block is propagated: check_time_domain's domain, with the exact lambda_max.
+    than one dimension, or a time that check_time_domain refuses (nan,
+    infinite or past the domain), raises ValueError before any block is built.
     """
     return _evolve(build_block_hamiltonian, state, tau)
 
 
 def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
-    """Evolve under the ideal recombination Hamiltonian (reference dynamics); tau as in evolve."""
+    """Evolve under the ideal recombination Hamiltonian (reference dynamics); tau as in evolve.
+
+    check_time_domain's bound covers these blocks too: each coupling (k - n)(n + 1)
+    is at most the trilinear (k - n)(s - k - n)(n + 1), since s - k - n >= 1 on
+    every coupling of block (s, k).
+    """
     return _evolve(build_recombination_hamiltonian, state, tau)
 
 
@@ -178,11 +180,8 @@ def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeMod
     tau = np.asarray(tau, dtype=float)  # converted once, not per block
     if tau.ndim > 1:
         raise ValueError(f"tau must be one time or a 1-D array of times, got shape {tau.shape}")
-    hams = [build(index) for index in state.blocks]
-    lam_max = max((ham.eigenvalues[-1] for ham in hams), default=0.0)  # ascending, so the last is the largest
-    if not (np.isfinite(tau).all() and lam_max * np.max(np.abs(tau), initial=0.0) <= _PHASE_LIMIT):
-        raise ValueError(f"tau = {tau} is outside the exact time domain of this state: lambda_max |tau| <= 2^53 * 1e-8")
-    blocks = {index: ham.propagate(vec, tau) for (index, vec), ham in zip(state.blocks.items(), hams)}
+    check_time_domain(state, float(np.max(np.abs(tau), initial=0.0)))
+    blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
     if tau.ndim == 0:
         return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
     return [ThreeModeState({i: vec[:, j] for i, vec in blocks.items()}, state.trunc_error) for j in range(len(tau))]

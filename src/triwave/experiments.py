@@ -110,12 +110,12 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     return [one(tau, amps) for tau, amps in outputs]
 
 
-def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10, phase_grid: int = 1024) -> list[SweepRecord]:
+def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord]:
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
     beam = make_twin_beam(chi, eps)
     outputs = _pair_outputs(beam, tau_grid)
     energy_in = _input_energy(beam)
-    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid) for tau, amps in outputs]
+    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1]) for tau, amps in outputs]
 
 
 def find_optimal_tau(
@@ -124,7 +124,6 @@ def find_optimal_tau(
     window: tuple[float, float] = _STAGE2_WINDOW,
     coarse_points: int = _STAGE2_COARSE_POINTS,
     tol: float = _STAGE2_TOL,
-    phase_grid: int = 1024,
 ) -> tuple[float, float, float]:
     """Interaction time maximizing the stage-2 matched overlap.
 
@@ -134,9 +133,9 @@ def find_optimal_tau(
     matches a vacuum reference), so the bracket targets the best interior
     peak of the coarse scan rather than that boundary artifact.  Returns
     (tau_opt, overlap, eta), the last two read from rho_c at tau_opt, as in
-    stage2_sweep(chi, [tau_opt], eps, phase_grid) and scaling_study.
+    stage2_sweep(chi, [tau_opt], eps) and scaling_study.
     """
-    record = _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid)
+    record = _stage2_optimum(chi, eps, window, coarse_points, tol)
     return record.tau, record.overlap, record.eta
 
 
@@ -202,9 +201,7 @@ def fit_power_law(xs, ys) -> PowerLawFit:
     )
 
 
-def scaling_study(
-    n_in_values, eps: float = 1e-10, phase_grid: int = 1024
-) -> tuple[list[ScalingPoint], dict[str, PowerLawFit]]:
+def scaling_study(n_in_values, eps: float = 1e-10) -> tuple[list[ScalingPoint], dict[str, PowerLawFit]]:
     """Optimal-time records across input energies, with power-law fits.
 
     For each mean input photon number the twin-beam amplitude is
@@ -219,7 +216,7 @@ def scaling_study(
         _input_energy(make_twin_beam(chi, eps))
     points: list[ScalingPoint] = []
     for n_in, chi in zip(n_in_values, chis):
-        rec = _stage2_optimum(chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL, phase_grid)
+        rec = _stage2_optimum(chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL)
         points.append(ScalingPoint(n_in=n_in, n_out=rec.n_c, tau_opt=rec.tau, overlap=rec.overlap, eta=rec.eta,
                                    purity=rec.purity, delta_phi=rec.delta_phi, matched_lambda=rec.lambda_or_chi))
     fits = {
@@ -240,9 +237,7 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
     return _chain(pump_alpha, tau1, tau2, eps)[0]
 
 
-def pipeline_record(
-    pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10, phase_grid: int = 1024
-) -> SweepRecord:
+def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10) -> SweepRecord:
     """The output of full_pipeline scored as one record at tau2.
 
     eta is twice the output photon number over the pair energy stage 1 delivers.  An energy
@@ -256,7 +251,7 @@ def pipeline_record(
     if energy_in <= floor:
         raise ValueError(f"stage 1 delivers no pairs to convert: its pair energy {energy_in:.3g} "
                          f"is not above the rounding floor {floor:.3g}")
-    return _stage2_record(tau2, rho, energy_in, math.nan, phase_grid)
+    return _stage2_record(tau2, rho, energy_in, math.nan)
 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -305,16 +300,16 @@ def _rho_c(amps: np.ndarray) -> np.ndarray:
     return amps @ amps.conj().T
 
 
-def _stage2_record(tau, rho, energy_in, n_pair, phase_grid) -> SweepRecord:
+def _stage2_record(tau, rho, energy_in, n_pair) -> SweepRecord:
     """The one scoring of a stage-2 output: its record at tau from its mode-c rho (n_a = n_b = n_pair)."""
-    overlap, lam = matched_pcs_overlap_rho(rho, phase_grid)
+    overlap, lam = matched_pcs_overlap_rho(rho)
     n_out = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
     return SweepRecord(
         tau=float(tau),
         overlap=overlap,
         eta=2.0 * n_out / energy_in,
         purity=purity(rho),
-        delta_phi=reciprocal_peak_likelihood(rho, phase_grid),
+        delta_phi=reciprocal_peak_likelihood(rho),
         n_a=n_pair,
         n_b=n_pair,
         n_c=n_out,
@@ -322,7 +317,7 @@ def _stage2_record(tau, rho, energy_in, n_pair, phase_grid) -> SweepRecord:
     )
 
 
-def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid) -> SweepRecord:
+def _stage2_optimum(chi, eps, window, coarse_points, tol) -> SweepRecord:
     """The search of find_optimal_tau, returning the _stage2_record of the A at tau_opt that it returns.
 
     Each time is scored from its pair matrix A by _pair_matched_overlap,
@@ -332,10 +327,10 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol, phase_grid) -> SweepRe
     energy_in = _input_energy(beam)
 
     def overlap(amps: np.ndarray) -> float:
-        return _pair_matched_overlap(amps, _moments(amps)[0], phase_grid)[0]
+        return _pair_matched_overlap(amps, _moments(amps)[0])[0]
 
     tau_opt, amps = _grid_then_golden(overlap, beam, window, coarse_points, tol)
-    return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1], phase_grid)
+    return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1])
 
 
 def _check_tau_grid(tau_grid, state) -> np.ndarray:

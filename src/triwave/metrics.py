@@ -10,9 +10,9 @@ Conventions used throughout:
   p(phi) = (2 pi)^-1 sum_{n,m} exp(i (n - m) phi) rho_nm, and the phase
   sensitivity is the reciprocal peak likelihood delta_phi = 1 / max p;
 * the phase figures share one exact path: lag sums t_d = sum_m M[m + d, m]
-  of the (weighted) mode-c density matrix, one FFT over the phase grid, and
-  a parabolic refinement of the grid maximum.  The matched overlap of a
-  pure state goes through its reduced density matrix.
+  of the (weighted) mode-c density matrix, one FFT over the fixed 1024-point
+  phase grid, and a parabolic refinement of the grid maximum.  The matched
+  overlap of a pure state goes through its reduced density matrix.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .evolution import ThreeModeState
 
 _MODE_AXIS = {"a": 0, "b": 1, "c": 2}
 
-PHASE_GRID_MIN = 256
+_PHASE_POINTS = 1024  # points of the one phase grid, theta_k = 2 pi k / 1024
 
 _LAG_COLUMNS = 16  # columns per FFT block in _pair_lag_sums
 
@@ -115,57 +115,57 @@ def purity(rho: np.ndarray) -> float:
     return float(np.sum(np.abs(rho) ** 2))
 
 
-def phase_distribution(rho: np.ndarray, grid_points: int = 1024) -> np.ndarray:
-    """Canonical phase distribution sampled on a uniform grid over [0, 2 pi).
+def phase_distribution(rho: np.ndarray) -> np.ndarray:
+    """Canonical phase distribution at the 1024 points phi_k = 2 pi k / 1024 of [0, 2 pi).
 
-    Needs at least PHASE_GRID_MIN grid points; the Riemann sum over the grid
-    equals the trace whenever the grid is finer than the matrix dimension.
+    Exact for any matrix dimension; the Riemann sum over the grid equals the
+    trace whenever the dimension is at most 1024.
     """
-    return _grid_profile(np.conj(_lag_sums(rho)), grid_points) / (2.0 * np.pi)
+    return _grid_profile(np.conj(_lag_sums(rho))) / (2.0 * np.pi)
 
 
-def reciprocal_peak_likelihood(rho: np.ndarray, grid_points: int = 1024) -> float:
+def reciprocal_peak_likelihood(rho: np.ndarray) -> float:
     """Phase sensitivity 1 / max p(phi).
 
     The grid maximum is refined by a local quadratic fit through the best
     point and its two neighbours (periodic).
     """
-    _, peak = _grid_peak(phase_distribution(rho, grid_points))
+    _, peak = _grid_peak(phase_distribution(rho))
     if peak <= 0.0:
         raise ValueError("phase distribution has no positive peak")
     return 1.0 / peak
 
 
-def matched_pcs_overlap(state: ThreeModeState, phase_grid: int = 1024) -> tuple[float, complex]:
+def matched_pcs_overlap(state: ThreeModeState) -> tuple[float, complex]:
     """Best overlap of the output mode with an energy-matched phase-coherent state.
 
-    Equal to matched_pcs_overlap_rho(reduce_mode_c(state), phase_grid).
+    Equal to matched_pcs_overlap_rho(reduce_mode_c(state)).
     """
-    return matched_pcs_overlap_rho(reduce_mode_c(state), phase_grid)
+    return matched_pcs_overlap_rho(reduce_mode_c(state))
 
 
-def matched_pcs_overlap_rho(rho: np.ndarray, phase_grid: int = 1024) -> tuple[float, complex]:
+def matched_pcs_overlap_rho(rho: np.ndarray) -> tuple[float, complex]:
     """Best overlap with a phase-coherent state matched to the output energy.
 
     The modulus of the reference parameter lam is fixed by the mean output
     photon number, |lam|^2 = N / (N + 1); its phase theta is taken at the
-    maximum of the overlap over a uniform grid of phase_grid points, refined
+    maximum of the overlap over the 1024-point phase grid, refined
     quadratically, and the overlap is the exact cosine sum at that theta.
     Returns (overlap, lam).  For a vacuum output mode the profile is flat,
     so theta = 0 and lam = 0.
     """
     n_bar = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
     mod, weights = _pcs_weights(n_bar, len(rho))
-    return _matched_tail(_lag_sums(weights[:, np.newaxis] * rho * weights[np.newaxis, :]), mod, phase_grid)
+    return _matched_tail(_lag_sums(weights[:, np.newaxis] * rho * weights[np.newaxis, :]), mod)
 
 
-def _pair_matched_overlap(amps: np.ndarray, n_bar: float, phase_grid: int) -> tuple[float, complex]:
+def _pair_matched_overlap(amps: np.ndarray, n_bar: float) -> tuple[float, complex]:
     """matched_pcs_overlap_rho of rho = A A^dag, read from the pair matrix A without forming rho.
 
     n_bar is the mean photon number of rho, which the caller has from A.
     """
     mod, weights = _pcs_weights(n_bar, len(amps))
-    return _matched_tail(_pair_lag_sums(amps, weights), mod, phase_grid)
+    return _matched_tail(_pair_lag_sums(amps, weights), mod)
 
 
 def _pcs_weights(n_bar: float, dim: int) -> tuple[float, np.ndarray]:
@@ -174,10 +174,10 @@ def _pcs_weights(n_bar: float, dim: int) -> tuple[float, np.ndarray]:
     return mod, np.sqrt(1.0 - mod**2) * mod ** np.arange(dim)
 
 
-def _matched_tail(sums: np.ndarray, mod: float, phase_grid: int) -> tuple[float, complex]:
+def _matched_tail(sums: np.ndarray, mod: float) -> tuple[float, complex]:
     """(overlap, lam) of matched_pcs_overlap_rho from the lag sums of the weighted density matrix."""
-    position, _ = _grid_peak(_grid_profile(sums, phase_grid))
-    theta = 2.0 * np.pi * position / phase_grid
+    position, _ = _grid_peak(_grid_profile(sums))
+    theta = 2.0 * np.pi * position / _PHASE_POINTS
     d = np.arange(1, len(sums))
     value = float(sums[0].real) + float(2.0 * np.real(np.sum(sums[1:] * np.exp(-1j * d * theta))))
     overlap = float(np.sqrt(min(1.0, max(0.0, value))))
@@ -214,19 +214,15 @@ def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.fft.ifft(power)[:dim]
 
 
-def _grid_profile(sums: np.ndarray, points: int) -> np.ndarray:
-    """t_0 + 2 Re sum_{d>=1} t_d exp(-i d theta_k) at theta_k = 2 pi k / points.
+def _grid_profile(sums: np.ndarray) -> np.ndarray:
+    """t_0 + 2 Re sum_{d>=1} t_d exp(-i d theta_k) on the phase grid theta_k = 2 pi k / 1024.
 
-    The lag d enters only through d mod points, so the lags are folded into
+    The lag d enters only through d mod 1024, so the lags are folded into
     those bins and one FFT evaluates the sum exactly for any number of lags.
-    This is the one place the phase grid is checked.
     """
-    if not (float(points).is_integer() and points >= PHASE_GRID_MIN):
-        raise ValueError(f"phase grid needs a whole number of points, at least {PHASE_GRID_MIN}, got {points}")
-    points = int(points)
-    lags = np.zeros(-(-len(sums) // points) * points, dtype=complex)
+    lags = np.zeros(-(-len(sums) // _PHASE_POINTS) * _PHASE_POINTS, dtype=complex)
     lags[1 : len(sums)] = sums[1:]
-    return float(sums[0].real) + 2.0 * np.fft.fft(lags.reshape(-1, points).sum(axis=0)).real
+    return float(sums[0].real) + 2.0 * np.fft.fft(lags.reshape(-1, _PHASE_POINTS).sum(axis=0)).real
 
 
 def _grid_peak(profile: np.ndarray) -> tuple[float, float]:

@@ -139,7 +139,6 @@ def test_block_info(capsys):
         ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "1", "--out", "x.csv"],
         ["stage2", "--n-in", "2", "--tau-max", "0", "--tau-steps", "3", "--out", "x.csv"],
         ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--eps", "0", "--out", "x.csv"],
-        ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--phase-grid", "10", "--out", "x.csv"],
         ["scaling", "--n-in-list", "4:2:1", "--out", "x.csv"],
         ["scaling", "--n-in-list", "0,2,4", "--out", "x.csv"],
         ["scaling", "--n-in-list", "1,2", "--out", "x.csv"],
@@ -176,6 +175,23 @@ def test_block_info(capsys):
 def test_config_errors_exit_2(args, capsys):
     assert run(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3"],
+        ["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.7"],
+        ["scaling", "--n-in-list", "1,2,3"],
+    ],
+    ids=["stage2", "pipeline", "scaling"],
+)
+def test_phase_grid_is_an_unrecognized_argument(tmp_path, args, capsys):
+    # the phase grid is fixed at 1024 points, so no command takes --phase-grid, not even its old default
+    out = tmp_path / "x.csv"
+    assert run(args + ["--phase-grid", "1024", "--out", str(out)]) == 2
+    assert "error: unrecognized arguments: --phase-grid 1024" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tau1", ["1e-300", "1e-200"])
@@ -245,11 +261,11 @@ def test_help_exits_0(args, capsys):
         (["stage1", "--pump-energy", "9", "--tau-max", "0.4", "--tau-steps", "2"],
          ["command", "pump_energy", "pump_phase", "tau_min", "tau_max", "tau_steps", "eps", "out", "fmt"]),
         (["stage2", "--n-in", "2", "--tau-max", "0.5", "--tau-steps", "2"],
-         ["command", "n_in", "chi_phase", "tau_min", "tau_max", "tau_steps", "eps", "phase_grid", "out", "fmt"]),
+         ["command", "n_in", "chi_phase", "tau_min", "tau_max", "tau_steps", "eps", "out", "fmt"]),
         (["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.9"],
-         ["command", "pump_energy", "pump_phase", "tau1", "tau2", "eps", "phase_grid", "out", "fmt"]),
+         ["command", "pump_energy", "pump_phase", "tau1", "tau2", "eps", "out", "fmt"]),
         (["scaling", "--n-in-list", "1,2,3", "--eps", "1e-6"],
-         ["command", "n_in_list", "eps", "phase_grid", "out", "fmt"]),
+         ["command", "n_in_list", "eps", "out", "fmt"]),
     ],
     ids=["stage1", "stage2", "pipeline", "scaling"],
 )

@@ -296,13 +296,28 @@ def test_evolve_refuses_times_outside_the_exact_domain(monkeypatch, call):
         call()
 
 
-def test_evolve_domain_ends_at_the_largest_eigenvalue():
-    # the bound is 2^53 * 1e-8 over the exact lambda_max of the state's blocks, read from the cache
+def test_evolve_domain_ends_at_the_check_time_domain_limit():
+    # evolve's one domain rule is check_time_domain's: 2^53 * 1e-8 over the Gershgorin bound of block (2K, K)
     pump = make_coherent_pump(2.0)
-    limit = 2.0**53 * 1e-8 / max(triwave.blocks.build_block_hamiltonian(i).eigenvalues[-1] for i in pump.blocks)
-    assert abs(evolve(pump, limit * (1.0 - 1e-9)).norm() - 1.0) < 1e-12
+    top = pump.mode_support()[2]
+    limit = 2.0**53 * 1e-8 / (2.0 * triwave.blocks.trilinear_offdiag((2 * top, top)).max())
+    assert abs(evolve(pump, limit).norm() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="exact time domain"):
-        evolve(pump, limit * (1.0 + 1e-9))
+        evolve(pump, np.nextafter(limit, math.inf))
+
+
+def test_evolve_refuses_before_building_any_eigensystem(monkeypatch):
+    # N_in = 54 at 1e5 used to build and cache all 507 blocks (166 MiB) before its refusal
+    def refuse(index):
+        pytest.fail(f"built the eigensystem of block {index}")
+
+    monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", refuse)
+    monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", refuse)
+    beam = make_twin_beam(math.sqrt(54.0 / 56.0), eps=1e-8)
+    for evolver in (evolve, evolve_recombination):
+        for tau in (1e5, np.array([0.1, 1e5]), math.nan):
+            with pytest.raises(ValueError, match="exact time domain"):
+                evolver(beam, tau)
 
 
 @pytest.mark.parametrize(

@@ -148,15 +148,15 @@ def test_stage2_sweep_matches_public_references(n_in):
     taus = [0.0, 0.3, 0.8, 1.7]
     beam = make_twin_beam(chi)
     energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
-    for tau, rec in zip(taus, stage2_sweep(chi, taus, phase_grid=512)):
+    for tau, rec in zip(taus, stage2_sweep(chi, taus)):
         state = evolve(beam, tau)
         rho = reduce_mode_c(state)
-        overlap, lam = matched_pcs_overlap_rho(rho, 512)
+        overlap, lam = matched_pcs_overlap_rho(rho)
         expected = {
             "overlap": overlap,
             "eta": conversion_rate_up(state, energy_in),
             "purity": purity(rho),
-            "delta_phi": reciprocal_peak_likelihood(rho, 512),
+            "delta_phi": reciprocal_peak_likelihood(rho),
             "n_a": mean_photon(state, "a"),
             "n_b": mean_photon(state, "b"),
             "n_c": mean_photon(state, "c"),
@@ -318,7 +318,7 @@ def test_coarse_scans_match_public_references(monkeypatch):
     monkeypatch.setattr(triwave.experiments, "best_peak_index", recording_peak_index)
     monkeypatch.setattr(triwave.experiments, "evolve", recording_evolve)
     beam = make_twin_beam(math.sqrt(4.0 / 6.0))
-    find_optimal_tau(math.sqrt(4.0 / 6.0), coarse_points=10, phase_grid=512)
+    find_optimal_tau(math.sqrt(4.0 / 6.0), coarse_points=10)
     pump = make_coherent_pump(4.0 * np.exp(0.4j))
     find_peak_conversion_tau(4.0 * np.exp(0.4j), coarse_points=10)
     assert evolved[:3] == [4, 4, 2]
@@ -326,7 +326,7 @@ def test_coarse_scans_match_public_references(monkeypatch):
     stage2_taus = 3.0 * np.arange(1, 11) / 10
     stage1_taus = 1.5 * np.arange(1, 11) / 10
     expected = [
-        [matched_pcs_overlap_rho(reduce_mode_c(evolve(beam, tau)), 512)[0] for tau in stage2_taus],
+        [matched_pcs_overlap_rho(reduce_mode_c(evolve(beam, tau)))[0] for tau in stage2_taus],
         [mean_photon(evolve(pump, tau), "a") / mean_photon(pump, "c") for tau in stage1_taus],
     ]
     for values, reference in zip(scanned, expected):
@@ -342,9 +342,10 @@ def test_pair_purity_matches_the_density_matrix_path(size):
     assert abs(_pair_purity(amps) - purity(_rho_c(amps))) <= 1e-14
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 255, 256, 257, 507, 600])
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 255, 256, 257, 507, 600, 1023, 1024, 1025, 1500])
 def test_pair_matched_overlap_matches_dense_path(size):
-    # the stage-2 search reads the lag sums from A by FFT; the dense path forms rho_c = A A^dag
+    # the stage-2 search reads the lag sums from A by FFT; the dense path forms rho_c = A A^dag.
+    # 256/257 and 1024/1025 straddle a doubling of the FFT length; past 1024 the lags fold onto the phase grid
     rng = np.random.default_rng(size)
     amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     amps[np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0  # pair matrices are triangular
@@ -354,11 +355,10 @@ def test_pair_matched_overlap_matches_dense_path(size):
     dense = _rho_c(amps)
     sums = _pair_lag_sums(amps, weights)
     assert np.max(np.abs(sums - _lag_sums(weights[:, None] * dense * weights[None, :]))) <= 1e-13
-    for grid in (256, 1024):
-        overlap, lam = _pair_matched_overlap(amps, n_bar, grid)
-        expected_overlap, expected_lam = matched_pcs_overlap_rho(dense, grid)
-        assert abs(overlap - expected_overlap) <= 1e-14
-        assert abs(lam - expected_lam) <= 1e-12
+    overlap, lam = _pair_matched_overlap(amps, n_bar)
+    expected_overlap, expected_lam = matched_pcs_overlap_rho(dense)
+    assert abs(overlap - expected_overlap) <= 1e-14
+    assert abs(lam - expected_lam) <= 1e-12
 
 
 def test_find_peak_conversion_tau_frozen_point():
@@ -549,12 +549,12 @@ def test_pipeline_record_scores_full_pipeline():
     alpha = 3.0 * np.exp(0.4j)
     rho = full_pipeline(alpha, 0.2, 0.9)
     assert is_complex_matrix(rho)
-    rec = pipeline_record(alpha, 0.2, 0.9, phase_grid=512)
-    overlap, lam = matched_pcs_overlap_rho(rho, 512)
+    rec = pipeline_record(alpha, 0.2, 0.9)
+    overlap, lam = matched_pcs_overlap_rho(rho)
     assert rec.tau == 0.9
     assert rec.overlap == overlap and rec.lambda_or_chi == lam
     assert rec.purity == purity(rho)
-    assert rec.delta_phi == reciprocal_peak_likelihood(rho, 512)
+    assert rec.delta_phi == reciprocal_peak_likelihood(rho)
     assert rec.n_c == float(np.real(np.diag(rho)) @ np.arange(len(rho)))
     assert math.isnan(rec.n_a) and math.isnan(rec.n_b)
     # eta is over the twin-beam energy of the stage-1 output at tau1
