@@ -35,6 +35,8 @@ MAX_ORACLE_CUTOFF = 8
 
 # past lambda |tau| = 2^53 * 1e-8 the rounding of the phase alone exceeds the 1e-8 exactness bar
 _PHASE_LIMIT = 2.0**53 * 1e-8
+# the most the block eigensystems of one input may take; a larger input is refused before any is built
+_EIG_BUDGET_BYTES = 4 * 2**30
 
 
 @dataclass
@@ -154,14 +156,26 @@ def check_time_domain(state: ThreeModeState, tau: float) -> None:
                          f"{limit:.6g}: past it the rounding of the phase lambda tau alone exceeds 1e-8")
 
 
+def _pair_eigensystem_bytes(top: int) -> float:
+    """8 sum_{d <= top+1} d ceil(d/2) bytes for blocks (2k, k), k <= top, in closed form: inf past top ~ 5e102."""
+    odd = (top + 2.0) // 2.0  # the odd dimensions sum to odd^2
+    return 4.0 * ((top + 1.0) * (top + 2.0) * (2.0 * top + 3.0) / 6.0 + odd * odd)
+
+
+def _check_eigensystem_budget(nbytes: float) -> None:
+    if nbytes > _EIG_BUDGET_BYTES:
+        raise ValueError(f"the block eigensystems of this input need {nbytes / 2**30:.3g} GiB, "
+                         f"over the budget of {_EIG_BUDGET_BYTES / 2**30:.3g} GiB")
+
+
 def evolve(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     """Evolve under the trilinear Hamiltonian for dimensionless time tau.
 
     tau may also be a 1-D array of T times: the result is then a list of T
     states, the j-th at tau[j], each block propagated once for all T times
     and each state's block vectors views of its column j.  A tau of more
-    than one dimension, or a time that check_time_domain refuses (nan,
-    infinite or past the domain), raises ValueError before any block is built.
+    than one dimension, a time check_time_domain refuses, or blocks whose
+    eigensystems exceed 4 GiB raise ValueError before any block is built.
     """
     return _evolve(build_block_hamiltonian, state, tau)
 
@@ -181,6 +195,7 @@ def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeMod
     if tau.ndim > 1:
         raise ValueError(f"tau must be one time or a 1-D array of times, got shape {tau.shape}")
     check_time_domain(state, float(np.max(np.abs(tau), initial=0.0)))
+    _check_eigensystem_budget(8.0 * sum(d * (d - d // 2) for d in (min(k, s - k) + 1 for s, k in state.blocks)))
     blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
     if tau.ndim == 0:
         return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)

@@ -23,7 +23,7 @@ from .evolution import check_time_domain, evolve, pair_matrix, pair_state
 from .metrics import _pair_matched_overlap, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
 # times per evolve in the coarse scans and the sweeps; each time's pair matrix
 # is scored and dropped before the next is formed, so memory stays at a few states
@@ -127,9 +127,9 @@ def find_optimal_tau(
 ) -> tuple[float, float, float]:
     """Interaction time maximizing the stage-2 matched overlap.
 
-    A coarse grid over the window brackets the best candidate, then a
-    golden-section pass narrows it below tol; ties fall toward smaller
-    times.  The overlap tends to 1 trivially as tau -> 0 (vacuum output
+    A coarse grid over the window brackets the best candidate, then Brent's
+    method narrows it below tol; a later evaluation that ties the best so far
+    replaces it.  The overlap tends to 1 trivially as tau -> 0 (vacuum output
     matches a vacuum reference), so the bracket targets the best interior
     peak of the coarse scan rather than that boundary artifact.  Returns
     (tau_opt, overlap, eta), the last two read from rho_c at tau_opt, as in
@@ -148,16 +148,12 @@ def find_peak_conversion_tau(
 ) -> tuple[float, float]:
     """Interaction time maximizing the stage-1 conversion rate.
 
-    Returns (tau_opt, eta).
+    Searched as find_optimal_tau searches, ties to the later evaluation.  Returns (tau_opt, eta).
     """
     pump = make_coherent_pump(pump_alpha, eps)
     pump_energy = _input_energy(pump)
-
-    def eta(amps: np.ndarray) -> float:
-        return _moments(amps)[1] / pump_energy
-
-    tau_opt, amps = _grid_then_golden(eta, pump, window, coarse_points, tol)
-    return tau_opt, eta(amps)
+    tau_opt, eta, _ = _grid_then_brent(lambda amps: _moments(amps)[1] / pump_energy, pump, window, coarse_points, tol)
+    return tau_opt, eta
 
 
 def best_peak_index(values: np.ndarray) -> int:
@@ -325,11 +321,8 @@ def _stage2_optimum(chi, eps, window, coarse_points, tol) -> SweepRecord:
     """
     beam = make_twin_beam(chi, eps)
     energy_in = _input_energy(beam)
-
-    def overlap(amps: np.ndarray) -> float:
-        return _pair_matched_overlap(amps, _moments(amps)[0])[0]
-
-    tau_opt, amps = _grid_then_golden(overlap, beam, window, coarse_points, tol)
+    tau_opt, _, amps = _grid_then_brent(
+        lambda amps: _pair_matched_overlap(amps, _moments(amps)[0])[0], beam, window, coarse_points, tol)
     return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1])
 
 
@@ -356,12 +349,12 @@ def _pair_outputs(state, tau_grid):
     return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, map(pair_matrix, evolve(state, chunk))))
 
 
-def _grid_then_golden(score, state, window, coarse_points, tol) -> tuple[float, np.ndarray]:
-    """Coarse scan, bracket around best_peak_index, golden section: (tau_opt, A at tau_opt).
+def _grid_then_brent(score, state, window, coarse_points, tol) -> tuple[float, float, np.ndarray]:
+    """Coarse scan, bracket around best_peak_index, Brent's method: (tau_opt, its score, its A).
 
-    score maps the pair matrix A of state at one time to the value to maximize.  The coarse
-    grid is evolved _SCAN_CHUNK times per call, as the sweeps are, and each golden-section
-    step and tau_opt one time per call, all through _pair_outputs, which checks every time.
+    score maps the pair matrix A of state at one time to the value to maximize.  The coarse grid is
+    evolved _SCAN_CHUNK times per call, as the sweeps are, and each Brent step one time per call,
+    all through _pair_outputs, which checks every time.
     """
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
@@ -375,23 +368,55 @@ def _grid_then_golden(score, state, window, coarse_points, tol) -> tuple[float, 
     best = best_peak_index(np.array([score(amps) for _, amps in _pair_outputs(state, taus)]))
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
     right = taus[best + 1] if best < coarse_points - 1 else hi
-    tau_opt = _golden_max(lambda tau: score(next(_pair_outputs(state, [tau]))[1]), float(left), float(right), tol)
-    return tau_opt, next(_pair_outputs(state, [tau_opt]))[1]
+
+    def evaluate(tau: float) -> tuple[float, np.ndarray]:
+        ((_, amps),) = _pair_outputs(state, [tau])
+        return score(amps), amps
+
+    return _brent_max(evaluate, float(left), float(right), tol)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximization on [lo, hi]; ties prefer the left side."""
+def _brent_max(f, lo: float, hi: float, tol: float):
+    """Brent's maximization of f(x) = (value, data) on [lo, hi]: (x, value, data) at the best point evaluated.
+
+    scipy's minimize_scalar(-value, (lo, hi), method="bounded", options={"xatol": tol}) step for step (R. P.
+    Brent, 1973, ch. 5).  A new point replaces the best if its value is >= the best's, so ties go to the
+    later evaluation; only the best point's data is held.
+    """
     a, b = lo, hi
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
+    x = w = v = a + _GOLDEN * (b - a)  # the best point, the second best, the one before
+    fx, data = f(x)
+    fx = fw = fv = -fx
+    d = e = 0.0  # the last step and the one before
+    xm, tol1 = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + tol / 3.0  # scipy's sqrt(eps)
+    while abs(x - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # a parabola through x, w, v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden, d = False, p / q
+                if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (-1.0 if d < 0.0 else 1.0) * max(abs(d), tol1)
+        fu, new = f(u)
+        fu = -fu
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx, data = w, fw, x, fx, u, fu, new
         else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-    return 0.5 * (a + b)
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        del new
+        xm, tol1 = 0.5 * (a + b), math.sqrt(2.2e-16) * abs(x) + tol / 3.0
+    return x, -fx, data

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .evolution import pair_state
+from .evolution import _check_eigensystem_budget, _pair_eigensystem_bytes, pair_state
 
 EPS_CEILING = 1e-4
 
@@ -35,6 +35,7 @@ def make_coherent_pump(alpha: complex, eps: float = 1e-10):
             top = int(top * 1.5) + 10
     except OverflowError:
         raise ValueError(f"alpha is too large for its Poisson weights in floats, got |alpha|={abs(alpha):.6g}") from None
+    _check_eigensystem_budget(_pair_eigensystem_bytes(int(mu)))  # int(mu) <= the median <= the cut
     n = np.arange(top + 1)
     pmf = np.exp(-mu + n * log_mu - np.array([math.lgamma(m + 1.0) for m in range(top + 1)]))
     survival = np.cumsum(pmf[:0:-1])[::-1]  # survival[m] = P(n > m), summed from the top down
@@ -59,6 +60,7 @@ def make_twin_beam(chi: complex, eps: float = 1e-10):
         return pair_state(np.ones((1, 1)))
     # tail after keeping n = 0..N is q^(N+1)
     cut = max(0, math.ceil(math.log(eps) / math.log(q)) - 1)
+    _check_eigensystem_budget(_pair_eigensystem_bytes(cut))
     tail = q ** (cut + 1)
     return pair_state(twin_beam_amplitudes(chi, cut)[None, :] / math.sqrt(1.0 - tail), trunc_error=tail)
 

@@ -12,6 +12,7 @@ import pytest
 
 import triwave.cli
 import triwave.evolution
+import triwave.states
 from triwave.cli import main
 
 # the output schema, pinned literally: columns are the record fields in order
@@ -224,6 +225,8 @@ def test_pipeline_below_the_rounding_floor_exits_2(tmp_path, capsys, tau1):
         # past 2.6e305 the pump's log-factorial weights leave the float range
         ["stage1", "--pump-energy", "1e307", "--tau-max", "1", "--tau-steps", "3"],
         ["block-info", "--s", "2", "--k", "3"],
+        # N_in = 200 needs 7.9 GiB of eigensystems, over the 4 GiB budget; N_in = 100 needs 1.0 GiB
+        ["scaling", "--n-in-list", "100:200:50"],
     ],
 )
 def test_inputs_the_library_refuses_exit_2_before_any_evolve(tmp_path, monkeypatch, capsys, args):
@@ -240,6 +243,27 @@ def test_inputs_the_library_refuses_exit_2_before_any_evolve(tmp_path, monkeypat
     assert run(args + ([] if args[0] == "block-info" else ["--out", str(out)])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stage2", "--n-in", "1e16", "--tau-max", "1", "--tau-steps", "3"],  # tried to allocate 737 PiB
+        ["stage1", "--pump-energy", "1e12", "--tau-max", "1", "--tau-steps", "3"],
+        ["pipeline", "--pump-energy", "1e5", "--tau1", "0.3", "--tau2", "0.7"],
+    ],
+    ids=["stage2-n-in-1e16", "stage1-pump-1e12", "pipeline-pump-1e5"],
+)
+def test_inputs_over_the_eigensystem_budget_exit_2_before_any_state(tmp_path, monkeypatch, capsys, args):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a state")
+
+    monkeypatch.setattr(triwave.states, "pair_state", refuse)
+    out = tmp_path / "x.csv"
+    assert run(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the block eigensystems of this input need ") and "over the budget of 4 GiB" in err
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from triwave import (
     overlap_with_product,
     reduce_mode_c,
 )
-from triwave.evolution import check_time_domain, pair_matrix, pair_state
+from triwave.evolution import _pair_eigensystem_bytes, check_time_domain, pair_matrix, pair_state
 
 
 def cube_triples(cutoff, s_max):
@@ -318,6 +318,25 @@ def test_evolve_refuses_before_building_any_eigensystem(monkeypatch):
         for tau in (1e5, np.array([0.1, 1e5]), math.nan):
             with pytest.raises(ValueError, match="exact time domain"):
                 evolver(beam, tau)
+
+
+def test_evolve_refuses_over_the_eigensystem_budget_before_building_any(monkeypatch):
+    # the pump's constructor bounds its cut by int(mu) = 200; evolve sums the blocks the state has
+    pump = make_coherent_pump(math.sqrt(200.0))
+    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(len(pump.blocks) - 1) - 1)
+
+    def refuse(index):
+        pytest.fail(f"built the eigensystem of block {index}")
+
+    monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", refuse)
+    monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", refuse)
+    for evolver in (evolve, evolve_recombination):
+        with pytest.raises(ValueError, match="over the budget"):
+            evolver(pump, 0.1)
+    # a general state: its one block (400, 200), of dimension 201, keeps 201 * 101 numbers
+    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", 8 * 201 * 101 - 1)
+    with pytest.raises(ValueError, match="over the budget"):
+        evolve(ThreeModeState.from_fock_dict({(0, 0, 200): 1.0}), 0.1)
 
 
 @pytest.mark.parametrize(

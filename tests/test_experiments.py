@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import triwave.experiments
 from conftest import check_density_matrix, is_complex_matrix
@@ -35,7 +36,7 @@ from triwave import (
     trilinear_offdiag,
 )
 from triwave.evolution import check_time_domain
-from triwave.experiments import _SCAN_CHUNK, _moments, _pair_purity, _rho_c
+from triwave.experiments import _SCAN_CHUNK, _brent_max, _moments, _pair_purity, _rho_c
 from triwave.metrics import _lag_sums, _pair_lag_sums, _pair_matched_overlap, _pcs_weights
 
 
@@ -305,7 +306,8 @@ def test_find_optimal_tau_window_validation():
 def test_coarse_scans_match_public_references(monkeypatch):
     # both optimizers evolve their coarse grid a few times per call and score
     # each time from its pair matrix; the values must be the per-time public ones
-    scanned, evolved = [], []
+    scanned, evolved, searches = [], [], []
+    brent = triwave.experiments._brent_max
 
     def recording_peak_index(values):
         scanned.append(np.asarray(values))
@@ -315,14 +317,26 @@ def test_coarse_scans_match_public_references(monkeypatch):
         evolved.append(np.size(tau))
         return evolve(state, tau)
 
+    def recording_brent(f, lo, hi, tol):
+        calls = []
+        result = brent(lambda tau: (calls.append(tau), f(tau))[1], lo, hi, tol)
+        searches.append((len(calls), lo, hi, tol))
+        return result
+
     monkeypatch.setattr(triwave.experiments, "best_peak_index", recording_peak_index)
     monkeypatch.setattr(triwave.experiments, "evolve", recording_evolve)
+    monkeypatch.setattr(triwave.experiments, "_brent_max", recording_brent)
     beam = make_twin_beam(math.sqrt(4.0 / 6.0))
     find_optimal_tau(math.sqrt(4.0 / 6.0), coarse_points=10)
     pump = make_coherent_pump(4.0 * np.exp(0.4j))
     find_peak_conversion_tau(4.0 * np.exp(0.4j), coarse_points=10)
-    assert evolved[:3] == [4, 4, 2]
-    assert set(evolved[3 : evolved.index(4, 3)]) == {1}  # the golden section, one time per call
+    # each Brent evaluation is one single-time evolve, and no evolve follows the last one
+    (stage2_evals, *_), (stage1_evals, *_) = searches
+    assert evolved == [4, 4, 2] + [1] * stage2_evals + [4, 4, 2] + [1] * stage1_evals
+    for evals, lo, hi, tol in searches:  # golden section needs more on the same bracket
+        golden_evals = []
+        _golden_max(lambda tau: golden_evals.append(tau) or 0.0, lo, hi, tol)
+        assert evals < len(golden_evals)
     stage2_taus = 3.0 * np.arange(1, 11) / 10
     stage1_taus = 1.5 * np.arange(1, 11) / 10
     expected = [
@@ -331,6 +345,87 @@ def test_coarse_scans_match_public_references(monkeypatch):
     ]
     for values, reference in zip(scanned, expected):
         assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximization on [lo, hi]; ties prefer the left side.  The search's
+    refinement before Brent's method, kept as an independent reference."""
+    a, b = lo, hi
+    c = b - (b - a) * _INVPHI
+    d = a + (b - a) * _INVPHI
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - (b - a) * _INVPHI
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + (b - a) * _INVPHI
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+_PEAKS = {
+    "smooth": lambda x: -((x - 0.37) ** 2),
+    "skewed": lambda x: math.sin(3.0 * x) * math.exp(-x),
+    "rising": lambda x: x,  # the maximum at the right edge of the bracket
+    "falling": lambda x: -x,  # and at the left edge
+    "kink": lambda x: -abs(x - 0.61),
+    "flat": lambda x: 1.0,
+}
+
+
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (0.3, 0.9), (-2.0, 3.0), (0.5, 0.50003)])
+@pytest.mark.parametrize("tol", [1e-5, 1e-9])
+@pytest.mark.parametrize("peak", list(_PEAKS))
+def test_brent_max_follows_scipy_bounded_step_for_step(peak, tol, bracket):
+    # scipy minimizes -f; the same x bit for bit from the same number of evaluations,
+    # and the value and data handed back are those of the returned point
+    value = _PEAKS[peak]
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return value(x), x
+
+    x, best, data = _brent_max(f, *bracket, tol)
+    ref = minimize_scalar(lambda t: -value(t), bounds=bracket, method="bounded", options={"xatol": tol})
+    assert x == ref.x and len(calls) == ref.nfev
+    assert (best, data) == (value(x), x) == (-ref.fun, x)
+    if peak == "flat":  # every new point ties the best, and a tie goes to the later evaluation
+        assert x == calls[-1]
+
+
+def _golden_search(monkeypatch):
+    """Make the optimizers refine by golden section, then evolve tau_opt once more, as they did before Brent."""
+
+    def golden(f, lo, hi, tol):
+        tau = _golden_max(lambda t: f(t)[0], lo, hi, tol)
+        return (tau, *f(tau))
+
+    monkeypatch.setattr(triwave.experiments, "_brent_max", golden)
+
+
+@pytest.mark.parametrize("n_in", [2.0, 6.0, 12.0])
+def test_find_optimal_tau_agrees_with_golden_section(n_in, scaling_at_1e_8, monkeypatch):
+    # the same coarse bracket, refined by Brent's method instead: tau_opt within tol
+    point = scaling_at_1e_8[n_in]
+    _golden_search(monkeypatch)
+    tau, overlap, eta = find_optimal_tau(math.sqrt(n_in / (n_in + 2.0)), eps=1e-8)
+    assert abs(point.tau_opt - tau) <= 1e-5
+    assert abs(point.overlap - overlap) <= 1e-9
+
+
+@pytest.mark.parametrize("energy", [4.0, 16.0, 49.0])
+def test_find_peak_conversion_tau_agrees_with_golden_section(energy, monkeypatch):
+    tau, eta = find_peak_conversion_tau(math.sqrt(energy))
+    _golden_search(monkeypatch)
+    golden_tau, golden_eta = find_peak_conversion_tau(math.sqrt(energy))
+    assert abs(tau - golden_tau) <= 1e-5
+    assert abs(eta - golden_eta) <= 1e-9
 
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 365])

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import poisson
 
+import triwave.evolution
+import triwave.states
 from triwave import (
     FockTriple,
     ThreeModeState,
@@ -21,6 +23,7 @@ from triwave import (
     stage1_sweep,
     twin_beam_amplitudes,
 )
+from triwave.evolution import _pair_eigensystem_bytes
 
 
 def test_coherent_pump_poisson_amplitudes():
@@ -233,3 +236,40 @@ def test_twin_beam_amplitudes_geometric():
 def test_geometric_amplitudes_reject_unit_modulus(func):
     with pytest.raises(ValueError):
         func(1.0, 4)
+
+
+@pytest.mark.parametrize("top", [0, 1, 2, 3, 10, 57, 506])
+def test_pair_eigensystem_bytes_is_the_sum_over_blocks(top):
+    # block (2k, k) has dimension d = k + 1 and keeps d ceil(d/2) float64 numbers
+    assert _pair_eigensystem_bytes(top) == 8 * sum(d * ((d + 1) // 2) for d in range(1, top + 2))
+
+
+@pytest.mark.parametrize(
+    "make, top",
+    [
+        (lambda: make_twin_beam(math.sqrt(54.0 / 56.0), eps=1e-8), 506),  # the cut itself
+        (lambda: make_coherent_pump(math.sqrt(200.0)), 200),  # int(mu), at most the cut
+    ],
+    ids=["twin-beam", "pump"],
+)
+def test_constructors_refuse_inputs_over_the_eigensystem_budget(monkeypatch, make, top):
+    # the footprint comes from the input's parameters, before any array exists
+    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(top))
+    make()  # exactly at the budget
+
+    def refuse(*args, **kwargs):
+        pytest.fail("allocated the state")
+
+    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(top) - 1)
+    monkeypatch.setattr(triwave.states, "pair_state", refuse)
+    monkeypatch.setattr(triwave.states, "twin_beam_amplitudes", refuse)
+    with pytest.raises(ValueError, match=r"need 0\.\d+ GiB, over the budget of 0\.\d+ GiB"):
+        make()
+
+
+def test_eigensystem_budget_admits_n_in_100_and_pump_1000_and_refuses_n_in_200():
+    # 1.0 GiB at N_in = 100 (K = 930) and 2.2 GiB at pump 1000 (K = 1208), against 7.9 GiB at N_in = 200 (K = 1851)
+    assert len(make_twin_beam(math.sqrt(100.0 / 102.0), eps=1e-8).blocks) == 931
+    assert len(make_coherent_pump(math.sqrt(1000.0)).blocks) == 1209
+    with pytest.raises(ValueError, match="need 7.9 GiB, over the budget of 4 GiB"):
+        make_twin_beam(math.sqrt(200.0 / 202.0), eps=1e-8)
