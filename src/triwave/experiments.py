@@ -11,6 +11,8 @@ sum A[q, r] |r, r, q>: its moments give the photon numbers, A A^dag the
 mode-c density matrix, and the pipeline contracts G = A^T A* with the
 stage-2 response per pair.  Every stage-2 record, of a sweep, an optimum or
 the pipeline, is scored from its mode-c density matrix by _stage2_record.
+The stage-2 searches of one call share one coarse scan: one unit-pair evolve
+per chunk of times gives every twin beam's pair matrix, bit for bit.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import check_time_domain, evolve, pair_matrix, pair_state
 from .metrics import _pair_matched_overlap, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
@@ -135,7 +138,7 @@ def find_optimal_tau(
     (tau_opt, overlap, eta), the last two read from rho_c at tau_opt, as in
     stage2_sweep(chi, [tau_opt], eps) and scaling_study.
     """
-    record = _stage2_optimum(chi, eps, window, coarse_points, tol)
+    (record,) = _stage2_optima([chi], eps, window, coarse_points, tol)
     return record.tau, record.overlap, record.eta
 
 
@@ -152,7 +155,13 @@ def find_peak_conversion_tau(
     """
     pump = make_coherent_pump(pump_alpha, eps)
     pump_energy = _input_energy(pump)
-    tau_opt, eta, _ = _grid_then_brent(lambda amps: _moments(amps)[1] / pump_energy, pump, window, coarse_points, tol)
+    taus = _coarse_grid(window, coarse_points, tol)
+
+    def score(amps: np.ndarray) -> float:
+        return _moments(amps)[1] / pump_energy
+
+    scan = np.array([score(amps) for _, amps in _pair_outputs(pump, taus)])
+    tau_opt, eta, _ = _bracket_then_brent(score, pump, taus, scan, window, tol)
     return tau_opt, eta
 
 
@@ -208,13 +217,10 @@ def scaling_study(n_in_values, eps: float = 1e-10) -> tuple[list[ScalingPoint], 
     if len(n_in_values) < 3 or len(set(n_in_values)) < 2 or not all(0.0 < n < math.inf for n in n_in_values):
         raise ValueError(f"scaling needs 3 or more finite, positive energies, not all equal, got {n_in_values}")
     chis = [math.sqrt(n_in / (n_in + 2.0)) for n_in in n_in_values]
-    for chi in chis:  # refuse every input before the first search, holding no beam across the searches
-        _input_energy(make_twin_beam(chi, eps))
-    points: list[ScalingPoint] = []
-    for n_in, chi in zip(n_in_values, chis):
-        rec = _stage2_optimum(chi, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL)
-        points.append(ScalingPoint(n_in=n_in, n_out=rec.n_c, tau_opt=rec.tau, overlap=rec.overlap, eta=rec.eta,
-                                   purity=rec.purity, delta_phi=rec.delta_phi, matched_lambda=rec.lambda_or_chi))
+    records = _stage2_optima(chis, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL)
+    points = [ScalingPoint(n_in=n_in, n_out=rec.n_c, tau_opt=rec.tau, overlap=rec.overlap, eta=rec.eta,
+                           purity=rec.purity, delta_phi=rec.delta_phi, matched_lambda=rec.lambda_or_chi)
+              for n_in, rec in zip(n_in_values, records)]
     fits = {
         "tau_opt_vs_n_in": fit_power_law([p.n_in for p in points], [p.tau_opt for p in points]),
         "tau_opt_vs_n_out": fit_power_law([p.n_out for p in points], [p.tau_opt for p in points]),
@@ -313,17 +319,33 @@ def _stage2_record(tau, rho, energy_in, n_pair) -> SweepRecord:
     )
 
 
-def _stage2_optimum(chi, eps, window, coarse_points, tol) -> SweepRecord:
-    """The search of find_optimal_tau, returning the _stage2_record of the A at tau_opt that it returns.
+def _stage2_optima(chis, eps, window, coarse_points, tol) -> list[SweepRecord]:
+    """The search of find_optimal_tau for each chi, every beam built and refused first: each _stage2_record at tau_opt.
 
-    Each time is scored from its pair matrix A by _pair_matched_overlap,
-    without forming rho_c; that score only drives the search.
+    A twin beam is a_k times the unit pair |k, k, 0> in block (2k, k), so the unit pair's pair matrix R at the largest
+    cut gives every beam's as A[q, r] = a_{q+r} R[q, r] (a = 0 past its cut), bit for bit: the 2 of propagate is exact.
     """
-    beam = make_twin_beam(chi, eps)
-    energy_in = _input_energy(beam)
-    tau_opt, _, amps = _grid_then_brent(
-        lambda amps: _pair_matched_overlap(amps, _moments(amps)[0])[0], beam, window, coarse_points, tol)
-    return _stage2_record(tau_opt, _rho_c(amps), energy_in, _moments(amps)[1])
+    beams = [make_twin_beam(chi, eps) for chi in chis]
+    energies = [_input_energy(beam) for beam in beams]
+    taus = _coarse_grid(window, coarse_points, tol)
+    # a_{q+r} as a strided Hankel view of row 0 of the beam's pair matrix, zero-padded past its cut
+    hankels = [sliding_window_view(np.concatenate([a, np.zeros(len(a) - 1)]), len(a))
+               for a in (pair_matrix(beam)[0] for beam in beams)]
+    order = sorted(range(len(beams)), key=lambda e: len(hankels[e]))  # the largest cut last: its A is formed in R
+    scans = np.empty((len(beams), len(taus)))
+    for i, (_, response) in enumerate(_pair_outputs(pair_state(np.ones((1, len(hankels[order[-1]])))), taus)):
+        for e in order:
+            dim = len(hankels[e])
+            amps = np.multiply(response[:dim, :dim], hankels[e], out=response if e == order[-1] else None)
+            scans[e, i] = _stage2_score(amps)
+    optima = (_bracket_then_brent(_stage2_score, beam, taus, scan, window, tol) for beam, scan in zip(beams, scans))
+    return [_stage2_record(tau, _rho_c(amps), energy, _moments(amps)[1])
+            for (tau, _, amps), energy in zip(optima, energies)]
+
+
+def _stage2_score(amps: np.ndarray) -> float:
+    """The matched overlap of a pair matrix, read without forming rho_c: the stage-2 search's objective."""
+    return _pair_matched_overlap(amps, _moments(amps)[0])[0]
 
 
 def _check_tau_grid(tau_grid, state) -> np.ndarray:
@@ -349,13 +371,8 @@ def _pair_outputs(state, tau_grid):
     return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, map(pair_matrix, evolve(state, chunk))))
 
 
-def _grid_then_brent(score, state, window, coarse_points, tol) -> tuple[float, float, np.ndarray]:
-    """Coarse scan, bracket around best_peak_index, Brent's method: (tau_opt, its score, its A).
-
-    score maps the pair matrix A of state at one time to the value to maximize.  The coarse grid is
-    evolved _SCAN_CHUNK times per call, as the sweeps are, and each Brent step one time per call,
-    all through _pair_outputs, which checks every time.
-    """
+def _coarse_grid(window, coarse_points, tol) -> np.ndarray:
+    """The coarse_points times ending at hi that split window evenly, refused with tol unless the search is sound."""
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"window must satisfy 0 <= lo < hi < inf, got {window}")
@@ -363,11 +380,18 @@ def _grid_then_brent(score, state, window, coarse_points, tol) -> tuple[float, f
         raise ValueError(f"coarse grid needs a whole number of points, at least 2, got {coarse_points}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    coarse_points = int(coarse_points)
-    taus = lo + (hi - lo) * np.arange(1, coarse_points + 1) / coarse_points
-    best = best_peak_index(np.array([score(amps) for _, amps in _pair_outputs(state, taus)]))
+    return lo + (hi - lo) * np.arange(1, int(coarse_points) + 1) / int(coarse_points)
+
+
+def _bracket_then_brent(score, state, taus, scan, window, tol) -> tuple[float, float, np.ndarray]:
+    """Brent's method on the coarse bracket around best_peak_index(scan): (tau_opt, its score, its A).
+
+    scan holds the scores at the times taus of _coarse_grid; each Brent step evolves state at one time.
+    """
+    lo, hi = window
+    best = best_peak_index(scan)
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
-    right = taus[best + 1] if best < coarse_points - 1 else hi
+    right = taus[best + 1] if best < len(taus) - 1 else hi
 
     def evaluate(tau: float) -> tuple[float, np.ndarray]:
         ((_, amps),) = _pair_outputs(state, [tau])

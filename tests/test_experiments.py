@@ -36,7 +36,7 @@ from triwave import (
     trilinear_offdiag,
 )
 from triwave.evolution import check_time_domain
-from triwave.experiments import _SCAN_CHUNK, _brent_max, _moments, _pair_purity, _rho_c
+from triwave.experiments import _SCAN_CHUNK, _brent_max, _moments, _pair_outputs, _pair_purity, _rho_c, _stage2_score
 from triwave.metrics import _lag_sums, _pair_lag_sums, _pair_matched_overlap, _pcs_weights
 
 
@@ -345,6 +345,61 @@ def test_coarse_scans_match_public_references(monkeypatch):
     ]
     for values, reference in zip(scanned, expected):
         assert np.max(np.abs(values - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("search", ["scaling-study", "find-optimal-tau-complex-chi"])
+def test_shared_coarse_scan_equals_per_beam_scans(monkeypatch, search):
+    # one unit-pair evolve per chunk serves every beam as a_{q+r} R[q, r]; each beam's coarse
+    # values must be bit for bit those of evolving that beam itself, chunk by chunk
+    scanned = []
+
+    def recording_peak_index(values):
+        scanned.append(np.array(values))
+        return best_peak_index(values)
+
+    monkeypatch.setattr(triwave.experiments, "best_peak_index", recording_peak_index)
+    if search == "scaling-study":
+        energies, eps = [2.0, 6.0, 4.0], 1e-6  # cuts 19, 48 and 34, the largest not last
+        chis = [math.sqrt(n / (n + 2.0)) for n in energies]
+        scaling_study(energies, eps=eps)
+    else:
+        chis, eps = [math.sqrt(0.75) * np.exp(0.3j)], 1e-10
+        find_optimal_tau(chis[0], eps=eps)
+    taus = 3.0 * np.arange(1, 65) / 64
+    assert len(scanned) == len(chis)
+    for chi, values in zip(chis, scanned):
+        own = [_stage2_score(amps) for _, amps in _pair_outputs(make_twin_beam(chi, eps), taus)]
+        assert np.array_equal(values, own)
+
+
+def test_scaling_study_runs_one_coarse_scan(monkeypatch):
+    # each beam is built once; the 64 coarse times are 16 evolves of one unit pair to the largest
+    # cut, then each energy's Brent steps evolve its own beam, one time per call
+    evolved, built, searches = [], [], []
+    brent, build = triwave.experiments._brent_max, triwave.experiments.make_twin_beam
+
+    def recording_evolve(state, tau):
+        evolved.append((np.size(tau), len(state.blocks)))
+        return evolve(state, tau)
+
+    def recording_brent(f, lo, hi, tol):
+        calls = []
+        result = brent(lambda tau: (calls.append(tau), f(tau))[1], lo, hi, tol)
+        searches.append(len(calls))
+        return result
+
+    def recording_build(chi, eps):
+        built.append(build(chi, eps))
+        return built[-1]
+
+    monkeypatch.setattr(triwave.experiments, "evolve", recording_evolve)
+    monkeypatch.setattr(triwave.experiments, "_brent_max", recording_brent)
+    monkeypatch.setattr(triwave.experiments, "make_twin_beam", recording_build)
+    scaling_study([2.0, 4.0, 6.0], eps=1e-6)
+    sizes = [len(beam.blocks) for beam in built]
+    assert len(built) == 3 and sizes == [20, 35, 49]
+    expected = [(4, 49)] * 16 + [(1, size) for size, evals in zip(sizes, searches) for _ in range(evals)]
+    assert evolved == expected and _SCAN_CHUNK == 4
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
