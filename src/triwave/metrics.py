@@ -199,19 +199,25 @@ def _lag_sums(matrix: np.ndarray) -> np.ndarray:
 def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """_lag_sums of M = (w A)(w A)^dag, read from the pair matrix A without forming M.
 
-    t_d = sum_r sum_m u[m + d, r] conj(u[m, r]) with u = w A, so each column adds
-    its autocorrelation, the inverse FFT of its power spectrum (Wiener-Khinchin).
-    Zero-padding to a power of 2 of at least 2 dim - 1 points keeps the lags
-    from wrapping.  The spectra of _LAG_COLUMNS columns at a time are summed,
-    bounding the temporary.
+    A must be a pair matrix, zero where q + r >= dim, so column j is zero below row dim - 1 - j.
+    t_d = sum_r sum_m u[m + d, r] conj(u[m, r]) with u = w A, so each column adds its autocorrelation, the
+    inverse FFT of its power spectrum (Wiener-Khinchin).  The _LAG_COLUMNS columns from j share one FFT of
+    their dim - j rows, padded to the smallest power of 2 >= 2 (dim - j) - 1 so no lag wraps; the spectra
+    of one length are summed, and only the positive lags of each sum are added back.
     """
     dim = amps.shape[0]
-    size = 1 << (2 * dim - 2).bit_length()
-    power = np.zeros(size)
+    powers: dict[int, np.ndarray] = {}
     for j in range(0, amps.shape[1], _LAG_COLUMNS):
-        spectra = np.fft.fft(weights[:, np.newaxis] * amps[:, j : j + _LAG_COLUMNS], size, axis=0).view(float)
+        rows = dim - j
+        size = 1 << (2 * rows - 2).bit_length()
+        spectra = np.fft.fft(weights[:rows, np.newaxis] * amps[:rows, j : j + _LAG_COLUMNS], size, axis=0).view(float)
+        power = powers.setdefault(size, np.zeros(size))
         power += np.einsum("ij,ij->i", spectra, spectra)
-    return np.fft.ifft(power)[:dim]
+    sums = np.zeros(dim, dtype=complex)
+    for size, power in powers.items():
+        lags = np.fft.ifft(power)[: (size + 1) // 2][:dim]  # a 1-point FFT holds lag 0 only
+        sums[: len(lags)] += lags
+    return sums
 
 
 def _grid_profile(sums: np.ndarray) -> np.ndarray:
