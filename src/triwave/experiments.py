@@ -338,6 +338,7 @@ def _stage2_optima(chis, eps, window, coarse_points, tol) -> list[SweepRecord]:
             dim = len(hankels[e])
             amps = np.multiply(response[:dim, :dim], hankels[e], out=response if e == order[-1] else None)
             scans[e, i] = _stage2_score(amps)
+    del response, amps  # R is not held through the Brent steps
     optima = (_bracket_then_brent(_stage2_score, beam, taus, scan, window, tol) for beam, scan in zip(beams, scans))
     return [_stage2_record(tau, _rho_c(amps), energy, _moments(amps)[1])
             for (tau, _, amps), energy in zip(optima, energies)]
@@ -384,10 +385,7 @@ def _coarse_grid(window, coarse_points, tol) -> np.ndarray:
 
 
 def _bracket_then_brent(score, state, taus, scan, window, tol) -> tuple[float, float, np.ndarray]:
-    """Brent's method on the coarse bracket around best_peak_index(scan): (tau_opt, its score, its A).
-
-    scan holds the scores at the times taus of _coarse_grid; each Brent step evolves state at one time.
-    """
+    """Brent's method on state in the bracket around best_peak_index(scan) of taus: (tau_opt, its score, its A)."""
     lo, hi = window
     best = best_peak_index(scan)
     left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
