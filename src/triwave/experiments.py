@@ -373,7 +373,7 @@ def _pair_outputs(state, tau_grid):
 
 
 def _coarse_grid(window, coarse_points, tol) -> np.ndarray:
-    """The coarse_points times ending at hi that split window evenly, refused with tol unless the search is sound."""
+    """The coarse_points times that split window evenly, ending at hi; ValueError for a bad window, count or tol."""
     lo, hi = window
     if not (0.0 <= lo < hi < math.inf):
         raise ValueError(f"window must satisfy 0 <= lo < hi < inf, got {window}")
