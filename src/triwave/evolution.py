@@ -5,19 +5,18 @@ vector, so only the invariant subspaces that are actually populated are
 kept; ThreeModeState.occupations is the one place that maps the stored
 coefficients to their Fock triples.  Evolution applies the cached
 eigendecomposition of each block and never mixes blocks.  pair_state and
-pair_matrix map a state with n_a = n_b to and from its pair matrix; no
-other module knows that layout.  check_time_domain is the one rule on the
-exact time domain; evolve applies it before any block is built.
-
-dense_oracle_evolve is an independent cross-check: it builds the full
-Hamiltonian on a truncated Fock cube straight from the ladder rules and
-exponentiates it.  Desk scale only (cutoff at most 8).
+pair_matrix map a state with n_a = n_b to and from its pair matrix A, row q
+the mode-c count and column r the pair count.  Other modules rely on that
+layout: states builds a pump as a column and a twin beam as a row,
+experiments reads a beam's a_{q+r} through a Hankel view and contracts
+G = A^T A* in _chain, and metrics._pair_lag_sums needs A to be zero where
+q + r >= dim.  check_time_domain is the one rule on the exact time domain;
+evolve applies it before any block is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from .blocks import (
     fock_to_block,
     trilinear_offdiag,
 )
-
-MAX_ORACLE_CUTOFF = 8
 
 # past lambda |tau| = 2^53 * 1e-8 the rounding of the phase alone exceeds the 1e-8 exactness bar
 _PHASE_LIMIT = 2.0**53 * 1e-8
@@ -201,45 +198,3 @@ def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeMod
         return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
     return [ThreeModeState({i: vec[:, j] for i, vec in blocks.items()}, state.trunc_error) for j in range(len(tau))]
 
-
-def dense_oracle_evolve(amplitudes: np.ndarray, tau: float, cutoff: int) -> np.ndarray:
-    """Evolve a full Fock-cube amplitude array by dense diagonalization.
-
-    amplitudes has shape (cutoff+1, cutoff+1, cutoff+1) indexed
-    [n_a, n_b, n_c].  The caller must keep enough headroom that no
-    population can reach the cube boundary; with support on weight
-    n_a + n_b + 2 n_c <= cutoff that is automatic.
-    """
-    if cutoff < 0 or cutoff > MAX_ORACLE_CUTOFF:
-        raise ValueError(f"oracle cutoff must be in [0, {MAX_ORACLE_CUTOFF}], got {cutoff}")
-    dim = cutoff + 1
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (dim, dim, dim):
-        raise ValueError(f"amplitude array must have shape {(dim, dim, dim)}")
-    vals, vecs = _oracle_eigensystem(cutoff)
-    flat = amplitudes.reshape(-1)
-    w = vecs.conj().T @ flat
-    w = np.exp(-1j * tau * vals) * w
-    return (vecs @ w).reshape(dim, dim, dim)
-
-
-@lru_cache(maxsize=None)
-def _oracle_eigensystem(cutoff: int):
-    dim = cutoff + 1
-    total = dim**3
-    ham = np.zeros((total, total))
-
-    def flat(a, b, c):
-        return (a * dim + b) * dim + c
-
-    for n_a in range(dim):
-        for n_b in range(dim):
-            for n_c in range(dim):
-                # a b c^dag term, plus Hermitian partner via symmetric fill
-                if n_a >= 1 and n_b >= 1 and n_c + 1 < dim:
-                    amp = np.sqrt(n_a * n_b * (n_c + 1))
-                    i = flat(n_a - 1, n_b - 1, n_c + 1)
-                    j = flat(n_a, n_b, n_c)
-                    ham[i, j] += amp
-                    ham[j, i] += amp
-    return np.linalg.eigh(ham)

@@ -32,9 +32,10 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # is scored and dropped before the next is formed, so memory stays at a few states
 _SCAN_CHUNK = 4
 
-_STAGE2_WINDOW = (0.0, 3.0)
-_STAGE2_COARSE_POINTS = 64
-_STAGE2_TOL = 1e-5
+# the optimal-time searches: a coarse scan of (0, hi] on evenly spaced points, then Brent's method to _TOL
+_STAGE1_HI, _STAGE1_POINTS = 1.5, 48
+_STAGE2_HI, _STAGE2_POINTS = 3.0, 64
+_TOL = 1e-5
 
 
 @dataclass
@@ -122,46 +123,39 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord
 
 
 def find_optimal_tau(
-    chi: complex,
-    eps: float = 1e-10,
-    window: tuple[float, float] = _STAGE2_WINDOW,
-    coarse_points: int = _STAGE2_COARSE_POINTS,
-    tol: float = _STAGE2_TOL,
+    chi: complex, eps: float = 1e-10, coarse_points: int = _STAGE2_POINTS, tol: float = _TOL
 ) -> tuple[float, float, float]:
     """Interaction time maximizing the stage-2 matched overlap.
 
-    A coarse grid over the window brackets the best candidate, then Brent's
-    method narrows it below tol; a later evaluation that ties the best so far
-    replaces it.  The overlap tends to 1 trivially as tau -> 0 (vacuum output
-    matches a vacuum reference), so the bracket targets the best interior
-    peak of the coarse scan rather than that boundary artifact.  Returns
+    A coarse scan of (0, 3] on 64 evenly spaced times brackets the best
+    candidate, then Brent's method narrows it below tol = 1e-5; a later
+    evaluation that ties the best so far replaces it.  The overlap tends to 1
+    trivially as tau -> 0 (vacuum output matches a vacuum reference), so the
+    bracket targets the best interior peak of the coarse scan rather than
+    that boundary artifact.  coarse_points and tol change the search and are
+    kept only because perfbench/test_perfbench.py sets them.  Returns
     (tau_opt, overlap, eta), the last two read from rho_c at tau_opt, as in
     stage2_sweep(chi, [tau_opt], eps) and scaling_study.
     """
-    (record,) = _stage2_optima([chi], eps, window, coarse_points, tol)
+    (record,) = _stage2_optima([chi], eps, coarse_points, tol)
     return record.tau, record.overlap, record.eta
 
 
-def find_peak_conversion_tau(
-    pump_alpha: complex,
-    eps: float = 1e-10,
-    window: tuple[float, float] = (0.0, 1.5),
-    coarse_points: int = 48,
-    tol: float = 1e-5,
-) -> tuple[float, float]:
+def find_peak_conversion_tau(pump_alpha: complex, eps: float = 1e-10) -> tuple[float, float]:
     """Interaction time maximizing the stage-1 conversion rate.
 
-    Searched as find_optimal_tau searches, ties to the later evaluation.  Returns (tau_opt, eta).
+    Searched as find_optimal_tau searches, on a coarse scan of (0, 1.5] on 48 times, then Brent's
+    method to tol = 1e-5, ties to the later evaluation.  Returns (tau_opt, eta).
     """
     pump = make_coherent_pump(pump_alpha, eps)
     pump_energy = _input_energy(pump)
-    taus = _coarse_grid(window, coarse_points, tol)
+    taus = _coarse_grid(_STAGE1_HI, _STAGE1_POINTS, _TOL)
 
     def score(amps: np.ndarray) -> float:
         return _moments(amps)[1] / pump_energy
 
     scan = np.array([score(amps) for _, amps in _pair_outputs(pump, taus)])
-    tau_opt, eta, _ = _bracket_then_brent(score, pump, taus, scan, window, tol)
+    tau_opt, eta, _ = _bracket_then_brent(score, pump, taus, scan, _TOL)
     return tau_opt, eta
 
 
@@ -217,7 +211,7 @@ def scaling_study(n_in_values, eps: float = 1e-10) -> tuple[list[ScalingPoint], 
     if len(n_in_values) < 3 or len(set(n_in_values)) < 2 or not all(0.0 < n < math.inf for n in n_in_values):
         raise ValueError(f"scaling needs 3 or more finite, positive energies, not all equal, got {n_in_values}")
     chis = [math.sqrt(n_in / (n_in + 2.0)) for n_in in n_in_values]
-    records = _stage2_optima(chis, eps, _STAGE2_WINDOW, _STAGE2_COARSE_POINTS, _STAGE2_TOL)
+    records = _stage2_optima(chis, eps)
     points = [ScalingPoint(n_in=n_in, n_out=rec.n_c, tau_opt=rec.tau, overlap=rec.overlap, eta=rec.eta,
                            purity=rec.purity, delta_phi=rec.delta_phi, matched_lambda=rec.lambda_or_chi)
               for n_in, rec in zip(n_in_values, records)]
@@ -319,7 +313,7 @@ def _stage2_record(tau, rho, energy_in, n_pair) -> SweepRecord:
     )
 
 
-def _stage2_optima(chis, eps, window, coarse_points, tol) -> list[SweepRecord]:
+def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[SweepRecord]:
     """The search of find_optimal_tau for each chi, every beam built and refused first: each _stage2_record at tau_opt.
 
     A twin beam is a_k times the unit pair |k, k, 0> in block (2k, k), so the unit pair's pair matrix R at the largest
@@ -327,7 +321,7 @@ def _stage2_optima(chis, eps, window, coarse_points, tol) -> list[SweepRecord]:
     """
     beams = [make_twin_beam(chi, eps) for chi in chis]
     energies = [_input_energy(beam) for beam in beams]
-    taus = _coarse_grid(window, coarse_points, tol)
+    taus = _coarse_grid(_STAGE2_HI, coarse_points, tol)
     # a_{q+r} as a strided Hankel view of row 0 of the beam's pair matrix, zero-padded past its cut
     hankels = [sliding_window_view(np.concatenate([a, np.zeros(len(a) - 1)]), len(a))
                for a in (pair_matrix(beam)[0] for beam in beams)]
@@ -339,7 +333,7 @@ def _stage2_optima(chis, eps, window, coarse_points, tol) -> list[SweepRecord]:
             amps = np.multiply(response[:dim, :dim], hankels[e], out=response if e == order[-1] else None)
             scans[e, i] = _stage2_score(amps)
     del response, amps  # R is not held through the Brent steps
-    optima = (_bracket_then_brent(_stage2_score, beam, taus, scan, window, tol) for beam, scan in zip(beams, scans))
+    optima = (_bracket_then_brent(_stage2_score, beam, taus, scan, tol) for beam, scan in zip(beams, scans))
     return [_stage2_record(tau, _rho_c(amps), energy, _moments(amps)[1])
             for (tau, _, amps), energy in zip(optima, energies)]
 
@@ -372,24 +366,23 @@ def _pair_outputs(state, tau_grid):
     return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, map(pair_matrix, evolve(state, chunk))))
 
 
-def _coarse_grid(window, coarse_points, tol) -> np.ndarray:
-    """The coarse_points times that split window evenly, ending at hi; ValueError for a bad window, count or tol."""
-    lo, hi = window
-    if not (0.0 <= lo < hi < math.inf):
-        raise ValueError(f"window must satisfy 0 <= lo < hi < inf, got {window}")
+def _coarse_grid(hi, coarse_points, tol) -> np.ndarray:
+    """The coarse_points times that split (0, hi] evenly, ending at hi; ValueError for a bad count or tol."""
     if not (float(coarse_points).is_integer() and coarse_points >= 2):
         raise ValueError(f"coarse grid needs a whole number of points, at least 2, got {coarse_points}")
     if not (0.0 < tol < math.inf):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    return lo + (hi - lo) * np.arange(1, int(coarse_points) + 1) / int(coarse_points)
+    return hi * np.arange(1, int(coarse_points) + 1) / int(coarse_points)
 
 
-def _bracket_then_brent(score, state, taus, scan, window, tol) -> tuple[float, float, np.ndarray]:
-    """Brent's method on state in the bracket around best_peak_index(scan) of taus: (tau_opt, its score, its A)."""
-    lo, hi = window
+def _bracket_then_brent(score, state, taus, scan, tol) -> tuple[float, float, np.ndarray]:
+    """Brent's method on state around best_peak_index(scan) of taus: (tau_opt, its score, its A).
+
+    The bracket runs from the neighbour before (half the first time at the first) to the one after (the last time).
+    """
     best = best_peak_index(scan)
-    left = taus[best - 1] if best > 0 else (lo if lo > 0.0 else 0.5 * taus[0])
-    right = taus[best + 1] if best < len(taus) - 1 else hi
+    left = taus[best - 1] if best > 0 else 0.5 * taus[0]
+    right = taus[best + 1] if best < len(taus) - 1 else taus[-1]
 
     def evaluate(tau: float) -> tuple[float, np.ndarray]:
         ((_, amps),) = _pair_outputs(state, [tau])

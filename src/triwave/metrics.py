@@ -67,21 +67,12 @@ def overlap_with_product(
     return float(np.sqrt(max(0.0, float(np.sum(np.abs(sums) ** 2)))))
 
 
-def reduce_mode_c(state: ThreeModeState, cutoff: int | None = None) -> np.ndarray:
-    """Partial trace over modes a and b: the pump-mode density matrix, (cutoff + 1) x (cutoff + 1).
-
-    cutoff defaults to the structural mode-c support of the state; a
-    smaller value is refused rather than silently dropping population.
-    """
+def reduce_mode_c(state: ThreeModeState) -> np.ndarray:
+    """Partial trace over modes a and b: the pump-mode density matrix over n_c = 0 .. the state's mode-c support."""
     n_a, n_b, n_c = state.occupations()
-    nc_max = int(n_c.max(initial=0))
-    if cutoff is None:
-        cutoff = nc_max
-    elif cutoff < nc_max:
-        raise ValueError(f"cutoff {cutoff} below mode-c support {nc_max}")
     # amplitudes with rows over distinct (n_a, n_b) pairs, columns n_c; each Fock triple occurs once
     uniq, rows = np.unique(n_a * (int(n_b.max(initial=0)) + 1) + n_b, return_inverse=True)
-    pair = np.zeros((len(uniq), cutoff + 1), dtype=complex)
+    pair = np.zeros((len(uniq), int(n_c.max(initial=0)) + 1), dtype=complex)
     pair[rows, n_c] = state.coefficients()
     rho = pair.T @ pair.conj()
     return 0.5 * (rho + rho.conj().T)

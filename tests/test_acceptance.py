@@ -16,10 +16,10 @@ import pytest
 from scipy.special import gammaln
 
 from conftest import check_density_matrix, record_criterion
+from oracle import dense_oracle_evolve
 from triwave import (
     FockTriple,
     ThreeModeState,
-    dense_oracle_evolve,
     evolve,
     evolve_recombination,
     find_optimal_tau,

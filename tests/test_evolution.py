@@ -14,7 +14,6 @@ from triwave import (
     FockTriple,
     ThreeModeState,
     block_to_fock,
-    dense_oracle_evolve,
     evolve,
     evolve_recombination,
     make_coherent_pump,
@@ -24,6 +23,7 @@ from triwave import (
     overlap_with_product,
     reduce_mode_c,
 )
+from oracle import dense_oracle_evolve
 from triwave.evolution import _pair_eigensystem_bytes, check_time_domain, pair_matrix, pair_state
 
 
@@ -140,6 +140,36 @@ def test_oracle_cutoff_validation():
         dense_oracle_evolve(np.zeros((10, 10, 10), dtype=complex), 0.1, 9)
     with pytest.raises(ValueError):
         dense_oracle_evolve(np.zeros((3, 3), dtype=complex), 0.1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 4)).filter(lambda t: t[0] + t[1] + 2 * t[2] <= 8),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=12,
+    ),
+    st.floats(-3.0, 3.0),
+)
+def test_block_evolution_agrees_with_the_oracle_on_random_states(amplitudes, tau):
+    # random states of weight <= 8 on the cutoff-8 cube, where the oracle is exact
+    state = ThreeModeState.from_fock_dict(amplitudes)
+    dense_in = np.zeros((9, 9, 9), dtype=complex)
+    for triple, amp in state.to_fock_dict().items():
+        dense_in[triple] = amp
+    out = evolve(state, tau)
+    block_out = np.zeros_like(dense_in)
+    for triple, amp in out.to_fock_dict().items():
+        block_out[triple] = amp
+    assert np.max(np.abs(block_out - dense_oracle_evolve(dense_in, tau, 8))) < 1e-8
+    assert abs(out.norm() - 1.0) < 1e-12
+    assert state_diff(evolve(out, -tau), state) < 1e-12
+    for weight in (
+        lambda st: mean_photon(st, "a") + mean_photon(st, "c"),
+        lambda st: mean_photon(st, "a") + mean_photon(st, "b") + 2 * mean_photon(st, "c"),
+    ):
+        assert abs(weight(out) - weight(state)) < 1e-10
 
 
 def test_evolution_is_reversible():

@@ -200,13 +200,10 @@ def test_tau_grid_validation():
         lambda: stage1_sweep(2.0, [1e15]),
         lambda: stage1_sweep(2.0, [0.1, 1e300]),
         lambda: stage2_sweep(0.5, [0.1, 1e15]),
-        lambda: find_peak_conversion_tau(2.0, window=(0.0, 1e15)),
-        lambda: find_optimal_tau(0.5, window=(0.0, 1e15)),
         lambda: full_pipeline(2.0, 1e15, 0.5),
         lambda: pipeline_record(2.0, 0.3, 1e15),
     ],
-    ids=["stage1-sweep", "stage1-sweep-1e300", "stage2-sweep", "find-peak-conversion-tau", "find-optimal-tau",
-         "pipeline-tau1", "pipeline-tau2"],
+    ids=["stage1-sweep", "stage1-sweep-1e300", "stage2-sweep", "pipeline-tau1", "pipeline-tau2"],
 )
 def test_times_outside_the_exact_domain_are_rejected(monkeypatch, call):
     # past lambda_max tau = 2^53 * 1e-8 the phase has no 1e-8 left: at t = 1e15 the pump-4 sweep
@@ -285,22 +282,17 @@ def test_inputs_truncated_to_vacuum_are_rejected(call):
 
 
 def test_find_optimal_tau_window_validation():
-    # a NaN tolerance used to return the coarse-bracket midpoint, and an infinite window (inf, 0, nan)
+    # the scan window is fixed at (0, 3]; a NaN tolerance used to return the coarse-bracket midpoint
     bad = [
-        {"window": (2.0, 1.0)},
-        {"window": (0.0, math.inf)},
-        {"window": (math.nan, 1.0)},
-        {"window": (0.0, math.nan)},
         {"coarse_points": 1},
         {"coarse_points": 2.5},  # used to scan tau = 3.6, outside the window
         {"tol": 0.0},
         {"tol": math.nan},
         {"tol": math.inf},
     ]
-    for optimizer, arg in ((find_optimal_tau, math.sqrt(0.5)), (find_peak_conversion_tau, 2.0)):
-        for kwargs in bad:
-            with pytest.raises(ValueError):
-                optimizer(arg, **kwargs)
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            find_optimal_tau(math.sqrt(0.5), **kwargs)
 
 
 def test_coarse_scans_match_public_references(monkeypatch):
@@ -329,16 +321,16 @@ def test_coarse_scans_match_public_references(monkeypatch):
     beam = make_twin_beam(math.sqrt(4.0 / 6.0))
     find_optimal_tau(math.sqrt(4.0 / 6.0), coarse_points=10)
     pump = make_coherent_pump(4.0 * np.exp(0.4j))
-    find_peak_conversion_tau(4.0 * np.exp(0.4j), coarse_points=10)
+    find_peak_conversion_tau(4.0 * np.exp(0.4j))
     # each Brent evaluation is one single-time evolve, and no evolve follows the last one
     (stage2_evals, *_), (stage1_evals, *_) = searches
-    assert evolved == [4, 4, 2] + [1] * stage2_evals + [4, 4, 2] + [1] * stage1_evals
+    assert evolved == [4, 4, 2] + [1] * stage2_evals + [4] * 12 + [1] * stage1_evals
     for evals, lo, hi, tol in searches:  # golden section needs more on the same bracket
         golden_evals = []
         _golden_max(lambda tau: golden_evals.append(tau) or 0.0, lo, hi, tol)
         assert evals < len(golden_evals)
     stage2_taus = 3.0 * np.arange(1, 11) / 10
-    stage1_taus = 1.5 * np.arange(1, 11) / 10
+    stage1_taus = 1.5 * np.arange(1, 49) / 48  # the fixed stage-1 scan
     expected = [
         [matched_pcs_overlap_rho(reduce_mode_c(evolve(beam, tau)))[0] for tau in stage2_taus],
         [mean_photon(evolve(pump, tau), "a") / mean_photon(pump, "c") for tau in stage1_taus],
@@ -652,8 +644,8 @@ def _branch_pipeline(alpha, tau1, tau2):
     for branch in branches.values():
         weight = sum(abs(amp) ** 2 for amp in branch.values())
         if weight > 0.0:
-            out = evolve(ThreeModeState.from_fock_dict(branch, normalize=True), tau2)
-            rho += weight * reduce_mode_c(out, cutoff=cutoff)
+            branch_rho = reduce_mode_c(evolve(ThreeModeState.from_fock_dict(branch, normalize=True), tau2))
+            rho[: len(branch_rho), : len(branch_rho)] += weight * branch_rho  # padded to the common cutoff
     return rho
 
 

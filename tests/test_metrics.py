@@ -125,14 +125,6 @@ def test_reduce_mode_c_product():
     assert abs(purity(rho) - 1.0) < 1e-13
 
 
-def test_reduce_mode_c_cutoff_control():
-    state = bell_like_state()
-    rho = reduce_mode_c(state, cutoff=4)
-    assert is_complex_matrix(rho) and rho.shape == (5, 5)
-    with pytest.raises(ValueError):
-        reduce_mode_c(state, cutoff=0)
-
-
 def test_validate_rejects_bad_matrices():
     with pytest.raises(ValueError):
         check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))
