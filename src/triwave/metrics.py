@@ -178,13 +178,12 @@ def _matched_tail(sums: np.ndarray, mod: float) -> tuple[float, complex]:
 def _lag_sums(matrix: np.ndarray) -> np.ndarray:
     """t_d = sum_m matrix[m + d, m] for d = 0 .. dim - 1.
 
-    Row m of the upper triangle of matrix.T holds matrix[m + d, m] at column
-    m + d.  Laid out with rows of length dim + 1 it sits at column d, and the
-    entries that wrap into the next row are zeros of the triangle.
+    matrix[m + d, m] sits at flat d dim + m (dim + 1), so each t_d sums one
+    strided view of the flattened matrix, and no copy of it is made.
     """
     dim = matrix.shape[0]
-    flat = np.concatenate([np.triu(matrix.T).ravel(), np.zeros(dim, dtype=matrix.dtype)])
-    return flat.reshape(dim, dim + 1).sum(axis=0)[:dim]
+    flat = matrix.reshape(-1)
+    return np.array([flat[d * dim :: dim + 1].sum() for d in range(dim)])
 
 
 def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
