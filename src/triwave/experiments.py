@@ -127,8 +127,8 @@ def find_optimal_tau(
 ) -> tuple[float, float, float]:
     """Interaction time maximizing the stage-2 matched overlap.
 
-    A coarse scan of (0, 3] on 64 evenly spaced times brackets the best
-    candidate, then Brent's method narrows it below tol = 1e-5; a later
+    A coarse scan of (0, 3] on coarse_points = 64 evenly spaced times brackets
+    the best candidate, then Brent's method narrows it below tol = 1e-5; a later
     evaluation that ties the best so far replaces it.  The overlap tends to 1
     trivially as tau -> 0 (vacuum output matches a vacuum reference), so the
     bracket targets the best interior peak of the coarse scan rather than

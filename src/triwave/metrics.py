@@ -179,7 +179,7 @@ def _lag_sums(matrix: np.ndarray) -> np.ndarray:
     """t_d = sum_m matrix[m + d, m] for d = 0 .. dim - 1.
 
     matrix[m + d, m] sits at flat d dim + m (dim + 1), so each t_d sums one
-    strided view of the flattened matrix, and no copy of it is made.
+    strided view of the flattened matrix: no triangle or padded copy is made.
     """
     dim = matrix.shape[0]
     flat = matrix.reshape(-1)
