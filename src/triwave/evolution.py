@@ -10,8 +10,9 @@ the mode-c count and column r the pair count.  Other modules rely on that
 layout: states builds a pump as a column and a twin beam as a row,
 experiments reads a beam's a_{q+r} through a Hankel view and contracts
 G = A^T A* in _chain, and metrics._pair_lag_sums needs A to be zero where
-q + r >= dim.  check_time_domain is the one rule on the exact time domain;
-evolve applies it before any block is built.
+q + r >= dim.  evolved_moments reads mean photon numbers block by block, with
+no state.  check_time_domain is the one rule on the exact time domain; evolve
+and evolved_moments apply it before any block is built.
 """
 from __future__ import annotations
 
@@ -187,12 +188,29 @@ def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState | list[Th
     return _evolve(build_recombination_hamiltonian, state, tau)
 
 
-def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
+def evolved_moments(state: ThreeModeState, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Mean (n_c, n_a) of state evolved to each time of tau, as two arrays of tau's shape; tau is refused
+    as evolve refuses it.  Each block is propagated once for all times, and no state is built."""
+    tau = _checked_times(state, tau)
+    moments = np.zeros((2,) + tau.shape)
+    for index, vec in state.blocks.items():
+        weights = np.abs(build_block_hamiltonian(index).propagate(vec, tau)) ** 2
+        occ = np.arange(len(vec), dtype=float)  # n_c = n and n_a = k - n at local index n of block (s, k)
+        moments += np.stack([occ, index[1] - occ]) @ weights
+    return moments[0], moments[1]
+
+
+def _checked_times(state: ThreeModeState, tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)  # converted once, not per block
     if tau.ndim > 1:
         raise ValueError(f"tau must be one time or a 1-D array of times, got shape {tau.shape}")
     check_time_domain(state, float(np.max(np.abs(tau), initial=0.0)))
     _check_eigensystem_budget(8.0 * sum(d * (d - d // 2) for d in (min(k, s - k) + 1 for s, k in state.blocks)))
+    return tau
+
+
+def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
+    tau = _checked_times(state, tau)
     blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
     if tau.ndim == 0:
         return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)

@@ -9,10 +9,11 @@ into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
 so each output is read once, by pair_matrix, as the pair matrix A of
 sum A[q, r] |r, r, q>: its moments give the photon numbers, A A^dag the
 mode-c density matrix, and the pipeline contracts G = A^T A* with the
-stage-2 response per pair.  Every stage-2 record, of a sweep, an optimum or
-the pipeline, is scored from its mode-c density matrix by _stage2_record.
-The stage-2 searches of one call share one coarse scan: one unit-pair evolve
-per chunk of times gives every twin beam's pair matrix, bit for bit.
+stage-2 response per pair.  Only the stage-1 coarse scan forms no A: it reads
+n_a block by block, by evolved_moments.  Every stage-2 record, of a sweep, an
+optimum or the pipeline, is scored from its mode-c density matrix by
+_stage2_record.  The stage-2 searches of one call share one coarse scan: one
+unit-pair evolve per chunk of times gives every twin beam's pair matrix.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import check_time_domain, evolve, pair_matrix, pair_state
+from .evolution import check_time_domain, evolve, evolved_moments, pair_matrix, pair_state
 from .metrics import _pair_matched_overlap, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 
@@ -144,18 +145,14 @@ def find_optimal_tau(
 def find_peak_conversion_tau(pump_alpha: complex, eps: float = 1e-10) -> tuple[float, float]:
     """Interaction time maximizing the stage-1 conversion rate.
 
-    Searched as find_optimal_tau searches, on a coarse scan of (0, 1.5] on 48 times, then Brent's
-    method to tol = 1e-5, ties to the later evaluation.  Returns (tau_opt, eta).
+    Searched as find_optimal_tau searches: 48 coarse times over (0, 1.5] read by evolved_moments, then Brent's method
+    to tol = 1e-5 on pair matrices, ties to the later evaluation.  Returns (tau_opt, eta), as stage1_sweep records them.
     """
     pump = make_coherent_pump(pump_alpha, eps)
     pump_energy = _input_energy(pump)
     taus = _coarse_grid(_STAGE1_HI, _STAGE1_POINTS, _TOL)
-
-    def score(amps: np.ndarray) -> float:
-        return _moments(amps)[1] / pump_energy
-
-    scan = np.array([score(amps) for _, amps in _pair_outputs(pump, taus)])
-    tau_opt, eta, _ = _bracket_then_brent(score, pump, taus, scan, _TOL)
+    scan = evolved_moments(pump, taus)[1] / pump_energy
+    tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy, pump, taus, scan, _TOL)
     return tau_opt, eta
 
 
@@ -282,13 +279,13 @@ def _moments(amps: np.ndarray) -> tuple[float, float]:
 
 
 def _pair_purity(amps: np.ndarray) -> float:
-    """Tr rho_c^2 of a pair matrix, summed over blocks of 32 rows of conj(rho_c) = A* A^T.
+    """Tr rho_c^2 of a pair matrix, over blocks of 32 rows of conj(rho_c) = A* A^T against the rows from there on.
 
-    Neither rho_c nor a conjugate of A is ever whole: at pump 256 the two
-    would add 4 MiB per time to the four evolved times a sweep holds.
+    The part right of each diagonal block counts twice, as rho_c is Hermitian.  Neither rho_c nor a conjugate of A
+    is ever whole: at pump 256 the two would add 4 MiB per time to the four evolved times a sweep holds.
     """
-    rows = (np.abs(amps[i : i + 32].conj() @ amps.T) for i in range(0, len(amps), 32))
-    return float(sum(np.sum(w * w) for w in rows))
+    rows = (np.abs(amps[i : i + 32].conj() @ amps[i:].T) for i in range(0, len(amps), 32))
+    return float(sum(np.sum(w[:, :32] ** 2) + 2.0 * np.sum(w[:, 32:] ** 2) for w in rows))
 
 
 def _rho_c(amps: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from triwave import (
     reduce_mode_c,
 )
 from oracle import dense_oracle_evolve
-from triwave.evolution import _pair_eigensystem_bytes, check_time_domain, pair_matrix, pair_state
+from triwave.evolution import _pair_eigensystem_bytes, check_time_domain, evolved_moments, pair_matrix, pair_state
 
 
 def cube_triples(cutoff, s_max):
@@ -344,7 +344,7 @@ def test_evolve_refuses_before_building_any_eigensystem(monkeypatch):
     monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", refuse)
     monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", refuse)
     beam = make_twin_beam(math.sqrt(54.0 / 56.0), eps=1e-8)
-    for evolver in (evolve, evolve_recombination):
+    for evolver in (evolve, evolve_recombination, evolved_moments):
         for tau in (1e5, np.array([0.1, 1e5]), math.nan):
             with pytest.raises(ValueError, match="exact time domain"):
                 evolver(beam, tau)
@@ -360,7 +360,7 @@ def test_evolve_refuses_over_the_eigensystem_budget_before_building_any(monkeypa
 
     monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", refuse)
     monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", refuse)
-    for evolver in (evolve, evolve_recombination):
+    for evolver in (evolve, evolve_recombination, evolved_moments):
         with pytest.raises(ValueError, match="over the budget"):
             evolver(pump, 0.1)
     # a general state: its one block (400, 200), of dimension 201, keeps 201 * 101 numbers
@@ -440,7 +440,7 @@ def test_evolve_over_several_times_returns_one_state_per_time(read):
 
 @pytest.mark.parametrize("tau", [np.array([[0.1, 0.2]]), np.zeros((2, 1)), np.zeros((1, 1, 1))],
                          ids=["1x2", "2x1", "1x1x1"])
-@pytest.mark.parametrize("step", [evolve, evolve_recombination])
+@pytest.mark.parametrize("step", [evolve, evolve_recombination, evolved_moments])
 def test_evolve_refuses_a_tau_of_more_than_one_dimension(monkeypatch, step, tau):
     # at a (1, 2) tau the blocks came out (d, 1, 2), and every reader then said the state held 1 time
     monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", lambda *args: pytest.fail("built"))
@@ -448,6 +448,31 @@ def test_evolve_refuses_a_tau_of_more_than_one_dimension(monkeypatch, step, tau)
     monkeypatch.setattr(triwave.blocks.BlockHamiltonian, "propagate", lambda *args: pytest.fail("propagated"))
     with pytest.raises(ValueError, match="1-D array of times"):
         step(make_coherent_pump(2.0), tau)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_coherent_pump(4.0 * np.exp(0.4j)),
+        lambda: make_twin_beam(math.sqrt(0.75) * np.exp(0.3j)),
+        lambda: random_state(np.random.default_rng(5)),
+    ],
+    ids=["pump", "twin-beam", "general"],
+)
+def test_evolved_moments_equal_the_moments_of_the_evolved_state(make):
+    # the block-by-block moments build no state; each time must read as mean_photon of evolve at that time
+    state = make()
+    taus = np.array([0.0, 0.05, 0.4, 1.1, -0.7])
+    n_c, n_a = evolved_moments(state, taus)
+    assert n_c.shape == n_a.shape == taus.shape
+    for tau, got_c, got_a in zip(taus, n_c, n_a):
+        single_c, single_a = evolved_moments(state, tau)
+        assert np.ndim(single_c) == np.ndim(single_a) == 0
+        evolved = evolve(state, tau)
+        for got in (got_c, single_c):
+            assert abs(got - mean_photon(evolved, "c")) <= 1e-13
+        for got in (got_a, single_a):
+            assert abs(got - mean_photon(evolved, "a")) <= 1e-13
 
 
 def test_evolve_returns_as_many_states_as_times():

@@ -296,8 +296,9 @@ def test_find_optimal_tau_window_validation():
 
 
 def test_coarse_scans_match_public_references(monkeypatch):
-    # both optimizers evolve their coarse grid a few times per call and score
-    # each time from its pair matrix; the values must be the per-time public ones
+    # the stage-2 optimizer evolves its coarse grid a few times per call and scores each time
+    # from its pair matrix, the stage-1 one sums its moments block by block; the values must
+    # be the per-time public ones
     scanned, evolved, searches = [], [], []
     brent = triwave.experiments._brent_max
 
@@ -322,9 +323,10 @@ def test_coarse_scans_match_public_references(monkeypatch):
     find_optimal_tau(math.sqrt(4.0 / 6.0), coarse_points=10)
     pump = make_coherent_pump(4.0 * np.exp(0.4j))
     find_peak_conversion_tau(4.0 * np.exp(0.4j))
-    # each Brent evaluation is one single-time evolve, and no evolve follows the last one
+    # each Brent evaluation is one single-time evolve, and no evolve follows the last one;
+    # the stage-1 scan reads its moments block by block, with no evolve
     (stage2_evals, *_), (stage1_evals, *_) = searches
-    assert evolved == [4, 4, 2] + [1] * stage2_evals + [4] * 12 + [1] * stage1_evals
+    assert evolved == [4, 4, 2] + [1] * stage2_evals + [1] * stage1_evals
     for evals, lo, hi, tol in searches:  # golden section needs more on the same bracket
         golden_evals = []
         _golden_max(lambda tau: golden_evals.append(tau) or 0.0, lo, hi, tol)
@@ -362,6 +364,26 @@ def test_shared_coarse_scan_equals_per_beam_scans(monkeypatch, search):
     for chi, values in zip(chis, scanned):
         own = [_stage2_score(amps) for _, amps in _pair_outputs(make_twin_beam(chi, eps), taus)]
         assert np.array_equal(values, own)
+
+
+@pytest.mark.parametrize("energy", [4.0, 16.0, 36.0, 49.0, 64.0, 81.0])
+def test_stage1_scan_equals_the_pair_matrix_scan(monkeypatch, energy):
+    # the stage-1 coarse scan sums n_a block by block; it must read as each time's pair matrix does
+    scanned = []
+
+    def recording_peak_index(values):
+        scanned.append(np.array(values))
+        return best_peak_index(values)
+
+    monkeypatch.setattr(triwave.experiments, "best_peak_index", recording_peak_index)
+    find_peak_conversion_tau(math.sqrt(energy))
+    pump = make_coherent_pump(math.sqrt(energy))
+    energy_in = mean_photon(pump, "c")
+    taus = 1.5 * np.arange(1, 49) / 48
+    (values,) = scanned
+    reference = np.array([_moments(amps)[1] / energy_in for _, amps in _pair_outputs(pump, taus)])
+    assert np.max(np.abs(values - reference)) <= 1e-15
+    assert best_peak_index(values) == best_peak_index(reference)
 
 
 def test_scaling_study_runs_one_coarse_scan(monkeypatch):
@@ -570,6 +592,7 @@ def test_records_are_built_in_one_place_each():
 
 def test_experiments_evolve_in_one_place():
     # every time the experiments evolve goes through _pair_outputs, which checks it first
+    # (the stage-1 coarse scan reads only moments, through evolved_moments)
     tree = ast.parse(Path(triwave.experiments.__file__).read_text())
     sites = set()
     for stmt in tree.body:
