@@ -6,8 +6,19 @@ verdict even though per-test stdout is captured.
 
 check_density_matrix is the tests' one check of a density matrix, a plain
 complex 2-D array.
+
+scaling_data is the criterion 5 fixture, the scaling study over N_in = 2 .. 54,
+run once per session: the acceptance criteria and the golden records share it.
 """
+import time
+
 import numpy as np
+import pytest
+
+from triwave.experiments import scaling_study
+
+SCALING_N_IN = tuple(float(n) for n in range(2, 55, 2))
+SCALING_EPS = 1e-8
 
 CRITERION_LINES: list[str] = []
 
@@ -22,6 +33,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def scaling_data():
+    start = time.monotonic()
+    points, fits = scaling_study(SCALING_N_IN, eps=SCALING_EPS)
+    return {"points": points, "fits": fits, "elapsed": time.monotonic() - start}
 
 
 def check_density_matrix(mat: np.ndarray) -> None:

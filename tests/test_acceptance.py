@@ -3,7 +3,8 @@
 Each test computes a verdict, registers a one-line summary that the
 terminal hook replays after the run, then asserts.  The two heavy data
 sets (stage-1 curves, the optimal-time scaling study) are module-scoped
-fixtures shared by several criteria.
+fixtures shared by several criteria; the scaling study is conftest's session
+fixture scaling_data, which the golden records share.
 """
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from conftest import check_density_matrix, record_criterion
+from conftest import SCALING_EPS, check_density_matrix, record_criterion
 from oracle import dense_oracle_evolve
 from triwave import (
     FockTriple,
@@ -35,12 +36,9 @@ from triwave import (
     reciprocal_peak_likelihood,
     stage1_sweep,
 )
-from triwave.experiments import scaling_study
 
 PUMP_ENERGIES = (16.0, 36.0, 49.0, 64.0, 81.0)
 STAGE1_GRID = np.array([1e-4] + list(np.linspace(0.05, 1.2, 24)))
-SCALING_N_IN = tuple(float(n) for n in range(2, 55, 2))
-SCALING_EPS = 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +50,6 @@ def stage1_curves():
         curves[energy] = stage1_sweep(math.sqrt(energy), STAGE1_GRID)
         peaks[energy] = find_peak_conversion_tau(math.sqrt(energy))
     return {"curves": curves, "peaks": peaks, "elapsed": time.monotonic() - start}
-
-
-@pytest.fixture(scope="module")
-def scaling_data():
-    start = time.monotonic()
-    points, fits = scaling_study(SCALING_N_IN, eps=SCALING_EPS)
-    return {"points": points, "fits": fits, "elapsed": time.monotonic() - start}
 
 
 def verdict(number, ok, detail):
