@@ -7,13 +7,15 @@ phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
 so each output is read once, by pair_matrix, as the pair matrix A of
-sum A[q, r] |r, r, q>: its moments give the photon numbers, A A^dag the
-mode-c density matrix, and the pipeline contracts G = A^T A* with the
-stage-2 response per pair.  Only the stage-1 coarse scan forms no A: it reads
-n_a block by block, by evolved_moments.  Every stage-2 record, of a sweep, an
-optimum or the pipeline, is scored from its mode-c density matrix by
-_stage2_record.  The stage-2 searches of one call share one coarse scan: one
-unit-pair evolve per chunk of times gives every twin beam's pair matrix.
+sum A[q, r] |r, r, q>: its moments give the photon numbers, and the pipeline
+contracts G = A^T A* with the stage-2 response per pair.  Only the stage-1
+coarse scan forms no A: it reads n_a block by block, by evolved_moments.  A
+pure stage-2 output, of a sweep or an optimum, is scored from A alone by
+_stage2_record, through the functions the search maximizes, and no mode-c
+density matrix A A^dag is formed.  Only the pipeline's output is mixed:
+pipeline_record scores its mode-c density matrix.  The stage-2 searches of one
+call share one coarse scan: one unit-pair evolve per chunk of times gives
+every twin beam's pair matrix.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import check_time_domain, evolve, evolved_moments, pair_matrix, pair_state
-from .metrics import _pair_matched_overlap, matched_pcs_overlap_rho, purity, reciprocal_peak_likelihood
+from .metrics import (_grid_peak, _grid_profile, _pair_lag_sums, _pair_matched_overlap, matched_pcs_overlap_rho, purity,
+                      reciprocal_peak_likelihood)
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -120,7 +123,7 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord
     beam = make_twin_beam(chi, eps)
     outputs = _pair_outputs(beam, tau_grid)
     energy_in = _input_energy(beam)
-    return [_stage2_record(tau, _rho_c(amps), energy_in, _moments(amps)[1]) for tau, amps in outputs]
+    return [_stage2_record(tau, amps, energy_in) for tau, amps in outputs]
 
 
 def find_optimal_tau(
@@ -135,8 +138,8 @@ def find_optimal_tau(
     bracket targets the best interior peak of the coarse scan rather than
     that boundary artifact.  coarse_points and tol change the search and are
     kept only because perfbench/test_perfbench.py sets them.  Returns
-    (tau_opt, overlap, eta), the last two read from rho_c at tau_opt, as in
-    stage2_sweep(chi, [tau_opt], eps) and scaling_study.
+    (tau_opt, overlap, eta) as stage2_sweep(chi, [tau_opt], eps) and
+    scaling_study record them; the overlap is the maximum Brent's method found.
     """
     (record,) = _stage2_optima([chi], eps, coarse_points, tol)
     return record.tau, record.overlap, record.eta
@@ -244,7 +247,11 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
     if energy_in <= floor:
         raise ValueError(f"stage 1 delivers no pairs to convert: its pair energy {energy_in:.3g} "
                          f"is not above the rounding floor {floor:.3g}")
-    return _stage2_record(tau2, rho, energy_in, math.nan)
+    overlap, lam = matched_pcs_overlap_rho(rho)
+    n_out = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
+    return SweepRecord(tau=float(tau2), overlap=overlap, eta=2.0 * n_out / energy_in, purity=purity(rho),
+                       delta_phi=reciprocal_peak_likelihood(rho), n_a=math.nan, n_b=math.nan, n_c=n_out,
+                       lambda_or_chi=lam)
 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -288,26 +295,16 @@ def _pair_purity(amps: np.ndarray) -> float:
     return float(sum(np.sum(w[:, :32] ** 2) + 2.0 * np.sum(w[:, 32:] ** 2) for w in rows))
 
 
-def _rho_c(amps: np.ndarray) -> np.ndarray:
-    """Mode-c density matrix A A^dag of a pair matrix (a and b traced out)."""
-    return amps @ amps.conj().T
+def _stage2_record(tau, amps, energy_in) -> SweepRecord:
+    """The one scoring of a pure stage-2 output: its record at tau, read from its pair matrix A as the search reads it.
 
-
-def _stage2_record(tau, rho, energy_in, n_pair) -> SweepRecord:
-    """The one scoring of a stage-2 output: its record at tau from its mode-c rho (n_a = n_b = n_pair)."""
-    overlap, lam = matched_pcs_overlap_rho(rho)
-    n_out = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
-    return SweepRecord(
-        tau=float(tau),
-        overlap=overlap,
-        eta=2.0 * n_out / energy_in,
-        purity=purity(rho),
-        delta_phi=reciprocal_peak_likelihood(rho),
-        n_a=n_pair,
-        n_b=n_pair,
-        n_c=n_out,
-        lambda_or_chi=lam,
-    )
+    delta_phi is 1 / max p of reciprocal_peak_likelihood, p from the lag sums of A A^dag with unit weights.
+    """
+    n_out, n_pair = _moments(amps)
+    overlap, lam = _pair_matched_overlap(amps, n_out)
+    _, peak = _grid_peak(_grid_profile(np.conj(_pair_lag_sums(amps, np.ones(len(amps))))) / (2.0 * np.pi))
+    return SweepRecord(tau=float(tau), overlap=overlap, eta=2.0 * n_out / energy_in, purity=_pair_purity(amps),
+                       delta_phi=1.0 / peak, n_a=n_pair, n_b=n_pair, n_c=n_out, lambda_or_chi=lam)
 
 
 def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[SweepRecord]:
@@ -331,8 +328,7 @@ def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[Sw
             scans[e, i] = _stage2_score(amps)
     del response, amps  # R is not held through the Brent steps
     optima = (_bracket_then_brent(_stage2_score, beam, taus, scan, tol) for beam, scan in zip(beams, scans))
-    return [_stage2_record(tau, _rho_c(amps), energy, _moments(amps)[1])
-            for (tau, _, amps), energy in zip(optima, energies)]
+    return [_stage2_record(tau, amps, energy) for (tau, _, amps), energy in zip(optima, energies)]
 
 
 def _stage2_score(amps: np.ndarray) -> float:

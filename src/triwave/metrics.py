@@ -11,8 +11,9 @@ Conventions used throughout:
   sensitivity is the reciprocal peak likelihood delta_phi = 1 / max p;
 * the phase figures share one exact path: lag sums t_d = sum_m M[m + d, m]
   of the (weighted) mode-c density matrix, one FFT over the fixed 1024-point
-  phase grid, and a parabolic refinement of the grid maximum.  The matched
-  overlap of a pure state goes through its reduced density matrix.
+  phase grid, and a parabolic refinement of the grid maximum.  For a pure
+  output of the experiments the lag sums are read from its pair matrix A by
+  _pair_lag_sums, and M = A A^dag is never formed.
 """
 from __future__ import annotations
 

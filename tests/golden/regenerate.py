@@ -85,7 +85,7 @@ def largest_changes(golden, current) -> dict[str, tuple[float, str]]:
         if change > worst.get(name, (-1.0, ""))[0]:
             worst[name] = (change, where)
 
-    for case in golden.keys() | current.keys():
+    for case in list(golden) + [case for case in current if case not in golden]:
         old_recs, new_recs = golden.get(case, []), current.get(case, [])
         if len(old_recs) != len(new_recs):
             note("<records>", math.inf, f"{case}: {len(old_recs)} stored, {len(new_recs)} computed")
@@ -101,7 +101,8 @@ def largest_changes(golden, current) -> dict[str, tuple[float, str]]:
 
 
 def report(worst) -> str:
-    return "\n".join(f"{name:>14}  {change:.2g}  at {where}" for name, (change, where) in sorted(worst.items()))
+    return "\n".join(f"{name:>17}  {change:.2g}" + (f"  at {where}" if change else "")
+                     for name, (change, where) in sorted(worst.items()))
 
 
 def main(argv) -> int:

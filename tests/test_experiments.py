@@ -36,7 +36,16 @@ from triwave import (
     trilinear_offdiag,
 )
 from triwave.evolution import check_time_domain
-from triwave.experiments import _SCAN_CHUNK, _brent_max, _moments, _pair_outputs, _pair_purity, _rho_c, _stage2_score
+from triwave.experiments import (
+    _SCAN_CHUNK,
+    _brent_max,
+    _moments,
+    _pair_outputs,
+    _pair_purity,
+    _stage2_optima,
+    _stage2_record,
+    _stage2_score,
+)
 from triwave.metrics import _lag_sums, _pair_lag_sums, _pair_matched_overlap, _pcs_weights
 
 
@@ -503,12 +512,12 @@ def test_pair_purity_matches_the_density_matrix_path(size):
     rng = np.random.default_rng(size)
     amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     amps /= np.linalg.norm(amps)
-    assert abs(_pair_purity(amps) - purity(_rho_c(amps))) <= 1e-14
+    assert abs(_pair_purity(amps) - purity(amps @ amps.conj().T)) <= 1e-14
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 255, 256, 257, 507, 600, 1023, 1024, 1025, 1500])
 def test_pair_matched_overlap_matches_dense_path(size):
-    # the stage-2 search reads the lag sums from A by FFT; the dense path forms rho_c = A A^dag.
+    # the stage-2 search and record read the lag sums from A by FFT; the dense path forms rho_c = A A^dag.
     # 256/257 and 1024/1025 straddle a doubling of the FFT length; past 1024 the lags fold onto the phase grid
     rng = np.random.default_rng(size)
     amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
@@ -516,13 +525,17 @@ def test_pair_matched_overlap_matches_dense_path(size):
     amps /= np.linalg.norm(amps)
     n_bar = _moments(amps)[0]
     _, weights = _pcs_weights(n_bar, size)
-    dense = _rho_c(amps)
+    dense = amps @ amps.conj().T
     sums = _pair_lag_sums(amps, weights)
     assert np.max(np.abs(sums - _lag_sums(weights[:, None] * dense * weights[None, :]))) <= 1e-13
     overlap, lam = _pair_matched_overlap(amps, n_bar)
     expected_overlap, expected_lam = matched_pcs_overlap_rho(dense)
     assert abs(overlap - expected_overlap) <= 1e-14
     assert abs(lam - expected_lam) <= 1e-12
+    record = _stage2_record(0.0, amps, 1.0)
+    assert (record.overlap, record.lambda_or_chi, record.n_c) == (overlap, lam, n_bar)
+    assert abs(record.delta_phi / reciprocal_peak_likelihood(dense) - 1.0) <= 1e-12
+    assert abs(record.purity / purity(dense) - 1.0) <= 1e-12
 
 
 def test_find_peak_conversion_tau_frozen_point():
@@ -578,15 +591,43 @@ def test_optimizers_report_the_sweep_record_at_tau_opt(stage, energy, scaling_at
     )
 
 
+@pytest.fixture(scope="module")
+def optima_at_chi_phase():
+    chis = [math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(0.7j)) for n_in in (2.0, 20.0, 54.0)]
+    return dict(zip((2.0, 20.0, 54.0), _stage2_optima(chis, 1e-8)))
+
+
+@pytest.mark.parametrize("chi_phase", [0.0, 0.7])
+@pytest.mark.parametrize("n_in", [2.0, 20.0, 54.0])
+def test_stage2_optimum_records_the_maximum_the_search_found(n_in, chi_phase, scaling_data, optima_at_chi_phase):
+    # the overlap and lambda of the record at tau_opt are the search objective's, bit for bit, read from the
+    # pair matrix Brent's method evaluated there
+    if chi_phase == 0.0:
+        point = next(p for p in scaling_data["points"] if p.n_in == n_in)
+        tau_opt, found = point.tau_opt, (point.overlap, point.matched_lambda)
+    else:
+        rec = optima_at_chi_phase[n_in]
+        tau_opt, found = rec.tau, (rec.overlap, rec.lambda_or_chi)
+    beam = make_twin_beam(math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(1j * chi_phase)), eps=1e-8)
+    ((_, amps),) = _pair_outputs(beam, [tau_opt])
+    assert found == _pair_matched_overlap(amps, _moments(amps)[0])
+
+
 def test_records_are_built_in_one_place_each():
-    # SweepRecord comes from stage1_sweep and the stage-2 scorer only, ScalingPoint from scaling_study only
+    # one scorer per kind of output: stage 1, a pure stage-2 output (from A) and the mixed pipeline (from rho);
+    # ScalingPoint comes from scaling_study only
     tree = ast.parse(Path(triwave.experiments.__file__).read_text())
     sites = set()
     for stmt in tree.body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("SweepRecord", "ScalingPoint"):
                 sites.add((node.func.id, getattr(stmt, "name", "<module>")))
-    expected = {("SweepRecord", "stage1_sweep"), ("SweepRecord", "_stage2_record"), ("ScalingPoint", "scaling_study")}
+    expected = {
+        ("SweepRecord", "stage1_sweep"),
+        ("SweepRecord", "_stage2_record"),
+        ("SweepRecord", "pipeline_record"),
+        ("ScalingPoint", "scaling_study"),
+    }
     assert sites == expected
 
 
