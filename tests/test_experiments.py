@@ -508,7 +508,7 @@ def test_find_peak_conversion_tau_agrees_with_golden_section(energy, monkeypatch
 
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 365])
 def test_pair_purity_matches_the_density_matrix_path(size):
-    # stage 1 sums Tr rho_c^2 over blocks of 32 rows of A* A^T instead of forming rho_c = A A^dag
+    # stage 1 and the stage-2 records sum Tr rho_c^2 over blocks of 32 rows of A* A^T instead of forming rho_c = A A^dag
     rng = np.random.default_rng(size)
     amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     amps /= np.linalg.norm(amps)
