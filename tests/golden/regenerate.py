@@ -11,13 +11,15 @@ file and reports this printout.
 The cases are the criterion 5 fixture (27 energies and its two fits) and the
 inputs of the benchmark's workloads: scaling_study at N_in 6, 30, 54; a stage-2
 sweep at N_in 54 with chi phase 0.7; stage1_sweep and find_peak_conversion_tau
-at pumps 81 and 256; pipeline_record at pump 256 and two pump phases.
+at pumps 81, 144, 196 and 256; pipeline_record at pump 256, at pump phases 0
+and 0.7 and at the phases the pipeline workload draws for seeds 1 and 2601.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -35,6 +37,8 @@ TOLERANCE = 1e-12  # the BLAS thread count alone moves stage2 and pipeline recor
 STAGE1_GRID = [1e-4] + [float(t) for t in np.linspace(0.05, 1.2, 24)]  # criterion 4's grid
 PIPELINE_TAU1 = math.atanh(math.sqrt(2.0 / 3.0)) / 16.0  # the pump-256 stage 1 delivers N_in = 4
 PIPELINE_TAU2 = 0.71
+# the pump phases of the pipeline workload's seeds 1 and 2601, drawn as perfbench/workloads.py draws them
+PIPELINE_PHASES = (0.0, 0.7) + tuple(2.0 * math.pi * random.Random(seed).random() for seed in (1, 2601))
 
 
 def fields(record) -> dict[str, float]:
@@ -57,14 +61,14 @@ def compute(fixture_points, fixture_fits) -> dict[str, list[dict[str, float]]]:
     cases["scaling/fits"] = [fields(f) for f in fits.values()]
     chi = math.sqrt(54.0 / 56.0) * complex(np.exp(0.7j))
     cases["stage2/n_in=54"] = [fields(r) for r in tw.stage2_sweep(chi, np.linspace(0.0, 2.0, 9), eps=SCALING_EPS)]
-    for energy in (81.0, 256.0):
+    for energy in (81.0, 144.0, 196.0, 256.0):
         alpha = math.sqrt(energy) * complex(np.exp(0.7j))
         cases[f"stage1/pump={energy:g}"] = [fields(r) for r in tw.stage1_sweep(alpha, STAGE1_GRID)]
         tau_opt, eta = tw.find_peak_conversion_tau(alpha)
         cases[f"stage1/pump={energy:g}/peak"] = [{"tau_opt": tau_opt, "eta": eta}]
     cases["pipeline/pump=256"] = [
         fields(tw.pipeline_record(16.0 * complex(np.exp(1j * phase)), PIPELINE_TAU1, PIPELINE_TAU2))
-        for phase in (0.0, 0.7)
+        for phase in PIPELINE_PHASES
     ]
     return cases
 
