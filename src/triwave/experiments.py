@@ -225,10 +225,11 @@ def scaling_study(n_in_values, eps: float = 1e-10) -> tuple[list[ScalingPoint], 
 def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e-10) -> np.ndarray:
     """Chain both stages and return the output-mode density matrix.
 
-    Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a
-    fresh vacuum output mode.  Pair count r enters stage 2 as local index 0
-    of block (2r, r); one evolution of all those gives B[n, p] (n output
-    photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p].
+    Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a fresh vacuum output mode.
+    Pair count r enters stage 2 as local index 0 of block (2r, r); one evolution of all those gives
+    B[n, p] (n output photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p],
+    written over G.  The working set is G, B and two 64-row buffers: at most about three dim x dim
+    arrays, 6.3 MiB at pump 256.
     """
     return _chain(pump_alpha, tau1, tau2, eps)[0]
 
@@ -241,9 +242,8 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
     1e-8 exactness bar, is no pairs and raises ValueError (tau1 = 0 reads 8.8e-30 at pump 81).
     The signal and idler are traced out, so n_a and n_b are NaN.
     """
-    rho, amps = _chain(pump_alpha, tau1, tau2, eps)
-    energy_in = 2.0 * _moments(amps)[1]
-    floor = 1e8 * (len(amps) * np.finfo(float).eps) ** 2
+    rho, energy_in = _chain(pump_alpha, tau1, tau2, eps)
+    floor = 1e8 * (len(rho) * np.finfo(float).eps) ** 2
     if energy_in <= floor:
         raise ValueError(f"stage 1 delivers no pairs to convert: its pair energy {energy_in:.3g} "
                          f"is not above the rounding floor {floor:.3g}")
@@ -254,19 +254,32 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
                        lambda_or_chi=lam)
 
 
-def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, np.ndarray]:
-    """The body of full_pipeline; also returns the stage-1 pair matrix."""
+def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
+    """The body of full_pipeline, and the pair energy 2 n_a stage 1 delivers.  The pump goes once evolved, A once G is
+    formed and B before the Hermitian average; rho is summed 64 rows at a time, in ascending p, and written over G."""
     pump = make_coherent_pump(pump_alpha, eps)
     _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
     ((_, amps),) = _pair_outputs(pump, [tau1])
+    del pump
+    energy_in = 2.0 * _moments(amps)[1]
     density = amps.T @ amps.conj()
     dim = len(amps)  # output support is bounded by the pair count
+    del amps
     ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])  # |r, r, 0> for every r
-    rho = np.zeros((dim, dim), dtype=complex)
-    for p in range(dim):  # p pairs left, so n <= dim - 1 - p
-        col = response[: dim - p, p]
-        rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
-    return 0.5 * (rho + rho.conj().T), amps
+    sums, terms = np.empty((2, 64 * dim), dtype=complex)
+    for n in range(0, dim, 64):  # rows n.. of rho replace G's: the rows after them read G only from row n + 64 on
+        block = sums[: min(64, dim - n) * dim].reshape(-1, dim)
+        block.fill(0.0)
+        for p in range(dim - n):  # p pairs left, so n <= dim - 1 - p
+            part = terms[: min(64, dim - p - n) * (dim - p)].reshape(-1, dim - p)
+            np.multiply(response[n : n + len(part), p, None], response[: dim - p, p].conj(), out=part)
+            np.multiply(density[p + n : p + n + len(part), p:], part, out=part)
+            block[: len(part), : dim - p] += part
+        density[n : n + 64] = block
+    del response
+    density += density.conj().T  # density holds rho now
+    density *= 0.5
+    return density, energy_in
 
 
 def _input_energy(state) -> float:

@@ -1,6 +1,7 @@
 """Sweep drivers, optimizers, power-law fits, and the chained pipeline."""
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from triwave import (
     stage2_sweep,
     trilinear_offdiag,
 )
-from triwave.evolution import check_time_domain
+from triwave.evolution import check_time_domain, pair_state
 from triwave.experiments import (
     _SCAN_CHUNK,
     _brent_max,
@@ -729,6 +730,39 @@ def test_pipeline_zero_first_stage_keeps_vacuum():
     assert is_complex_matrix(rho)
     assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+
+
+@pytest.mark.parametrize("energy", [81.0, 144.0])
+def test_pipeline_working_set_stays_within_five_density_matrices(energy):
+    # the contraction holds G, B and two 64-row buffers and writes rho over G; whole per-p outer products, with A
+    # held through them, read 7.0 and 6.7 dim x dim complex arrays at pumps 81 and 144, against 3.7 and 3.2 now
+    alpha = math.sqrt(energy)
+    tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / alpha  # criterion 8's stage 1: N_in = 4
+    dim = len(full_pipeline(alpha, tau1, 0.71))  # builds every eigensystem the call below reads
+    tracemalloc.start()
+    try:
+        pipeline_record(alpha, tau1, 0.71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
+
+
+@pytest.mark.parametrize("energy, phase", [(81.0, 0.0), (144.0, 0.7)])
+def test_pipeline_equals_the_whole_term_contraction(energy, phase):
+    # the reference adds whole (dim - p)^2 terms G[p:, p:] * outer(B[:, p], B*[:, p]); the pipeline sums them
+    # 64 rows at a time (dim 145 and 228 here) with the same per-element arithmetic, so rho is equal bit for bit
+    alpha = math.sqrt(energy) * complex(np.exp(1j * phase))
+    tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / math.sqrt(energy)
+    ((_, amps),) = _pair_outputs(make_coherent_pump(alpha), [tau1])
+    density = amps.T @ amps.conj()
+    dim = len(amps)
+    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [0.71])
+    rho = np.zeros((dim, dim), dtype=complex)
+    for p in range(dim):
+        col = response[: dim - p, p]
+        rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
+    assert np.array_equal(full_pipeline(alpha, tau1, 0.71), 0.5 * (rho + rho.conj().T))
 
 
 @pytest.mark.parametrize("tau1, tau2", [(math.nan, 0.5), (0.2, math.inf), (-0.1, 0.5), (0.2, -0.5)])
