@@ -49,7 +49,7 @@ def make_twin_beam(chi: complex, eps: float = 1e-10):
     """Two-mode squeezed pair state sum chi^n |n, n, 0> with vacuum pump.
 
     Truncated at the smallest N with geometric tail below eps, then
-    renormalized.
+    renormalized by the computed norm of the kept amplitudes.
     """
     _check_eps(eps)
     _check_finite("chi", chi)
@@ -61,8 +61,8 @@ def make_twin_beam(chi: complex, eps: float = 1e-10):
     # tail after keeping n = 0..N is q^(N+1)
     cut = max(0, math.ceil(math.log(eps) / math.log(q)) - 1)
     _check_eigensystem_budget(_pair_eigensystem_bytes(cut))
-    tail = q ** (cut + 1)
-    return pair_state(twin_beam_amplitudes(chi, cut)[None, :] / math.sqrt(1.0 - tail), trunc_error=tail)
+    amps = twin_beam_amplitudes(chi, cut)
+    return pair_state(amps[None, :] / np.sqrt(np.sum(np.abs(amps) ** 2)), trunc_error=q ** (cut + 1))
 
 
 def predicted_twin_beam_param(alpha: complex, tau: float) -> complex:

@@ -152,6 +152,14 @@ def test_stage2_sweep_zero_time_record():
     assert first.delta_phi == pytest.approx(2 * math.pi, rel=1e-9)
 
 
+def test_stage2_input_purity_does_not_exceed_one():
+    # triwave stage2 --n-in 54 --chi-phase 0.7 --tau-max 2 --tau-steps 9: a beam renormalized by the analytic
+    # sqrt(1 - q^(cut+1)) kept norm^2 1 + 1.1e-15, and its tau = 0 record read purity 1.000000000000003
+    chi = math.sqrt(54.0 / 56.0) * complex(np.exp(0.7j))
+    first = stage2_sweep(chi, np.linspace(0.0, 2.0, 9))[0]
+    assert first.tau == 0.0 and first.purity <= 1.0 + 1e-15
+
+
 @pytest.mark.parametrize("n_in", [2.0, 20.0])
 def test_stage2_sweep_matches_public_references(n_in):
     # every field against the state-level path: reduce_mode_c, then the metrics

@@ -111,7 +111,8 @@ def test_twin_beam_blocks_match_fock_construction(chi, eps):
     state = make_twin_beam(chi, eps)
     q = abs(chi) ** 2
     cut = len(state.blocks) - 1
-    amps = np.sqrt(1.0 - q) * np.asarray(chi, dtype=complex) ** np.arange(cut + 1) / math.sqrt(1.0 - q ** (cut + 1))
+    amps = np.sqrt(1.0 - q) * np.asarray(chi, dtype=complex) ** np.arange(cut + 1)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
     expected = ThreeModeState.from_fock_dict(
         {(m, m, 0): amps[m] for m in range(cut + 1)}, normalize=False, trunc_error=q ** (cut + 1)
     )
