@@ -71,7 +71,7 @@ class ThreeModeState:
         return state
 
     def norm(self) -> float:
-        return np.sqrt(sum(float(np.vdot(v, v).real) for v in self.blocks.values()))
+        return np.sqrt(math.fsum(float(np.vdot(v, v).real) for v in self.blocks.values()))
 
     def amplitude(self, triple) -> complex:
         index, n = fock_to_block(triple)

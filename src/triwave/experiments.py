@@ -228,7 +228,8 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
     Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a fresh vacuum output mode.
     Pair count r enters stage 2 as local index 0 of block (2r, r); one evolution of all those gives
     B[n, p] (n output photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p],
-    written over G.  The working set is G, B and two 64-row buffers: at most about three dim x dim
+    summed for n <= n' only, with B conjugated once, written over G and mirrored into the lower
+    triangle.  The working set is G, B and two 64-row buffers: at most about three dim x dim
     arrays, 6.3 MiB at pump 256.
     """
     return _chain(pump_alpha, tau1, tau2, eps)[0]
@@ -256,7 +257,8 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     """The body of full_pipeline, and the pair energy 2 n_a stage 1 delivers.  The pump goes once evolved, A once G is
-    formed and B before the Hermitian average; rho is summed 64 rows at a time, in ascending p, and written over G."""
+    formed and B, conjugated in place, before the mirror; rho is summed 64 rows at a time, over the columns from each
+    tile's first row on, in ascending p, and written over G; its strictly lower triangle is the upper one's conjugate."""
     pump = make_coherent_pump(pump_alpha, eps)
     _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
     ((_, amps),) = _pair_outputs(pump, [tau1])
@@ -266,19 +268,21 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     dim = len(amps)  # output support is bounded by the pair count
     del amps
     ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])  # |r, r, 0> for every r
+    np.conjugate(response, out=response)  # B*: a term conjugates only its column of at most 64 entries
     sums, terms = np.empty((2, 64 * dim), dtype=complex)
     for n in range(0, dim, 64):  # rows n.. of rho replace G's: the rows after them read G only from row n + 64 on
-        block = sums[: min(64, dim - n) * dim].reshape(-1, dim)
+        block = sums[: min(64, dim - n) * (dim - n)].reshape(-1, dim - n)
         block.fill(0.0)
-        for p in range(dim - n):  # p pairs left, so n <= dim - 1 - p
-            part = terms[: min(64, dim - p - n) * (dim - p)].reshape(-1, dim - p)
-            np.multiply(response[n : n + len(part), p, None], response[: dim - p, p].conj(), out=part)
-            np.multiply(density[p + n : p + n + len(part), p:], part, out=part)
-            block[: len(part), : dim - p] += part
-        density[n : n + 64] = block
+        for p in range(dim - n):  # p pairs left, so n <= n' <= dim - 1 - p: the upper triangle and the tile's own
+            part = terms[: min(64, dim - p - n) * (dim - p - n)].reshape(-1, dim - p - n)
+            np.multiply(response[n : n + len(part), p, None].conj(), response[n : dim - p, p], out=part)
+            np.multiply(density[p + n : p + n + len(part), p + n :], part, out=part)
+            block[: len(part), : dim - p - n] += part
+        density[n : n + 64, n:] = block
     del response
-    density += density.conj().T  # density holds rho now
-    density *= 0.5
+    for n in range(dim - 1):  # density holds rho's upper triangle now; rho is Hermitian
+        np.conjugate(density[n, n + 1 :], out=density[n + 1 :, n])
+    np.fill_diagonal(density.imag, 0.0)
     return density, energy_in
 
 

@@ -23,6 +23,7 @@ from triwave import (
     overlap_with_product,
     reduce_mode_c,
 )
+from conftest import SCALING_EPS, SCALING_N_IN
 from oracle import dense_oracle_evolve
 from triwave.evolution import _pair_eigensystem_bytes, check_time_domain, evolved_moments, pair_matrix, pair_state
 
@@ -189,6 +190,14 @@ def test_evolution_conserves_mode_combinations():
         lambda st: mean_photon(st, "a") - mean_photon(st, "b"),
     ):
         assert abs(weight(out) - weight(state)) < 1e-10
+
+
+def test_norm_of_the_fixture_twin_beams_is_one_to_the_last_bit():
+    # the block norms are added with math.fsum: a plain running sum read up to 1.1e-15 on these beams, before any evolve
+    for n_in in SCALING_N_IN:
+        beam = make_twin_beam(math.sqrt(n_in / (n_in + 2.0)), eps=SCALING_EPS)
+        assert abs(beam.norm() - 1.0) <= 2.3e-16
+        assert abs(evolve(beam, 0.5).norm() - 1.0) <= 2.3e-16
 
 
 def test_trunc_error_carried_through_evolution():

@@ -741,9 +741,10 @@ def test_pipeline_zero_first_stage_keeps_vacuum():
 
 
 @pytest.mark.parametrize("energy", [81.0, 144.0])
-def test_pipeline_working_set_stays_within_five_density_matrices(energy):
-    # the contraction holds G, B and two 64-row buffers and writes rho over G; whole per-p outer products, with A
-    # held through them, read 7.0 and 6.7 dim x dim complex arrays at pumps 81 and 144, against 3.7 and 3.2 now
+def test_pipeline_working_set_stays_within_four_density_matrices(energy):
+    # the contraction holds G, B and two 64-row buffers, writes rho's upper triangle over G and mirrors the rest in
+    # place; whole per-p outer products, with A held through them, read 7.0 and 6.7 dim x dim complex arrays at
+    # pumps 81 and 144, against 3.7 and 3.2 now
     alpha = math.sqrt(energy)
     tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / alpha  # criterion 8's stage 1: N_in = 4
     dim = len(full_pipeline(alpha, tau1, 0.71))  # builds every eigensystem the call below reads
@@ -753,24 +754,50 @@ def test_pipeline_working_set_stays_within_five_density_matrices(energy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
+    assert peak <= 4 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
 
 
-@pytest.mark.parametrize("energy, phase", [(81.0, 0.0), (144.0, 0.7)])
-def test_pipeline_equals_the_whole_term_contraction(energy, phase):
-    # the reference adds whole (dim - p)^2 terms G[p:, p:] * outer(B[:, p], B*[:, p]); the pipeline sums them
-    # 64 rows at a time (dim 145 and 228 here) with the same per-element arithmetic, so rho is equal bit for bit
-    alpha = math.sqrt(energy) * complex(np.exp(1j * phase))
-    tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / math.sqrt(energy)
+def _whole_term_contraction(alpha, tau1, tau2):
+    """The pipeline's sum over whole (dim - p)^2 terms G[p:, p:] * outer(B[:, p], B*[:, p]), every element of it."""
     ((_, amps),) = _pair_outputs(make_coherent_pump(alpha), [tau1])
     density = amps.T @ amps.conj()
     dim = len(amps)
-    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [0.71])
+    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])
     rho = np.zeros((dim, dim), dtype=complex)
     for p in range(dim):
         col = response[: dim - p, p]
         rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
+    return rho
+
+
+@pytest.mark.parametrize("energy, phase", [(81.0, 0.0), (144.0, 0.7)])
+def test_pipeline_equals_the_whole_term_contraction(energy, phase):
+    # the pipeline sums the same terms 64 rows at a time (dim 145 and 228 here), over rho's upper triangle only, with
+    # the same per-element arithmetic, and mirrors the rest; the reference's two triangles agree bit for bit here
+    alpha = math.sqrt(energy) * complex(np.exp(1j * phase))
+    tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / math.sqrt(energy)
+    rho = _whole_term_contraction(alpha, tau1, 0.71)
     assert np.array_equal(full_pipeline(alpha, tau1, 0.71), 0.5 * (rho + rho.conj().T))
+
+
+@pytest.mark.parametrize("energy, dim", [(1e-20, 1), (24.5, 63), (25.0, 64), (26.0, 65), (68.0, 128), (69.0, 129)])
+def test_pipeline_tiles_rho_up_to_the_64_row_edges(energy, dim):
+    # each 64-row tile sums only columns from its first row on, and the strictly lower triangle is the upper one's
+    # conjugate: rho is the whole-term sum's upper triangle, mirrored, with a real diagonal
+    alpha = math.sqrt(energy) * complex(np.exp(0.7j))
+    rho = full_pipeline(alpha, 0.2, 0.71)
+    assert rho.shape == (dim, dim)
+    assert np.max(np.abs(rho - _branch_pipeline(alpha, 0.2, 0.71))) <= 1e-12
+    whole = _whole_term_contraction(alpha, 0.2, 0.71)
+    expected = np.triu(whole, 1) + np.triu(whole, 1).conj().T + np.diag(whole.diagonal().real)
+    assert np.array_equal(rho, expected)
+
+
+def test_pipeline_rho_is_hermitian_bit_for_bit():
+    alpha = 16.0 * complex(np.exp(0.7j))
+    rho = full_pipeline(alpha, math.atanh(math.sqrt(2.0 / 3.0)) / 16.0, 0.71)  # the pipeline workload's pump and times
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.all(rho.diagonal().imag == 0.0)
 
 
 @pytest.mark.parametrize("tau1, tau2", [(math.nan, 0.5), (0.2, math.inf), (-0.1, 0.5), (0.2, -0.5)])
