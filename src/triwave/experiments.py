@@ -257,8 +257,9 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     """The body of full_pipeline, and the pair energy 2 n_a stage 1 delivers.  The pump goes once evolved, A once G is
-    formed and B, conjugated in place, before the mirror; rho is summed 64 rows at a time, over the columns from each
-    tile's first row on, in ascending p, and written over G; its strictly lower triangle is the upper one's conjugate."""
+    formed and B, conjugated in place, before the mirror.  rho is summed 64 rows at a time, over the columns from
+    each tile's first row on, in ascending p, and written over G; its strictly lower triangle is the upper one's
+    conjugate."""
     pump = make_coherent_pump(pump_alpha, eps)
     _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
     ((_, amps),) = _pair_outputs(pump, [tau1])
@@ -273,7 +274,7 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     for n in range(0, dim, 64):  # rows n.. of rho replace G's: the rows after them read G only from row n + 64 on
         block = sums[: min(64, dim - n) * (dim - n)].reshape(-1, dim - n)
         block.fill(0.0)
-        for p in range(dim - n):  # p pairs left, so n <= n' <= dim - 1 - p: the upper triangle and the tile's own
+        for p in range(dim - n):  # p pairs left: columns n .. dim - 1 - p hold the tile's part of the upper triangle
             part = terms[: min(64, dim - p - n) * (dim - p - n)].reshape(-1, dim - p - n)
             np.multiply(response[n : n + len(part), p, None].conj(), response[n : dim - p, p], out=part)
             np.multiply(density[p + n : p + n + len(part), p + n :], part, out=part)
