@@ -8,9 +8,10 @@ locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
 so each output is read once, by pair_matrix, as the pair matrix A of
 sum A[q, r] |r, r, q>: its moments give the photon numbers, and the pipeline
-contracts G = A^T A* with the stage-2 response per pair.  Only the stage-1
-coarse scan forms no A: it reads n_a block by block, by evolved_moments.  A
-pure stage-2 output, of a sweep or an optimum, is scored from A alone by
+contracts G = A^T A* with the skewed stage-2 response B along the diagonals of
+its output, holding only G and B.  Only the stage-1 coarse scan forms no A: it
+reads n_a block by block, by evolved_moments.  A pure stage-2 output, of a
+sweep or an optimum, is scored from A alone by
 _stage2_record, through the functions the search maximizes, and no mode-c
 density matrix A A^dag is formed.  Only the pipeline's output is mixed:
 pipeline_record scores its mode-c density matrix.  The stage-2 searches of one
@@ -228,9 +229,9 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
     Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a fresh vacuum output mode.
     Pair count r enters stage 2 as local index 0 of block (2r, r); one evolution of all those gives
     B[n, p] (n output photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p],
-    summed for n <= n' only, with B conjugated once, written over G and mirrored into the lower
-    triangle.  The working set is G, B and two 64-row buffers: at most about three dim x dim
-    arrays, 6.3 MiB at pump 256.
+    summed one diagonal n' - n >= 0 at a time over B skewed in place, never conjugated, written
+    over G and mirrored into the lower triangle.  The working set is G and the skewed B: at most
+    about three dim x dim arrays with the stage-2 evolve, 6.3 MiB at pump 256.
     """
     return _chain(pump_alpha, tau1, tau2, eps)[0]
 
@@ -257,9 +258,9 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     """The body of full_pipeline, and the pair energy 2 n_a stage 1 delivers.  The pump goes once evolved, A once G is
-    formed and B, conjugated in place, before the mirror.  rho is summed 64 rows at a time, over the columns from
-    each tile's first row on, in ascending p, and written over G; its strictly lower triangle is the upper one's
-    conjugate."""
+    formed and B, skewed in place, before the mirror.  rho's diagonal d is summed 64 rows at a time, each tile one
+    fused product in ascending r, and written over G's diagonal d, which no other diagonal reads; its strictly lower
+    triangle is the upper one's conjugate."""
     pump = make_coherent_pump(pump_alpha, eps)
     _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
     ((_, amps),) = _pair_outputs(pump, [tau1])
@@ -269,17 +270,18 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     dim = len(amps)  # output support is bounded by the pair count
     del amps
     ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])  # |r, r, 0> for every r
-    np.conjugate(response, out=response)  # B*: a term conjugates only its column of at most 64 entries
-    sums, terms = np.empty((2, 64 * dim), dtype=complex)
-    for n in range(0, dim, 64):  # rows n.. of rho replace G's: the rows after them read G only from row n + 64 on
-        block = sums[: min(64, dim - n) * (dim - n)].reshape(-1, dim - n)
-        block.fill(0.0)
-        for p in range(dim - n):  # p pairs left: columns n .. dim - 1 - p hold the tile's part of the upper triangle
-            part = terms[: min(64, dim - p - n) * (dim - p - n)].reshape(-1, dim - p - n)
-            np.multiply(response[n : n + len(part), p, None].conj(), response[n : dim - p, p], out=part)
-            np.multiply(density[p + n : p + n + len(part), p + n :], part, out=part)
-            block[: len(part), : dim - p - n] += part
-        density[n : n + 64, n:] = block
+    for n in range(1, dim):  # skewed: S[n, r] = B[n, r - n], block r's output, and 0 left of the diagonal
+        response[n, n:] = response[n, : dim - n]
+        response[n, :n] = 0.0
+    sign = (-1.0) ** np.arange(dim)  # B[n] is real for even n and imaginary for odd n: conj(B[n]) = sign[n] B[n]
+    tile = np.empty(64, dtype=complex)
+    for d in range(dim):  # rho[n, n + d] = sign[n + d] sum_r S[n, r] S[n + d, r + d] G[r, r + d]
+        diagonal = density.reshape(-1)[d : (dim - d) * (dim + 1) : dim + 1]  # G[r, r + d], a strided view
+        for n in range(0, dim - d, 64):  # a tile reads G[r, r + d] from r = n on; the tiles before it wrote r < n
+            m = min(64, dim - d - n)  # rows n .. n + m - 1
+            np.einsum("nr,nr,r->n", response[n : n + m, n : dim - d], response[n + d : n + d + m, n + d :],
+                      diagonal[n:], out=tile[:m])
+            np.multiply(tile[:m], sign[n + d : n + d + m], out=diagonal[n : n + m])
     del response
     for n in range(dim - 1):  # density holds rho's upper triangle now; rho is Hermitian
         np.conjugate(density[n, n + 1 :], out=density[n + 1 :, n])

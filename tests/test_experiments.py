@@ -1,6 +1,7 @@
 """Sweep drivers, optimizers, power-law fits, and the chained pipeline."""
 import ast
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -740,11 +741,12 @@ def test_pipeline_zero_first_stage_keeps_vacuum():
 
 
 
-@pytest.mark.parametrize("energy", [81.0, 144.0])
-def test_pipeline_working_set_stays_within_four_density_matrices(energy):
-    # the contraction holds G, B and two 64-row buffers, writes rho's upper triangle over G and mirrors the rest in
-    # place; whole per-p outer products, with A held through them, read 7.0 and 6.7 dim x dim complex arrays at
-    # pumps 81 and 144, against 3.7 and 3.2 now
+@pytest.mark.parametrize("energy", [81.0, 144.0, 256.0])
+def test_pipeline_working_set_stays_within_three_and_a_half_density_matrices(energy):
+    # the contraction holds G and the skewed B, and writes rho over G one diagonal at a time, through a 64-entry tile;
+    # the peak is now the stage-2 evolve, G and B beside the padded unit-pair state and its evolved copy: 3.41, 3.16
+    # and 3.10 dim x dim complex arrays at pumps 81, 144 and 256, where the 64-row buffers of p-term sums read 3.68 at
+    # pump 81, and whole per-p outer products, with A held through them, 7.0 and 6.7 at pumps 81 and 144
     alpha = math.sqrt(energy)
     tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / alpha  # criterion 8's stage 1: N_in = 4
     dim = len(full_pipeline(alpha, tau1, 0.71))  # builds every eigensystem the call below reads
@@ -754,7 +756,7 @@ def test_pipeline_working_set_stays_within_four_density_matrices(energy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
+    assert peak <= 3.5 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
 
 
 def _whole_term_contraction(alpha, tau1, tau2):
@@ -770,27 +772,48 @@ def _whole_term_contraction(alpha, tau1, tau2):
     return rho
 
 
-@pytest.mark.parametrize("energy, phase", [(81.0, 0.0), (144.0, 0.7)])
+    """rho's strictly upper triangle, its conjugate below and rho's real diagonal: the pipeline's Hermitian fill."""
+    """rho's strictly upper triangle and its conjugate below, with rho's real diagonal: the pipeline's Hermitian fill."""
+    upper = np.triu(rho, 1)
+    return upper + upper.conj().T + np.diag(rho.diagonal().real)
+
+
+@pytest.mark.parametrize(
+    "energy, phase", [(81.0, 0.0), (144.0, 0.7), (256.0, 2.0 * math.pi * random.Random(1).random())]
+)
 def test_pipeline_equals_the_whole_term_contraction(energy, phase):
-    # the pipeline sums the same terms 64 rows at a time (dim 145 and 228 here), over rho's upper triangle only, with
-    # the same per-element arithmetic, and mirrors the rest; the reference's two triangles agree bit for bit here
+    # the pipeline sums the same terms along each diagonal d of rho's upper triangle, 64 rows of it at a time, so a
+    # diagonal of dim - d entries (dim 145, 228 and 365 here, the last at the pipeline workload's seed-1 phase) ends in
+    # a tile of (dim - d) mod 64 rows; each entry's terms are added in the same ascending order, and the rest is
+    # mirrored (at the first two inputs the reference's two triangles agree bit for bit; at the third they do not)
     alpha = math.sqrt(energy) * complex(np.exp(1j * phase))
     tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / math.sqrt(energy)
     rho = _whole_term_contraction(alpha, tau1, 0.71)
-    assert np.array_equal(full_pipeline(alpha, tau1, 0.71), 0.5 * (rho + rho.conj().T))
+    assert np.array_equal(full_pipeline(alpha, tau1, 0.71), _mirrored_upper_triangle(rho))
 
 
 @pytest.mark.parametrize("energy, dim", [(1e-20, 1), (24.5, 63), (25.0, 64), (26.0, 65), (68.0, 128), (69.0, 129)])
 def test_pipeline_tiles_rho_up_to_the_64_row_edges(energy, dim):
-    # each 64-row tile sums only columns from its first row on, and the strictly lower triangle is the upper one's
-    # conjugate: rho is the whole-term sum's upper triangle, mirrored, with a real diagonal
+    # diagonal d of rho's upper triangle, of dim - d entries, is summed in tiles of rows 0..63, 64..127, 128..: these
+    # dims end the main diagonal on a tile of 1, 63, 64, 1, 64 and 1 rows, and the shorter diagonals on every smaller
+    # tile; the strictly lower triangle is the upper one's conjugate: rho is the whole-term sum's upper triangle,
+    # mirrored, with a real diagonal
     alpha = math.sqrt(energy) * complex(np.exp(0.7j))
     rho = full_pipeline(alpha, 0.2, 0.71)
     assert rho.shape == (dim, dim)
     assert np.max(np.abs(rho - _branch_pipeline(alpha, 0.2, 0.71))) <= 1e-12
-    whole = _whole_term_contraction(alpha, 0.2, 0.71)
-    expected = np.triu(whole, 1) + np.triu(whole, 1).conj().T + np.diag(whole.diagonal().real)
-    assert np.array_equal(rho, expected)
+    assert np.array_equal(rho, _mirrored_upper_triangle(_whole_term_contraction(alpha, 0.2, 0.71)))
+
+
+@pytest.mark.parametrize("tau2", [0.0, 0.71, 2.5])
+@pytest.mark.parametrize("dim", [1, 63, 64, 65, 129, 365])
+def test_unit_pair_response_is_real_on_even_rows_and_imaginary_on_odd_rows(dim, tau2):
+    # the pipeline never conjugates its stage-2 response B: it reads conj(B[n]) as (-1)^n B[n], exact only while
+    # propagate keeps the imaginary part of even rows and the real part of odd rows exactly 0
+    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])
+    assert np.all(response[0::2].imag == 0.0) and np.all(response[1::2].real == 0.0)
+    sign = (-1.0) ** np.arange(dim)
+    assert np.array_equal(response.conj(), sign[:, None] * response)
 
 
 def test_pipeline_rho_is_hermitian_bit_for_bit():
