@@ -744,9 +744,10 @@ def test_pipeline_zero_first_stage_keeps_vacuum():
 @pytest.mark.parametrize("energy", [81.0, 144.0, 256.0])
 def test_pipeline_working_set_stays_within_three_and_a_half_density_matrices(energy):
     # the contraction holds G and the skewed B, and writes rho over G one diagonal at a time, through a 64-entry tile;
-    # the peak is now the stage-2 evolve, G and B beside the padded unit-pair state and its evolved copy: 3.41, 3.16
-    # and 3.10 dim x dim complex arrays at pumps 81, 144 and 256, where the 64-row buffers of p-term sums read 3.68 at
-    # pump 81, and whole per-p outer products, with A held through them, 7.0 and 6.7 at pumps 81 and 144
+    # the peak is now outside it, in the stage-2 evolve (G and B beside the padded unit-pair state and its evolved
+    # copy) or in the scoring of rho: 3.41, 3.16 and 3.10 dim x dim complex arrays at pumps 81, 144 and 256, where two
+    # 64-row buffers of p-term sums read 3.68 at pump 81, and whole per-p outer products, with A held through them,
+    # 7.0 and 6.7 at pumps 81 and 144
     alpha = math.sqrt(energy)
     tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / alpha  # criterion 8's stage 1: N_in = 4
     dim = len(full_pipeline(alpha, tau1, 0.71))  # builds every eigensystem the call below reads
@@ -772,8 +773,8 @@ def _whole_term_contraction(alpha, tau1, tau2):
     return rho
 
 
+def _mirrored_upper_triangle(rho):
     """rho's strictly upper triangle, its conjugate below and rho's real diagonal: the pipeline's Hermitian fill."""
-    """rho's strictly upper triangle and its conjugate below, with rho's real diagonal: the pipeline's Hermitian fill."""
     upper = np.triu(rho, 1)
     return upper + upper.conj().T + np.diag(rho.diagonal().real)
 
