@@ -59,7 +59,6 @@ class BlockHamiltonian:
     Arrays are treated as immutable once built.
     """
 
-    index: BlockIndex
     offdiag: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -130,8 +129,9 @@ class BlockHamiltonian:
 
 
 def block_dimension(s: int, k: int) -> int:
-    """Number of Fock triples in block (s, k)."""
-    _check_block_index(s, k)
+    """Number of Fock triples in block (s, k); ValueError unless 0 <= k <= s."""
+    if s < 0 or k < 0 or k > s:
+        raise ValueError(f"invalid block index (s={s}, k={k})")
     return min(k, s - k) + 1
 
 
@@ -141,15 +141,6 @@ def fock_to_block(triple) -> tuple[BlockIndex, int]:
     if n_a < 0 or n_b < 0 or n_c < 0:
         raise ValueError(f"occupation numbers must be non-negative, got {triple!r}")
     return BlockIndex(n_a + n_b + 2 * n_c, n_a + n_c), n_c
-
-
-def block_to_fock(index, n: int) -> FockTriple:
-    """Inverse of fock_to_block: local index n within block (s, k)."""
-    s, k = index
-    _check_block_index(s, k)
-    if n < 0 or n > min(k, s - k):
-        raise ValueError(f"local index {n} outside block (s={s}, k={k})")
-    return FockTriple(k - n, s - k - n, n)
 
 
 def trilinear_offdiag(index) -> np.ndarray:
@@ -171,18 +162,16 @@ def recombination_offdiag(index) -> np.ndarray:
 @lru_cache(maxsize=None)
 def build_block_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
     """Trilinear block with cached eigendecomposition."""
-    index = BlockIndex(*index)
-    return _assemble(index, trilinear_offdiag(index))
+    return _assemble(trilinear_offdiag(index))
 
 
 @lru_cache(maxsize=None)
 def build_recombination_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
     """Ideal recombination block with cached eigendecomposition."""
-    index = BlockIndex(*index)
-    return _assemble(index, recombination_offdiag(index))
+    return _assemble(recombination_offdiag(index))
 
 
-def _assemble(index: BlockIndex, offdiag: np.ndarray) -> BlockHamiltonian:
+def _assemble(offdiag: np.ndarray) -> BlockHamiltonian:
     d = len(offdiag) + 1
     half, odd = d // 2, d % 2
     # the kept half is allocated before the solve, so freeing the singular
@@ -199,9 +188,4 @@ def _assemble(index: BlockIndex, offdiag: np.ndarray) -> BlockHamiltonian:
     vecs[0::2, odd:] = u[:, :half][:, ::-1] / np.sqrt(2.0)  # σ descending, λ ascending
     vecs[1::2, odd:] = vt[::-1].T / np.sqrt(2.0)
     vals[odd:] = sigma[::-1]
-    return BlockHamiltonian(index=index, offdiag=offdiag, eigenvalues=vals, eigenvectors=vecs)
-
-
-def _check_block_index(s: int, k: int) -> None:
-    if s < 0 or k < 0 or k > s:
-        raise ValueError(f"invalid block index (s={s}, k={k})")
+    return BlockHamiltonian(offdiag=offdiag, eigenvalues=vals, eigenvectors=vecs)

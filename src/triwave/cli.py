@@ -56,6 +56,9 @@ def _number(kind=float, lo=-math.inf, lo_open=False):
 _FINITE = _number()
 _POSITIVE = _number(lo=0.0, lo_open=True)
 _NON_NEGATIVE = _number(lo=0.0)
+# a start:stop:step range is counted before it is built, and refused past this: each energy is one optimal-time search,
+# the fixture and the README scan 27, and 1:1e300:1 would otherwise grow its list until the process is killed
+_MAX_RANGE_ENERGIES = 1000
 
 
 def _energy_list(text: str) -> tuple[float, ...]:
@@ -69,7 +72,10 @@ def _energy_list(text: str) -> tuple[float, ...]:
             start, stop, step = values
             if not (step > 0.0 and stop >= start):
                 raise ValueError("expected step > 0 and stop >= start")
-            values = [start + step * i for i in range(int(math.floor((stop - start) / step + 1e-9)) + 1)]
+            count = math.floor((stop - start) / step + 1e-9) + 1
+            if count > _MAX_RANGE_ENERGIES:
+                raise ValueError(f"the range holds more than {_MAX_RANGE_ENERGIES} energies")
+            values = [start + step * i for i in range(count)]
     except (ValueError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"could not be parsed: {exc}") from None
     return tuple(values)

@@ -16,7 +16,8 @@ _stage2_record, through the functions the search maximizes, and no mode-c
 density matrix A A^dag is formed.  Only the pipeline's output is mixed:
 pipeline_record scores its mode-c density matrix.  The stage-2 searches of one
 call share one coarse scan: one unit-pair evolve per chunk of times gives
-every twin beam's pair matrix.
+every twin beam's pair matrix.  Their Brent steps evolve the unit pair at each
+beam's own cut, so the search holds no beam, only its a_{q+r} and energy.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     """
     pump = make_coherent_pump(pump_alpha, eps)
     outputs = _pair_outputs(pump, tau_grid)
-    pump_energy = _input_energy(pump)
+    pump_energy = _input_energy(pair_matrix(pump))
 
     def one(tau: float, amps: np.ndarray) -> SweepRecord:
         n_c, n_pair = _moments(amps)
@@ -123,7 +124,7 @@ def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
     beam = make_twin_beam(chi, eps)
     outputs = _pair_outputs(beam, tau_grid)
-    energy_in = _input_energy(beam)
+    energy_in = _input_energy(pair_matrix(beam))
     return [_stage2_record(tau, amps, energy_in) for tau, amps in outputs]
 
 
@@ -153,7 +154,7 @@ def find_peak_conversion_tau(pump_alpha: complex, eps: float = 1e-10) -> tuple[f
     to tol = 1e-5 on pair matrices, ties to the later evaluation.  Returns (tau_opt, eta), as stage1_sweep records them.
     """
     pump = make_coherent_pump(pump_alpha, eps)
-    pump_energy = _input_energy(pump)
+    pump_energy = _input_energy(pair_matrix(pump))
     taus = _coarse_grid(_STAGE1_HI, _STAGE1_POINTS, _TOL)
     scan = evolved_moments(pump, taus)[1] / pump_energy
     tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy, pump, taus, scan, _TOL)
@@ -289,9 +290,9 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     return density, energy_in
 
 
-def _input_energy(state) -> float:
-    """Photons a pump or a twin beam brings in, n_c + n_a + n_b; ValueError if it has none."""
-    n_c, n_pair = _moments(pair_matrix(state))
+def _input_energy(amps: np.ndarray) -> float:
+    """Photons a pump or a twin beam brings in, n_c + n_a + n_b, from its pair matrix; ValueError if it has none."""
+    n_c, n_pair = _moments(amps)
     if n_c + n_pair == 0.0:
         raise ValueError("the input state carries no photons to convert")
     return n_c + 2.0 * n_pair
@@ -330,24 +331,25 @@ def _stage2_record(tau, amps, energy_in) -> SweepRecord:
 def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[SweepRecord]:
     """The search of find_optimal_tau for each chi, every beam built and refused first: each _stage2_record at tau_opt.
 
-    A twin beam is a_k times the unit pair |k, k, 0> in block (2k, k), so the unit pair's pair matrix R at the largest
-    cut gives every beam's as A[q, r] = a_{q+r} R[q, r] (a = 0 past its cut), bit for bit: the 2 of propagate is exact.
+    A twin beam is a_k times the unit pair |k, k, 0> in block (2k, k), so the unit pair's pair matrix R at its cut or
+    above gives its A[q, r] = a_{q+r} R[q, r] (a = 0 past its cut), bit for bit: the 2 of propagate is exact.  The
+    coarse scan evolves the unit pair at the largest cut, each Brent step at its beam's own, and no beam is held.
     """
-    beams = [make_twin_beam(chi, eps) for chi in chis]
-    energies = [_input_energy(beam) for beam in beams]
+    matrices = (pair_matrix(make_twin_beam(chi, eps)) for chi in chis)  # each beam dropped once read
+    # a_{q+r} as a strided Hankel view of a copy of row 0 of the beam's pair matrix, zero-padded past its cut
+    hankels, energies = zip(*[(sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)),
+                               _input_energy(a)) for a in matrices])
     taus = _coarse_grid(_STAGE2_HI, coarse_points, tol)
-    # a_{q+r} as a strided Hankel view of row 0 of the beam's pair matrix, zero-padded past its cut
-    hankels = [sliding_window_view(np.concatenate([a, np.zeros(len(a) - 1)]), len(a))
-               for a in (pair_matrix(beam)[0] for beam in beams)]
-    order = sorted(range(len(beams)), key=lambda e: len(hankels[e]))  # the largest cut last: its A is formed in R
-    scans = np.empty((len(beams), len(taus)))
+    order = sorted(range(len(chis)), key=lambda e: len(hankels[e]))  # the largest cut last: its A is formed in R
+    scans = np.empty((len(chis), len(taus)))
     for i, (_, response) in enumerate(_pair_outputs(pair_state(np.ones((1, len(hankels[order[-1]])))), taus)):
         for e in order:
             dim = len(hankels[e])
             amps = np.multiply(response[:dim, :dim], hankels[e], out=response if e == order[-1] else None)
             scans[e, i] = _stage2_score(amps)
     del response, amps  # R is not held through the Brent steps
-    optima = (_bracket_then_brent(_stage2_score, beam, taus, scan, tol) for beam, scan in zip(beams, scans))
+    optima = (_bracket_then_brent(lambda r: _stage2_score(np.multiply(r, h, out=r)), pair_state(np.ones((1, len(h)))),
+                                  taus, scan, tol) for h, scan in zip(hankels, scans))  # R times a_{q+r} in place
     return [_stage2_record(tau, amps, energy) for (tau, _, amps), energy in zip(optima, energies)]
 
 

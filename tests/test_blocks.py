@@ -11,7 +11,6 @@ from triwave import (
     BlockIndex,
     FockTriple,
     block_dimension,
-    block_to_fock,
     build_block_hamiltonian,
     build_recombination_hamiltonian,
     fock_to_block,
@@ -55,13 +54,18 @@ def test_fock_block_roundtrip():
         assert index.s == na + nb + 2 * nc
         assert index.k == na + nc
         assert n == nc
-        assert block_to_fock(index, n) == (na, nb, nc)
+        assert (index.k - n, index.s - index.k - n, n) == (na, nb, nc)
 
 
-def test_block_to_fock_explicit():
-    index = BlockIndex(4, 2)
-    triples = [block_to_fock(index, n) for n in range(3)]
-    assert triples == [(2, 2, 0), (1, 1, 1), (0, 0, 2)]
+def test_fock_to_block_explicit():
+    triples = [(2, 2, 0), (1, 1, 1), (0, 0, 2)]
+    assert [fock_to_block(triple) for triple in triples] == [(BlockIndex(4, 2), n) for n in range(3)]
+
+
+@pytest.mark.parametrize("triple", [(-1, 0, 0), (0, -1, 2), (3, 1, -1)])
+def test_fock_to_block_refuses_negative_occupations(triple):
+    with pytest.raises(ValueError, match=r"occupation numbers must be non-negative, got \("):
+        fock_to_block(triple)
 
 
 def test_trilinear_offdiag_frozen_values():

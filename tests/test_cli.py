@@ -1,10 +1,12 @@
 """Command-line interface: schemas, exit codes, and determinism."""
+import argparse
 import ast
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,29 @@ def test_block_info(capsys):
 def test_config_errors_exit_2(args, capsys):
     assert run(args) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2:4", "expected start:stop:step"),
+        # 1e300 and 1e12 energies: counted first, never built
+        ("1:1e300:1", f"the range holds more than {triwave.cli._MAX_RANGE_ENERGIES} energies"),
+        ("0:1:1e-12", f"the range holds more than {triwave.cli._MAX_RANGE_ENERGIES} energies"),
+    ],
+)
+def test_energy_range_refusals_exit_2_at_once(text, message, capsys):
+    start = time.perf_counter()
+    assert run(["scaling", "--n-in-list", text, "--out", "x.csv"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"error: argument --n-in-list: could not be parsed: {message}" in capsys.readouterr().err
+
+
+def test_energy_range_bound_admits_its_own_count():
+    bound = triwave.cli._MAX_RANGE_ENERGIES
+    assert len(triwave.cli._energy_list(f"1:{bound}:1")) == bound
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        triwave.cli._energy_list(f"1:{bound + 1}:1")
 
 
 @pytest.mark.parametrize(

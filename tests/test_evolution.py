@@ -13,7 +13,6 @@ import triwave.evolution
 from triwave import (
     FockTriple,
     ThreeModeState,
-    block_to_fock,
     evolve,
     evolve_recombination,
     make_coherent_pump,
@@ -56,6 +55,13 @@ def test_from_fock_dict_normalizes():
     assert state.amplitude(FockTriple(5, 0, 0)) == 0.0
 
 
+# the last state's norm underflows to 0, which would divide every amplitude into inf or nan
+@pytest.mark.parametrize("amplitudes", [{}, {(1, 1, 0): 0.0}, {(1, 1, 0): 1e-300j, (0, 0, 1): -1e-300}])
+def test_from_fock_dict_refuses_to_normalize_a_zero_state(amplitudes):
+    with pytest.raises(ValueError, match="cannot normalize a zero state"):
+        ThreeModeState.from_fock_dict(amplitudes)
+
+
 def test_to_fock_dict_roundtrip():
     amps = {(2, 2, 0): 0.5, (1, 1, 1): 0.5, (0, 0, 2): 0.5, (1, 0, 0): 0.5}
     state = ThreeModeState.from_fock_dict(amps, normalize=False)
@@ -72,7 +78,7 @@ def test_to_fock_dict_roundtrip():
         max_size=30,
     )
 )
-def test_occupations_match_block_to_fock(amplitudes):
+def test_occupations_match_the_local_basis(amplitudes):
     state = ThreeModeState.from_fock_dict(amplitudes, normalize=False)
     n_a, n_b, n_c = state.occupations()
     coefficients = state.coefficients()
@@ -80,7 +86,7 @@ def test_occupations_match_block_to_fock(amplitudes):
     position = 0
     for index, vec in state.blocks.items():
         for n, amp in enumerate(vec):
-            triple = block_to_fock(index, n)
+            triple = (index.k - n, index.s - index.k - n, n)  # local index n of block (s, k) is |k-n, s-k-n, n>
             assert (n_a[position], n_b[position], n_c[position]) == triple
             assert amp == amplitudes.get(triple, 0.0) == coefficients[position]
             position += 1

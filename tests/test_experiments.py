@@ -3,6 +3,7 @@ import ast
 import math
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,37 @@ def test_shared_coarse_scan_equals_per_beam_scans(monkeypatch, search):
         assert np.array_equal(values, own)
 
 
+def test_stage2_search_holds_no_beam(monkeypatch):
+    # each Brent step evolves the unit pair at its beam's cut, so while a search runs the live states hold only that
+    # unit pair's (K+1)(K+2)/2 stored coefficients, never a padded twin beam of the same size per energy
+    energies, eps = [3.0, 1.0, 2.0], 1e-8
+    bounds = [sum(map(len, make_twin_beam(math.sqrt(n / (n + 2.0)), eps).blocks.values())) for n in energies]
+    live, init, brent, searches = [], ThreeModeState.__init__, _brent_max, []
+
+    def tracked_init(state, *args, **kwargs):
+        init(state, *args, **kwargs)
+        live.append(weakref.ref(state))
+
+    def stored():
+        return sum(len(vec) for ref in live if ref() is not None for vec in ref().blocks.values())
+
+    def recording_brent(f, lo, hi, tol):
+        def evaluate(tau):
+            result = f(tau)
+            searches[-1].append(stored())
+            return result
+
+        searches.append([stored()])
+        return brent(evaluate, lo, hi, tol)
+
+    monkeypatch.setattr(ThreeModeState, "__init__", tracked_init)
+    monkeypatch.setattr(triwave.experiments, "_brent_max", recording_brent)
+    scaling_study(energies, eps=eps)
+    assert len(searches) == len(bounds)
+    for held, bound in zip(searches, bounds):
+        assert len(held) > 5 and max(held) == bound
+
+
 @pytest.mark.parametrize("energy", [4.0, 16.0, 36.0, 49.0, 64.0, 81.0])
 def test_stage1_scan_equals_the_pair_matrix_scan(monkeypatch, energy):
     # the stage-1 coarse scan sums n_a block by block; it must read as each time's pair matrix does
@@ -575,6 +607,8 @@ def test_fit_power_law_validation():
         fit_power_law([1.0, math.nan, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="same x"):  # polyfit is rank-deficient on one distinct x
         fit_power_law([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="xs and ys must be 1-D arrays of equal length"):
+        fit_power_law([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 @pytest.fixture(scope="module")

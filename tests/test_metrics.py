@@ -150,6 +150,15 @@ def test_conversion_rates():
     assert abs(conversion_rate_up(converted, twin_beam_energy=2.0) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("energy", [0.0, -1.0, -math.inf])
+def test_conversion_rates_refuse_an_energy_not_above_zero(energy):
+    state = ThreeModeState.from_fock_dict({(1, 1, 0): 1.0})
+    with pytest.raises(ValueError, match="pump energy must be positive"):
+        conversion_rate_down(state, pump_energy=energy)
+    with pytest.raises(ValueError, match="twin-beam energy must be positive"):
+        conversion_rate_up(state, twin_beam_energy=energy)
+
+
 def test_phase_distribution_closed_form():
     lam = 0.6
     rho = pcs_density(lam)
@@ -189,6 +198,12 @@ def test_vacuum_phase_is_uniform():
     p = phase_distribution(rho)
     assert np.allclose(p, 1 / (2 * np.pi), atol=1e-14)
     assert abs(reciprocal_peak_likelihood(rho) - 2 * np.pi) < 1e-12
+
+
+def test_reciprocal_peak_likelihood_refuses_a_zero_matrix():
+    # p(phi) is 0 everywhere, so 1 / max p has no value
+    with pytest.raises(ValueError, match="phase distribution has no positive peak"):
+        reciprocal_peak_likelihood(np.zeros((2, 2)))
 
 
 def test_reciprocal_peak_likelihood_pcs_closed_form():

@@ -189,6 +189,11 @@ def test_coherent_pump_refuses_weights_past_the_float_range(energy):
         make_coherent_pump(math.sqrt(energy))
 
 
+def test_twin_beam_amplitudes_refuses_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be non-negative"):
+        twin_beam_amplitudes(0.5, -1)
+
+
 def test_twin_beam_zero_is_vacuum():
     state = make_twin_beam(0.0)
     assert abs(state.amplitude(FockTriple(0, 0, 0)) - 1.0) < 1e-14
