@@ -387,8 +387,8 @@ def test_shared_coarse_scan_equals_per_beam_scans(monkeypatch, search):
 
 
 def test_stage2_search_holds_no_beam(monkeypatch):
-    # each Brent step evolves the unit pair at its beam's cut, so while a search runs the live states hold only that
-    # unit pair's (K+1)(K+2)/2 stored coefficients, never a padded twin beam of the same size per energy
+    # each Brent step evolves the unit pair at its beam's cut, so while a search runs the live states hold exactly that
+    # unit pair's (K+1)(K+2)/2 stored coefficients: no padded twin beam of any energy is held through the search
     energies, eps = [3.0, 1.0, 2.0], 1e-8
     bounds = [sum(map(len, make_twin_beam(math.sqrt(n / (n + 2.0)), eps).blocks.values())) for n in energies]
     live, init, brent, searches = [], ThreeModeState.__init__, _brent_max, []
