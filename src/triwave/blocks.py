@@ -34,6 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# the most the block eigensystems of one input may take; a larger input, or block, is refused before any is built
+_EIG_BUDGET_BYTES = 4 * 2**30
+
 
 class BlockIndex(NamedTuple):
     """Conserved quantum numbers labelling one invariant subspace."""
@@ -56,26 +59,13 @@ class BlockHamiltonian:
     the zero mode first (as exactly 0) when d is odd; eigenvectors, shape
     (d, d - d//2), holds their orthonormal eigenvectors as columns.  The rest of the
     spectrum is the mirror: eigenvalue -λ with eigenvector (-1)^n v.
-    Arrays are treated as immutable once built.
+    Only what propagate reads is kept; trilinear_offdiag and
+    recombination_offdiag give the couplings.  Arrays are treated as
+    immutable once built.
     """
 
-    offdiag: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return len(self.offdiag) + 1
-
-    def matrix(self) -> np.ndarray:
-        """Dense form of the block, mainly for tests."""
-        d = self.dimension
-        mat = np.zeros((d, d))
-        if d > 1:
-            idx = np.arange(d - 1)
-            mat[idx, idx + 1] = self.offdiag
-            mat[idx + 1, idx] = self.offdiag
-        return mat
 
     def propagate(self, vec: np.ndarray, tau) -> np.ndarray:
         """Apply exp(-i tau H_block) to a local coefficient vector from the stored half.
@@ -144,19 +134,33 @@ def fock_to_block(triple) -> tuple[BlockIndex, int]:
 
 
 def trilinear_offdiag(index) -> np.ndarray:
-    """Couplings <n+1|H|n> of the trilinear block, length dimension - 1."""
+    """Couplings <n+1|H|n> of the trilinear block, length dimension - 1; a block over the budget raises ValueError."""
     s, k = index
     d = block_dimension(s, k)
+    _check_blocks_budget([index])
     n = np.arange(d - 1, dtype=float)
     return np.sqrt((k - n) * (s - k - n) * (n + 1))
 
 
 def recombination_offdiag(index) -> np.ndarray:
-    """Couplings of the ideal recombination block (su(2) ladder)."""
+    """Couplings of the ideal recombination block (su(2) ladder), refused as trilinear_offdiag refuses a block."""
     s, k = index
     d = block_dimension(s, k)
+    _check_blocks_budget([index])
     n = np.arange(d - 1, dtype=float)
     return np.sqrt((k - n) * (n + 1))
+
+
+def _check_blocks_budget(indices) -> None:
+    """Refuse the blocks (s, k) of indices, before any is built, if their stored halves, 8 d ceil(d/2) bytes each,
+    pass the budget together."""
+    _check_eigensystem_budget(8.0 * sum(d * (d - d // 2) for d in (min(k, s - k) + 1 for s, k in indices)))
+
+
+def _check_eigensystem_budget(nbytes: float) -> None:
+    if nbytes > _EIG_BUDGET_BYTES:
+        raise ValueError(f"the block eigensystems of this input need {nbytes / 2**30:.3g} GiB, "
+                         f"over the budget of {_EIG_BUDGET_BYTES / 2**30:.3g} GiB")
 
 
 @lru_cache(maxsize=None)
@@ -188,4 +192,4 @@ def _assemble(offdiag: np.ndarray) -> BlockHamiltonian:
     vecs[0::2, odd:] = u[:, :half][:, ::-1] / np.sqrt(2.0)  # σ descending, λ ascending
     vecs[1::2, odd:] = vt[::-1].T / np.sqrt(2.0)
     vals[odd:] = sigma[::-1]
-    return BlockHamiltonian(offdiag=offdiag, eigenvalues=vals, eigenvectors=vecs)
+    return BlockHamiltonian(eigenvalues=vals, eigenvectors=vecs)

@@ -199,9 +199,10 @@ def _run_scaling(args: argparse.Namespace) -> int:
 
 def _run_block_info(args: argparse.Namespace) -> int:
     index = (args.s, args.k)
+    couplings = trilinear_offdiag(index), recombination_offdiag(index)  # a block over the budget is refused first
     print(f"block (s={args.s}, k={args.k}): dimension {block_dimension(args.s, args.k)}")
-    print(f"trilinear offdiag: {[float(x) for x in trilinear_offdiag(index)]}")
-    print(f"recombination offdiag: {[float(x) for x in recombination_offdiag(index)]}")
+    print(f"trilinear offdiag: {[float(x) for x in couplings[0]]}")
+    print(f"recombination offdiag: {[float(x) for x in couplings[1]]}")
     return 0
 
 

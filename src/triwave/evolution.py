@@ -24,17 +24,16 @@ import numpy as np
 from .blocks import (
     BlockIndex,
     FockTriple,
+    _check_blocks_budget,
+    _check_eigensystem_budget,  # the budget, for the constructors of states
     block_dimension,
     build_block_hamiltonian,
     build_recombination_hamiltonian,
     fock_to_block,
-    trilinear_offdiag,
 )
 
 # past lambda |tau| = 2^53 * 1e-8 the rounding of the phase alone exceeds the 1e-8 exactness bar
 _PHASE_LIMIT = 2.0**53 * 1e-8
-# the most the block eigensystems of one input may take; a larger input is refused before any is built
-_EIG_BUDGET_BYTES = 4 * 2**30
 
 
 @dataclass
@@ -56,11 +55,9 @@ class ThreeModeState:
         blocks: dict[BlockIndex, np.ndarray] = {}
         for triple, amp in amplitudes.items():
             index, n = fock_to_block(triple)
-            vec = blocks.get(index)
-            if vec is None:
-                vec = np.zeros(block_dimension(*index), dtype=complex)
-                blocks[index] = vec
-            vec[n] += amp
+            if index not in blocks:
+                blocks[index] = np.zeros(block_dimension(*index), dtype=complex)
+            blocks[index][n] += amp
         state = cls(blocks=blocks, trunc_error=trunc_error)
         if normalize:
             norm = state.norm()
@@ -147,7 +144,8 @@ def check_time_domain(state: ThreeModeState, tau: float) -> None:
     At N_in = 54 (K = 506) the limit is tau = 1.0e4.
     """
     top = -(-max((s for s, _ in state.blocks), default=0) // 2)
-    lam_max = 2.0 * float(trilinear_offdiag(BlockIndex(2 * top, top)).max(initial=0.0))
+    n = np.arange(top, dtype=float)  # block (2K, K)'s couplings squared: trilinear_offdiag would refuse a large one
+    lam_max = 2.0 * math.sqrt(float(((top - n) * (top - n) * (n + 1)).max(initial=0.0)))
     limit = _PHASE_LIMIT / lam_max if lam_max > 0.0 else math.inf
     if not (math.isfinite(tau) and abs(tau) <= limit):
         raise ValueError(f"tau = {tau:g} is outside the exact time domain of this input, |tau| <= "
@@ -158,12 +156,6 @@ def _pair_eigensystem_bytes(top: int) -> float:
     """8 sum_{d <= top+1} d ceil(d/2) bytes for blocks (2k, k), k <= top, in closed form: inf past top ~ 5e102."""
     odd = (top + 2.0) // 2.0  # the odd dimensions sum to odd^2
     return 4.0 * ((top + 1.0) * (top + 2.0) * (2.0 * top + 3.0) / 6.0 + odd * odd)
-
-
-def _check_eigensystem_budget(nbytes: float) -> None:
-    if nbytes > _EIG_BUDGET_BYTES:
-        raise ValueError(f"the block eigensystems of this input need {nbytes / 2**30:.3g} GiB, "
-                         f"over the budget of {_EIG_BUDGET_BYTES / 2**30:.3g} GiB")
 
 
 def evolve(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
@@ -205,7 +197,7 @@ def _checked_times(state: ThreeModeState, tau) -> np.ndarray:
     if tau.ndim > 1:
         raise ValueError(f"tau must be one time or a 1-D array of times, got shape {tau.shape}")
     check_time_domain(state, float(np.max(np.abs(tau), initial=0.0)))
-    _check_eigensystem_budget(8.0 * sum(d * (d - d // 2) for d in (min(k, s - k) + 1 for s, k in state.blocks)))
+    _check_blocks_budget(state.blocks)
     return tau
 
 

@@ -6,29 +6,26 @@ beam back up into the output mode and scores it against the matched
 phase-coherent reference.  The helpers here sweep the interaction time,
 locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
-so each output is read once, by pair_matrix, as the pair matrix A of
-sum A[q, r] |r, r, q>: its moments give the photon numbers, and the pipeline
-contracts G = A^T A* with the skewed stage-2 response B along the diagonals of
-its output, holding only G and B.  Only the stage-1 coarse scan forms no A: it
-reads n_a block by block, by evolved_moments.  A pure stage-2 output, of a
-sweep or an optimum, is scored from A alone by
-_stage2_record, through the functions the search maximizes, and no mode-c
-density matrix A A^dag is formed.  Only the pipeline's output is mixed:
-pipeline_record scores its mode-c density matrix.  The stage-2 searches of one
-call share one coarse scan: one unit-pair evolve per chunk of times gives
-every twin beam's pair matrix.  Their Brent steps evolve the unit pair at each
-beam's own cut, so the search holds no beam, only its a_{q+r} and energy.
+so each output is read once, as the pair matrix A of sum A[q, r] |r, r, q>
+(only the stage-1 coarse scan reads n_a block by block, by evolved_moments).
+No twin beam is evolved: a beam is a_k times the unit pair |k, k, 0> in each
+block, so _beam_outputs forms its A as a_{q+r} R from the unit pair's R, for
+every sweep, coarse scan and Brent step, and the pipeline's stage-2 response
+is R itself.  A pure stage-2 output is scored from A alone by _stage2_record,
+through the functions the search maximizes; only the pipeline's mixed output
+is scored as a mode-c density matrix, by pipeline_record.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .evolution import check_time_domain, evolve, evolved_moments, pair_matrix, pair_state
-from .metrics import (_grid_peak, _grid_profile, _pair_lag_sums, _pair_matched_overlap, matched_pcs_overlap_rho, purity,
+from .metrics import (_delta_phi, _pair_lag_sums, _pair_matched_overlap, matched_pcs_overlap_rho, purity,
                       reciprocal_peak_likelihood)
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 
@@ -105,27 +102,18 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
         x = tau * abs(pump_alpha)
         sech = 2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))
         ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) * sech
-        return SweepRecord(
-            tau=float(tau),
-            overlap=min(1.0, float(np.linalg.norm(amps @ np.conj(ref)))),  # rounding can exceed 1 as tau -> 0
-            eta=n_pair / pump_energy,
-            purity=_pair_purity(amps),  # equals the (a, b) purity
-            delta_phi=float("nan"),
-            n_a=n_pair,
-            n_b=n_pair,
-            n_c=n_c,
-            lambda_or_chi=chi,
-        )
+        overlap = min(1.0, float(np.linalg.norm(amps @ np.conj(ref))))  # rounding can exceed 1 as tau -> 0
+        # the purity of A equals the (a, b) purity
+        return SweepRecord(tau=float(tau), overlap=overlap, eta=n_pair / pump_energy, purity=_pair_purity(amps),
+                           delta_phi=math.nan, n_a=n_pair, n_b=n_pair, n_c=n_c, lambda_or_chi=chi)
 
     return [one(tau, amps) for tau, amps in outputs]
 
 
 def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord]:
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
-    beam = make_twin_beam(chi, eps)
-    outputs = _pair_outputs(beam, tau_grid)
-    energy_in = _input_energy(pair_matrix(beam))
-    return [_stage2_record(tau, amps, energy_in) for tau, amps in outputs]
+    (hankel,), (energy_in,) = _beam_rows([chi], eps)
+    return [_stage2_record(tau, amps, energy_in) for tau, amps in _beam_outputs([hankel], tau_grid)]
 
 
 def find_optimal_tau(
@@ -133,15 +121,11 @@ def find_optimal_tau(
 ) -> tuple[float, float, float]:
     """Interaction time maximizing the stage-2 matched overlap.
 
-    A coarse scan of (0, 3] on coarse_points = 64 evenly spaced times brackets
-    the best candidate, then Brent's method narrows it below tol = 1e-5; a later
-    evaluation that ties the best so far replaces it.  The overlap tends to 1
-    trivially as tau -> 0 (vacuum output matches a vacuum reference), so the
-    bracket targets the best interior peak of the coarse scan rather than
-    that boundary artifact.  coarse_points and tol change the search and are
-    kept only because perfbench/test_perfbench.py sets them.  Returns
-    (tau_opt, overlap, eta) as stage2_sweep(chi, [tau_opt], eps) and
-    scaling_study record them; the overlap is the maximum Brent's method found.
+    A coarse scan of (0, 3] on coarse_points = 64 evenly spaced times brackets its best interior peak (the overlap
+    tends to 1 trivially as tau -> 0, where a vacuum output matches a vacuum reference), then Brent's method narrows
+    it below tol = 1e-5, a later evaluation that ties the best so far replacing it.  coarse_points and tol change
+    the search and are kept only because perfbench/test_perfbench.py sets them.  Returns (tau_opt, overlap, eta) as
+    stage2_sweep(chi, [tau_opt], eps) and scaling_study record them; the overlap is the maximum Brent's method found.
     """
     (record,) = _stage2_optima([chi], eps, coarse_points, tol)
     return record.tau, record.overlap, record.eta
@@ -157,7 +141,8 @@ def find_peak_conversion_tau(pump_alpha: complex, eps: float = 1e-10) -> tuple[f
     pump_energy = _input_energy(pair_matrix(pump))
     taus = _coarse_grid(_STAGE1_HI, _STAGE1_POINTS, _TOL)
     scan = evolved_moments(pump, taus)[1] / pump_energy
-    tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy, pump, taus, scan, _TOL)
+    tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy, partial(_pair_outputs, pump),
+                                          taus, scan, _TOL)
     return tau_opt, eta
 
 
@@ -231,8 +216,7 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
     Pair count r enters stage 2 as local index 0 of block (2r, r); one evolution of all those gives
     B[n, p] (n output photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p],
     summed one diagonal n' - n >= 0 at a time over B skewed in place, never conjugated, written
-    over G and mirrored into the lower triangle.  The working set is G and the skewed B: at most
-    about three dim x dim arrays with the stage-2 evolve, 6.3 MiB at pump 256.
+    over G and mirrored into the lower triangle: the working set is G and the skewed B.
     """
     return _chain(pump_alpha, tau1, tau2, eps)[0]
 
@@ -270,7 +254,7 @@ def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
     density = amps.T @ amps.conj()
     dim = len(amps)  # output support is bounded by the pair count
     del amps
-    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])  # |r, r, 0> for every r
+    ((_, response),) = _unit_pair_outputs(dim, [tau2])  # |r, r, 0> for every r
     for n in range(1, dim):  # skewed: S[n, r] = B[n, r - n], block r's output, and 0 left of the diagonal
         response[n, n:] = response[n, : dim - n]
         response[n, :n] = 0.0
@@ -319,37 +303,27 @@ def _pair_purity(amps: np.ndarray) -> float:
 def _stage2_record(tau, amps, energy_in) -> SweepRecord:
     """The one scoring of a pure stage-2 output: its record at tau, read from its pair matrix A as the search reads it.
 
-    delta_phi is 1 / max p of reciprocal_peak_likelihood, p from the lag sums of A A^dag with unit weights.
+    delta_phi is reciprocal_peak_likelihood's, read from the lag sums of A A^dag with unit weights.
     """
     n_out, n_pair = _moments(amps)
     overlap, lam = _pair_matched_overlap(amps, n_out)
-    _, peak = _grid_peak(_grid_profile(np.conj(_pair_lag_sums(amps, np.ones(len(amps))))) / (2.0 * np.pi))
     return SweepRecord(tau=float(tau), overlap=overlap, eta=2.0 * n_out / energy_in, purity=_pair_purity(amps),
-                       delta_phi=1.0 / peak, n_a=n_pair, n_b=n_pair, n_c=n_out, lambda_or_chi=lam)
+                       delta_phi=_delta_phi(_pair_lag_sums(amps, np.ones(len(amps)))), n_a=n_pair, n_b=n_pair,
+                       n_c=n_out, lambda_or_chi=lam)
 
 
 def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[SweepRecord]:
     """The search of find_optimal_tau for each chi, every beam built and refused first: each _stage2_record at tau_opt.
 
-    A twin beam is a_k times the unit pair |k, k, 0> in block (2k, k), so the unit pair's pair matrix R at its cut or
-    above gives its A[q, r] = a_{q+r} R[q, r] (a = 0 past its cut), bit for bit: the 2 of propagate is exact.  The
-    coarse scan evolves the unit pair at the largest cut, each Brent step at its beam's own, and no beam is held.
+    The beams share one _beam_outputs coarse scan, from the unit pair at the largest cut; each Brent step is one
+    _beam_outputs time of its own beam, from the unit pair at that beam's cut, so the search holds no state.
     """
-    matrices = (pair_matrix(make_twin_beam(chi, eps)) for chi in chis)  # each beam dropped once read
-    # a_{q+r} as a strided Hankel view of a copy of row 0 of the beam's pair matrix, zero-padded past its cut
-    hankels, energies = zip(*[(sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)),
-                               _input_energy(a)) for a in matrices])
+    hankels, energies = _beam_rows(chis, eps)
     taus = _coarse_grid(_STAGE2_HI, coarse_points, tol)
-    order = sorted(range(len(chis)), key=lambda e: len(hankels[e]))  # the largest cut last: its A is formed in R
-    scans = np.empty((len(chis), len(taus)))
-    for i, (_, response) in enumerate(_pair_outputs(pair_state(np.ones((1, len(hankels[order[-1]])))), taus)):
-        for e in order:
-            dim = len(hankels[e])
-            amps = np.multiply(response[:dim, :dim], hankels[e], out=response if e == order[-1] else None)
-            scans[e, i] = _stage2_score(amps)
-    del response, amps  # R is not held through the Brent steps
-    optima = (_bracket_then_brent(lambda r: _stage2_score(np.multiply(r, h, out=r)), pair_state(np.ones((1, len(h)))),
-                                  taus, scan, tol) for h, scan in zip(hankels, scans))  # R times a_{q+r} in place
+    scores = [_stage2_score(amps) for _, amps in _beam_outputs(hankels, taus)]  # beam by beam within each time
+    scans = np.reshape(scores, (len(taus), len(chis))).T
+    optima = (_bracket_then_brent(_stage2_score, partial(_beam_outputs, [h]), taus, scan, tol)
+              for h, scan in zip(hankels, scans))
     return [_stage2_record(tau, amps, energy) for (tau, _, amps), energy in zip(optima, energies)]
 
 
@@ -373,6 +347,31 @@ def _check_tau_grid(tau_grid, state) -> np.ndarray:
     return taus
 
 
+def _beam_rows(chis, eps):
+    """(a_{q+r}, energy) of each twin beam, read once and dropped: a_{q+r} a Hankel view of its row, 0 past its cut."""
+    matrices = (pair_matrix(make_twin_beam(chi, eps)) for chi in chis)
+    return zip(*[(sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)), _input_energy(a))
+                 for a in matrices])
+
+
+def _beam_outputs(hankels, tau_grid):
+    """(tau, A) at each time of tau_grid for each twin beam of hankels, its a_{q+r}, in turn: the one way to a beam's A.
+
+    A beam is a_k times the unit pair |k, k, 0> in block (2k, k), so with R the unit pair's pair matrix at the largest
+    cut, A = a_{q+r} R bit for bit, as the 2 of propagate is exact.  The last A is formed in R if its cut is the largest.
+    """
+    top = max(map(len, hankels))
+    for tau, response in _unit_pair_outputs(top, tau_grid):
+        for e, hankel in enumerate(hankels, 1 - len(hankels)):
+            dim = len(hankel)
+            yield tau, np.multiply(response[:dim, :dim], hankel, out=response if e == 0 and dim == top else None)
+
+
+def _unit_pair_outputs(dim, tau_grid):
+    """_pair_outputs of the unit pair sum_{k < dim} |k, k, 0>: the stage-2 response R of _beam_outputs and _chain."""
+    return _pair_outputs(pair_state(np.ones((1, dim))), tau_grid)
+
+
 def _pair_outputs(state, tau_grid):
     """(tau, A) for each time of tau_grid, checked before any evolve: the one place experiments evolve,
     once per _SCAN_CHUNK times, each A formed after the last is scored."""
@@ -390,8 +389,8 @@ def _coarse_grid(hi, coarse_points, tol) -> np.ndarray:
     return hi * np.arange(1, int(coarse_points) + 1) / int(coarse_points)
 
 
-def _bracket_then_brent(score, state, taus, scan, tol) -> tuple[float, float, np.ndarray]:
-    """Brent's method on state around best_peak_index(scan) of taus: (tau_opt, its score, its A).
+def _bracket_then_brent(score, outputs, taus, scan, tol) -> tuple[float, float, np.ndarray]:
+    """Brent's method on score(A), A from outputs([tau]), around best_peak_index(scan) of taus: (tau_opt, score, A).
 
     The bracket runs from the neighbour before (half the first time at the first) to the one after (the last time).
     """
@@ -400,7 +399,7 @@ def _bracket_then_brent(score, state, taus, scan, tol) -> tuple[float, float, np
     right = taus[best + 1] if best < len(taus) - 1 else taus[-1]
 
     def evaluate(tau: float) -> tuple[float, np.ndarray]:
-        ((_, amps),) = _pair_outputs(state, [tau])
+        ((_, amps),) = outputs([tau])
         return score(amps), amps
 
     return _brent_max(evaluate, float(left), float(right), tol)

@@ -117,15 +117,8 @@ def phase_distribution(rho: np.ndarray) -> np.ndarray:
 
 
 def reciprocal_peak_likelihood(rho: np.ndarray) -> float:
-    """Phase sensitivity 1 / max p(phi).
-
-    The grid maximum is refined by a local quadratic fit through the best
-    point and its two neighbours (periodic).
-    """
-    _, peak = _grid_peak(phase_distribution(rho))
-    if peak <= 0.0:
-        raise ValueError("phase distribution has no positive peak")
-    return 1.0 / peak
+    """Phase sensitivity 1 / max p(phi), the grid maximum refined by a parabola through its two neighbours."""
+    return _delta_phi(_lag_sums(rho))
 
 
 def matched_pcs_overlap(state: ThreeModeState) -> tuple[float, complex]:
@@ -211,6 +204,14 @@ def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _delta_phi(sums: np.ndarray) -> float:
+    """1 / max p of the phase distribution of a density matrix with lag sums t_d; ValueError without a positive peak."""
+    _, peak = _grid_peak(_grid_profile(np.conj(sums)) / (2.0 * np.pi))
+    if peak <= 0.0:
+        raise ValueError("phase distribution has no positive peak")
+    return 1.0 / peak
+
+
 def _grid_profile(sums: np.ndarray) -> np.ndarray:
     """t_0 + 2 Re sum_{d>=1} t_d exp(-i d theta_k) on the phase grid theta_k = 2 pi k / 1024.
 
@@ -223,27 +224,18 @@ def _grid_profile(sums: np.ndarray) -> np.ndarray:
 
 
 def _grid_peak(profile: np.ndarray) -> tuple[float, float]:
-    """Refined (position in grid steps, value) of the maximum of a periodic profile."""
-    best = int(np.argmax(profile))
-    left = profile[(best - 1) % len(profile)]
-    right = profile[(best + 1) % len(profile)]
-    shift, value = _refine_peak(float(left), float(profile[best]), float(right))
-    return best + shift, value
+    """Refined (position in grid steps, value) of the maximum of a periodic profile.
 
-
-def _refine_peak(left: float, centre: float, right: float) -> tuple[float, float]:
-    """Parabolic peak through three equally spaced samples.
-
-    Returns (offset, value) with the offset in units of the sample spacing,
-    clamped to [-1/2, 1/2]; degenerate curvature falls back to the centre.
+    A parabola through the best sample and its two neighbours moves the peak by at most half a step either way;
+    degenerate curvature keeps the best sample.
     """
+    best = int(np.argmax(profile))
+    left, centre, right = (float(profile[(best + i) % len(profile)]) for i in (-1, 0, 1))
     denom = left - 2.0 * centre + right
     if denom >= 0.0:
-        return 0.0, centre
-    shift = 0.5 * (left - right) / denom
-    shift = float(np.clip(shift, -0.5, 0.5))
-    value = centre - 0.25 * (left - right) * shift
-    return shift, value
+        return best + 0.0, centre
+    shift = float(np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
+    return best + shift, centre - 0.25 * (left - right) * shift
 
 
 def _bra_factor(name: str, bra: np.ndarray, *idx: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ replays them after the normal summary so a plain `pytest -v` shows every
 verdict even though per-test stdout is captured.
 
 check_density_matrix is the tests' one check of a density matrix, a plain
-complex 2-D array.
+complex 2-D array.  dense_block is the dense matrix of one block, built from
+its couplings, as the cached blocks keep only their eigensystems.
 
 scaling_data is the criterion 5 fixture, the scaling study over N_in = 2 .. 54,
 run once per session: the acceptance criteria and the golden records share it.
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from triwave import build_block_hamiltonian, build_recombination_hamiltonian, recombination_offdiag, trilinear_offdiag
 from triwave.experiments import scaling_study
 
 SCALING_N_IN = tuple(float(n) for n in range(2, 55, 2))
@@ -58,3 +60,10 @@ def check_density_matrix(mat: np.ndarray) -> None:
 def is_complex_matrix(mat) -> bool:
     """True for a square complex 2-D numpy array, the form every density matrix takes."""
     return type(mat) is np.ndarray and mat.dtype == complex and mat.ndim == 2 and mat.shape[0] == mat.shape[1]
+
+
+def dense_block(build, index) -> np.ndarray:
+    """The real symmetric tridiagonal matrix of the block that build builds at index, zero on the diagonal."""
+    offdiag = {build_block_hamiltonian: trilinear_offdiag, build_recombination_hamiltonian: recombination_offdiag}
+    couplings = offdiag[build](index)
+    return np.diag(couplings, 1) + np.diag(couplings, -1)

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
+import triwave.blocks
+from conftest import dense_block
 from triwave import (
     BlockIndex,
     FockTriple,
@@ -80,6 +82,18 @@ def test_recombination_offdiag_frozen_values():
     assert np.allclose(recombination_offdiag(BlockIndex(5, 1)), [1.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("offdiag", [trilinear_offdiag, recombination_offdiag])
+def test_offdiag_refuses_a_block_over_the_eigensystem_budget(monkeypatch, offdiag):
+    # block (400, 200), dimension 201, keeps 201 * 101 eigensystem numbers: admitted at that budget, refused below it
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", 8 * 201 * 101)
+    assert len(offdiag(BlockIndex(400, 200))) == 200
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", 8 * 201 * 101 - 1)
+    with pytest.raises(ValueError, match="over the budget"):
+        offdiag(BlockIndex(400, 200))
+    with pytest.raises(ValueError, match="over the budget"):
+        build_block_hamiltonian(BlockIndex(4001, 2000))  # no test builds it, so it is built from its couplings
+
+
 def test_offdiag_general_rule():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -106,8 +120,7 @@ def test_block_coincidence_condition():
 
 
 def test_hamiltonian_matrix_structure():
-    ham = build_block_hamiltonian(BlockIndex(9, 4))
-    mat = ham.matrix()
+    mat = dense_block(build_block_hamiltonian, BlockIndex(9, 4))
     assert mat.shape == (5, 5)
     assert np.allclose(mat, mat.T, atol=0.0)
     assert np.allclose(np.diag(mat), 0.0, atol=0.0)
@@ -116,7 +129,7 @@ def test_hamiltonian_matrix_structure():
 
 def mirrored_eigensystem(ham):
     """Full spectrum from the stored λ >= 0 half: -λ with (-1)^n v, zero mode once."""
-    d = ham.dimension
+    d = len(ham.eigenvectors)
     sign = (-1.0) ** np.arange(d)[:, None]
     pos = slice(d % 2, None)
     vals = np.concatenate([-ham.eigenvalues[pos][::-1], ham.eigenvalues])
@@ -128,7 +141,7 @@ def mirrored_eigensystem(ham):
 @pytest.mark.parametrize("index", [BlockIndex(0, 0), BlockIndex(4, 2), BlockIndex(9, 4), BlockIndex(20, 10)])
 def test_stored_half_layout(build, index):
     ham = build(index)
-    d = ham.dimension
+    d = block_dimension(*index)
     assert ham.eigenvectors.shape == (d, d - d // 2)
     assert ham.eigenvalues.shape == (d - d // 2,)
     assert np.all(np.diff(ham.eigenvalues) > 0)
@@ -141,9 +154,9 @@ def test_eigendecomposition_reconstructs_matrix():
     for index in [BlockIndex(4, 2), BlockIndex(9, 4), BlockIndex(20, 10)]:
         ham = build_block_hamiltonian(index)
         vals, vecs = mirrored_eigensystem(ham)
-        assert np.abs(vecs.T @ vecs - np.eye(ham.dimension)).max() <= 1e-12
+        assert np.abs(vecs.T @ vecs - np.eye(block_dimension(*index))).max() <= 1e-12
         rebuilt = vecs @ np.diag(vals) @ vecs.T
-        assert np.allclose(rebuilt, ham.matrix(), atol=1e-12)
+        assert np.allclose(rebuilt, dense_block(build_block_hamiltonian, index), atol=1e-12)
 
 
 def test_spectrum_symmetric_about_zero():
@@ -152,7 +165,7 @@ def test_spectrum_symmetric_about_zero():
     for index in [BlockIndex(15, 7), BlockIndex(16, 8)]:
         ham = build_block_hamiltonian(index)
         vals, _ = mirrored_eigensystem(ham)
-        assert np.abs(vals - np.linalg.eigvalsh(ham.matrix())).max() <= 1e-11
+        assert np.abs(vals - np.linalg.eigvalsh(dense_block(build_block_hamiltonian, index))).max() <= 1e-11
 
 
 def test_builders_cache_instances():
@@ -172,13 +185,14 @@ def test_builders_cache_instances():
 def test_propagate_unitary_seeded(k, n_b, build, kind, tau, seed):
     # blocks up to dimension 60 against the dense matrix exponential; a real
     # input keeps its real dtype, so both halves of the real-arithmetic path run
-    ham = build(BlockIndex(k + n_b, k))
+    index = BlockIndex(k + n_b, k)
+    ham = build(index)
     rng = np.random.default_rng(seed)
-    re, im = rng.normal(size=(2, ham.dimension))
+    re, im = rng.normal(size=(2, block_dimension(*index)))
     vec = {"real": re, "imag": 1j * im, "mixed": re + 1j * im}[kind]
     vec = vec / np.linalg.norm(vec)
     out = ham.propagate(vec, tau)
-    assert np.max(np.abs(out - expm(-1j * tau * ham.matrix()) @ vec)) <= 1e-12
+    assert np.max(np.abs(out - expm(-1j * tau * dense_block(build, index)) @ vec)) <= 1e-12
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
@@ -193,11 +207,12 @@ def test_propagate_unitary_seeded(k, n_b, build, kind, tau, seed):
 def test_propagate_time_array_matches_single_times(k, n_b, build, taus, seed):
     # one call over T times gives, column by column, the T single-time calls
     ham = build(BlockIndex(k + n_b, k))
+    d = block_dimension(k + n_b, k)
     rng = np.random.default_rng(seed)
-    vec = rng.normal(size=ham.dimension) + 1j * rng.normal(size=ham.dimension)
+    vec = rng.normal(size=d) + 1j * rng.normal(size=d)
     vec /= np.linalg.norm(vec)
     out = ham.propagate(vec, np.array(taus))
-    assert out.shape == (ham.dimension, len(taus))
+    assert out.shape == (d, len(taus))
     for j, tau in enumerate(taus):
         assert np.max(np.abs(out[:, j] - ham.propagate(vec, tau))) <= 1e-15
         assert abs(np.linalg.norm(out[:, j]) - 1.0) <= 1e-12
@@ -221,7 +236,7 @@ def test_propagate_parity_of_basis_input(k, n_b, build, i0, tau):
     # from a real e_i0 the amplitudes are real where n + i0 is even and
     # imaginary where it is odd: the even/odd kernel never mixes the two
     ham = build(BlockIndex(k + n_b, k))
-    d = ham.dimension
+    d = block_dimension(k + n_b, k)
     i0 %= d
     out = ham.propagate(np.eye(d)[i0], tau)
     same = (np.arange(d) + i0) % 2 == 0
@@ -244,10 +259,11 @@ def test_propagate_one_entry_matches_dense_eigh(d, n_b, build, j, edge, alpha, t
     # a vector alpha e_j, the form every experiment input takes in each block, runs the unit-response
     # path; the reference diagonalizes the dense block, and the two phases differ by up to about
     # 6e-16 lambda_max |tau| (3.8e-13 seen at d = 60, tau = 3), so the bound carries four times that
-    ham = build(BlockIndex(2 * (d - 1) + n_b, d - 1))
-    assert ham.dimension == d
+    index = BlockIndex(2 * (d - 1) + n_b, d - 1)
+    ham = build(index)
+    assert len(ham.eigenvectors) == d
     j = {None: j % d, "first": 0, "last": d - 1}[edge]
-    vals, vecs = np.linalg.eigh(ham.matrix())
+    vals, vecs = np.linalg.eigh(dense_block(build, index))
     tau = np.asarray(taus, dtype=float)
     vec = np.zeros(d, dtype=complex)
     vec[j] = alpha
@@ -289,12 +305,13 @@ def test_propagate_two_entries_is_the_sum_of_unit_responses(d, build, i, shift, 
 def test_stored_half_matches_tridiagonal_eigensystem(build, index):
     # the half built from the SVD of the bidiagonal B against LAPACK's tridiagonal solver
     ham = build(index)
-    d = ham.dimension
-    reference = eigh_tridiagonal(np.zeros(d), ham.offdiag, eigvals_only=True)
+    matrix = dense_block(build, index)
+    d = len(matrix)
+    reference = eigh_tridiagonal(np.zeros(d), np.diag(matrix, 1), eigvals_only=True)
     vals, vecs = mirrored_eigensystem(ham)
     scale = reference[-1]
     assert np.abs(vals - reference).max() <= 1e-12 * scale
-    assert np.abs(ham.matrix() @ vecs - vecs * vals).max() <= 1e-11 * scale
+    assert np.abs(matrix @ vecs - vecs * vals).max() <= 1e-11 * scale
     assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-13
 
 
@@ -305,7 +322,7 @@ def test_propagate_largest_scaling_block_matches_full_eigensystem(tau):
     # eigh_tridiagonal eigensystem
     index = BlockIndex(1012, 506)
     ham = build_block_hamiltonian(index)
-    assert ham.dimension == 507
+    assert len(ham.eigenvectors) == 507
     vals, vecs = eigh_tridiagonal(np.zeros(507), trilinear_offdiag(index))
     rng = np.random.default_rng(11)
     random = rng.normal(size=507) + 1j * rng.normal(size=507)

@@ -134,6 +134,29 @@ def test_block_info(capsys):
     assert "1.414" in text
 
 
+@pytest.mark.parametrize("s, k", [(200000, 100000), (2 * 10**9, 10**9)])
+def test_block_info_refuses_a_block_over_the_eigensystem_budget_at_once(monkeypatch, capsys, s, k):
+    # dimension 100 001 keeps 37 GiB of eigensystem, over the 4 GiB budget: exit 2 before a coupling is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the couplings")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    start = time.monotonic()
+    assert run(["block-info", "--s", str(s), "--k", str(k)]) == 2
+    assert time.monotonic() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the block eigensystems of this input need ") and "over the budget of 4 GiB" in err
+
+
+def test_block_info_admits_a_block_within_the_eigensystem_budget(capsys):
+    # dimension 20 001 keeps 1.5 GiB of eigensystem, inside the budget, so its 2 x 20 000 couplings are printed
+    assert run(["block-info", "--s", "40000", "--k", "20000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "block (s=40000, k=20000): dimension 20001"
+    assert [line.count(",") for line in lines[1:]] == [19999, 19999]
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -365,10 +365,17 @@ def test_evolve_refuses_before_building_any_eigensystem(monkeypatch):
                 evolver(beam, tau)
 
 
+def test_a_heavy_state_of_small_blocks_evolves():
+    # |70000, 0, 0> sits in block (70000, 70000) of dimension 1; the time-domain bound reads the couplings of block
+    # (70000, 35000), whose eigensystem would pass the budget, without building or refusing that block
+    state = ThreeModeState.from_fock_dict({(70000, 0, 0): 1.0})
+    assert evolve(state, 0.1).amplitude((70000, 0, 0)) == 1.0
+
+
 def test_evolve_refuses_over_the_eigensystem_budget_before_building_any(monkeypatch):
     # the pump's constructor bounds its cut by int(mu) = 200; evolve sums the blocks the state has
     pump = make_coherent_pump(math.sqrt(200.0))
-    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(len(pump.blocks) - 1) - 1)
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(len(pump.blocks) - 1) - 1)
 
     def refuse(index):
         pytest.fail(f"built the eigensystem of block {index}")
@@ -379,7 +386,7 @@ def test_evolve_refuses_over_the_eigensystem_budget_before_building_any(monkeypa
         with pytest.raises(ValueError, match="over the budget"):
             evolver(pump, 0.1)
     # a general state: its one block (400, 200), of dimension 201, keeps 201 * 101 numbers
-    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", 8 * 201 * 101 - 1)
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", 8 * 201 * 101 - 1)
     with pytest.raises(ValueError, match="over the budget"):
         evolve(ThreeModeState.from_fock_dict({(0, 0, 200): 1.0}), 0.1)
 

@@ -38,10 +38,11 @@ from triwave import (
     stage2_sweep,
     trilinear_offdiag,
 )
-from triwave.evolution import check_time_domain, pair_state
+from triwave.evolution import check_time_domain, pair_matrix, pair_state
 from triwave.experiments import (
     _SCAN_CHUNK,
     _brent_max,
+    _input_energy,
     _moments,
     _pair_outputs,
     _pair_purity,
@@ -387,10 +388,9 @@ def test_shared_coarse_scan_equals_per_beam_scans(monkeypatch, search):
 
 
 def test_stage2_search_holds_no_beam(monkeypatch):
-    # each Brent step evolves the unit pair at its beam's cut, so while a search runs the live states hold exactly that
-    # unit pair's (K+1)(K+2)/2 stored coefficients: no padded twin beam of any energy is held through the search
+    # each Brent step builds, evolves and drops the unit pair at its beam's cut, so between steps no state is live:
+    # no padded twin beam of any energy, and no unit pair, is held through the search
     energies, eps = [3.0, 1.0, 2.0], 1e-8
-    bounds = [sum(map(len, make_twin_beam(math.sqrt(n / (n + 2.0)), eps).blocks.values())) for n in energies]
     live, init, brent, searches = [], ThreeModeState.__init__, _brent_max, []
 
     def tracked_init(state, *args, **kwargs):
@@ -412,9 +412,54 @@ def test_stage2_search_holds_no_beam(monkeypatch):
     monkeypatch.setattr(ThreeModeState, "__init__", tracked_init)
     monkeypatch.setattr(triwave.experiments, "_brent_max", recording_brent)
     scaling_study(energies, eps=eps)
-    assert len(searches) == len(bounds)
-    for held, bound in zip(searches, bounds):
-        assert len(held) > 5 and max(held) == bound
+    assert len(searches) == len(energies)
+    for held in searches:
+        assert len(held) > 5 and max(held) == 0
+
+
+def _is_unit_pair(state) -> bool:
+    """True for sum_{k <= K} |k, k, 0>: every block (2k, k) up to some K, each holding exactly 1 at local index 0."""
+    unit = np.zeros(max(k for _, k in state.blocks) + 1)
+    unit[0] = 1.0
+    return list(state.blocks) == [(2 * k, k) for k in range(len(unit))] and all(
+        np.array_equal(vec, unit[: len(vec)]) and len(vec) == k + 1 for (_, k), vec in state.blocks.items())
+
+
+def test_no_experiment_evolves_a_twin_beam(monkeypatch):
+    # a twin beam's output is a_{q+r} times the unit pair's: every state the stage-2 experiments evolve, and the
+    # pipeline's stage 2, is a unit pair |k, k, 0> summed over k, never a twin beam
+    evolved = []
+
+    def recording_evolve(state, tau):
+        evolved.append(state)
+        return evolve(state, tau)
+
+    monkeypatch.setattr(triwave.experiments, "evolve", recording_evolve)
+    chi = math.sqrt(6.0 / 8.0) * complex(np.exp(2.9j))
+    runs = {
+        "stage2_sweep": lambda: stage2_sweep(chi, np.linspace(0.0, 1.5, 7)),
+        "scaling_study": lambda: scaling_study([2.0, 6.0, 4.0], eps=1e-6),
+        "find_optimal_tau": lambda: find_optimal_tau(chi),
+        "full_pipeline": lambda: full_pipeline(3.0 * np.exp(0.7j), 0.2, 0.71),
+    }
+    for name, run in runs.items():
+        evolved.clear()
+        run()
+        stage2 = evolved[1:] if name == "full_pipeline" else evolved  # the pipeline's stage 1 evolves its pump
+        assert len(stage2) >= (1 if name == "full_pipeline" else 2), name
+        assert all(map(_is_unit_pair, stage2)), name
+
+
+@pytest.mark.parametrize("n_in, chi_phase, eps", [(0.5, 0.0, 1e-10), (6.0, 0.7, 1e-8), (30.0, 2.9, 1e-8)])
+def test_stage2_sweep_equals_the_direct_beam_evolve(n_in, chi_phase, eps):
+    # the reference evolves the padded twin beam itself and scores each time's pair matrix: every record must have the
+    # same repr, tau = 0 included, as a_{q+r} R is the beam's own output bit for bit
+    chi = math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(1j * chi_phase))
+    taus = np.linspace(0.0, 2.5, 11)
+    beam = make_twin_beam(chi, eps)
+    energy_in = _input_energy(pair_matrix(beam))
+    direct = [_stage2_record(tau, amps, energy_in) for tau, amps in _pair_outputs(beam, taus)]
+    assert [repr(r) for r in stage2_sweep(chi, taus, eps)] == [repr(r) for r in direct]
 
 
 @pytest.mark.parametrize("energy", [4.0, 16.0, 36.0, 49.0, 64.0, 81.0])
@@ -685,6 +730,17 @@ def test_experiments_evolve_in_one_place():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "evolve":
                 sites.add(getattr(stmt, "name", "<module>"))
     assert sites == {"_pair_outputs"}
+
+
+def test_experiments_read_twin_beams_and_build_unit_pairs_in_one_place_each():
+    # each twin beam is built and read once, by _beam_rows; the unit pair, pair_state's one input, by _unit_pair_outputs
+    tree = ast.parse(Path(triwave.experiments.__file__).read_text())
+    sites = set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("make_twin_beam", "pair_state"):
+                sites.add((node.func.id, getattr(stmt, "name", "<module>")))
+    assert sites == {("make_twin_beam", "_beam_rows"), ("pair_state", "_unit_pair_outputs")}
 
 
 def test_scaling_study_smoke():

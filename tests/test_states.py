@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-import triwave.evolution
+import triwave.blocks
 import triwave.states
 from triwave import (
     FockTriple,
@@ -260,13 +260,13 @@ def test_pair_eigensystem_bytes_is_the_sum_over_blocks(top):
 )
 def test_constructors_refuse_inputs_over_the_eigensystem_budget(monkeypatch, make, top):
     # the footprint comes from the input's parameters, before any array exists
-    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(top))
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(top))
     make()  # exactly at the budget
 
     def refuse(*args, **kwargs):
         pytest.fail("allocated the state")
 
-    monkeypatch.setattr(triwave.evolution, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(top) - 1)
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", _pair_eigensystem_bytes(top) - 1)
     monkeypatch.setattr(triwave.states, "pair_state", refuse)
     monkeypatch.setattr(triwave.states, "twin_beam_amplitudes", refuse)
     with pytest.raises(ValueError, match=r"need 0\.\d+ GiB, over the budget of 0\.\d+ GiB"):
