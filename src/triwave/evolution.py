@@ -185,10 +185,9 @@ def evolved_moments(state: ThreeModeState, tau) -> tuple[np.ndarray, np.ndarray]
     as evolve refuses it.  Each block is propagated once for all times, and no state is built."""
     tau = _checked_times(state, tau)
     moments = np.zeros((2,) + tau.shape)
-    for index, vec in state.blocks.items():
-        weights = np.abs(build_block_hamiltonian(index).propagate(vec, tau)) ** 2
+    for (_, k), vec, out in _propagated(build_block_hamiltonian, state, tau):
         occ = np.arange(len(vec), dtype=float)  # n_c = n and n_a = k - n at local index n of block (s, k)
-        moments += np.stack([occ, index[1] - occ]) @ weights
+        moments += np.stack([occ, k - occ]) @ (np.abs(out) ** 2)
     return moments[0], moments[1]
 
 
@@ -201,9 +200,20 @@ def _checked_times(state: ThreeModeState, tau) -> np.ndarray:
     return tau
 
 
+def _propagated(build, state: ThreeModeState, tau: np.ndarray):
+    """(index, vec, build(index).propagate(vec, tau)) for each block of state, each time tau = 0 giving vec itself:
+    exp(0) is the identity, which the eigenvectors give only to rounding."""
+    still = np.flatnonzero(tau.reshape(-1) == 0.0)
+    for index, vec in state.blocks.items():
+        out = build(index).propagate(vec, tau)
+        if len(still):  # a cost per block only when some time is 0
+            out.reshape(len(vec), -1)[:, still] = vec[:, None]
+        yield index, vec, out
+
+
 def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     tau = _checked_times(state, tau)
-    blocks = {index: build(index).propagate(vec, tau) for index, vec in state.blocks.items()}
+    blocks = {index: out for index, _, out in _propagated(build, state, tau)}
     if tau.ndim == 0:
         return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
     return [ThreeModeState({i: vec[:, j] for i, vec in blocks.items()}, state.trunc_error) for j in range(len(tau))]

@@ -102,7 +102,7 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
         x = tau * abs(pump_alpha)
         sech = 2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))
         ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) * sech
-        overlap = min(1.0, float(np.linalg.norm(amps @ np.conj(ref))))  # rounding can exceed 1 as tau -> 0
+        overlap = min(1.0, float(np.linalg.norm(amps @ np.conj(ref))))  # rounding can exceed 1 near tau = 0
         # the purity of A equals the (a, b) purity
         return SweepRecord(tau=float(tau), overlap=overlap, eta=n_pair / pump_energy, purity=_pair_purity(amps),
                            delta_phi=math.nan, n_a=n_pair, n_b=n_pair, n_c=n_c, lambda_or_chi=chi)
@@ -226,7 +226,7 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
 
     eta is twice the output photon number over the pair energy stage 1 delivers.  An energy
     not above 1e8 dim^2 eps_mach^2, the rounding floor of its dim x dim pair matrix under the
-    1e-8 exactness bar, is no pairs and raises ValueError (tau1 = 0 reads 8.8e-30 at pump 81).
+    1e-8 exactness bar, is no pairs and raises ValueError (tau1 = 0 delivers exactly 0).
     The signal and idler are traced out, so n_a and n_b are NaN.
     """
     rho, energy_in = _chain(pump_alpha, tau1, tau2, eps)

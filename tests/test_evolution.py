@@ -408,6 +408,30 @@ def test_check_time_domain_refuses_what_evolve_refuses(make, tau):
         evolve(make(), tau)
 
 
+@pytest.mark.parametrize("step", [evolve, evolve_recombination])
+def test_evolve_to_zero_time_keeps_the_input_bit_for_bit(step):
+    # exp(0) is the identity; the eigenvectors alone give it only to rounding (2.2e-16 on the N_in = 54 beam)
+    beam = make_twin_beam(math.sqrt(6.0 / 8.0) * complex(np.exp(0.7j)), eps=1e-8)
+    general = ThreeModeState.from_fock_dict({(3, 1, 0): 1.0, (0, 2, 2): 0.5j, (2, 2, 1): 0.3, (1, 0, 0): 0.2})
+    for state in (beam, general):
+        still, (first, moved, last) = step(state, 0.0), step(state, np.array([0.0, 0.4, 0.0]))
+        for out in (still, first, last):
+            assert all(np.array_equal(out.blocks[index], vec) for index, vec in state.blocks.items())
+            assert all(out.blocks[index] is not vec for index, vec in state.blocks.items())
+        assert not all(np.array_equal(moved.blocks[index], vec) for index, vec in state.blocks.items())
+
+
+def test_evolved_moments_at_zero_time_are_the_input_moments():
+    # a twin beam has no output photons and a pump no pairs at tau = 0, exactly, as evolved_moments reads them
+    beam = make_twin_beam(math.sqrt(6.0 / 8.0) * complex(np.exp(0.7j)), eps=1e-8)
+    pump = make_coherent_pump(4.0 * complex(np.exp(0.7j)))
+    for state, idle in ((beam, 0), (pump, 1)):
+        moments = np.array(evolved_moments(state, np.array([0.0, 0.4, 0.0])))
+        assert moments[idle, 0] == moments[idle, 2] == 0.0 < moments[idle, 1]
+        assert np.array_equal(moments[:, [0]], np.array(evolved_moments(state, 0.0))[:, None])
+    assert abs(evolved_moments(beam, 0.0)[1] - mean_photon(beam, "a")) <= 1e-12 * mean_photon(beam, "a")
+
+
 def test_check_time_domain_bound_covers_every_block_of_a_weight():
     # the Gershgorin bound of block (2K, K), K = ceil(s / 2), is at least lambda_max of each block (s, k)
     for s in range(41):

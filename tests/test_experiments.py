@@ -155,6 +155,15 @@ def test_stage2_sweep_zero_time_record():
     assert first.delta_phi == pytest.approx(2 * math.pi, rel=1e-9)
 
 
+def test_zero_time_records_read_the_input_exactly():
+    # at tau = 0 nothing is converted: eta, n_c and lambda read 0 exactly, and stage 1 has no pairs
+    chi = math.sqrt(54.0 / 56.0) * complex(np.exp(0.7j))
+    first = stage2_sweep(chi, np.linspace(0.0, 2.0, 9))[0]
+    assert (first.tau, first.eta, first.n_c, first.lambda_or_chi) == (0.0, 0.0, 0.0, 0j)
+    first = stage1_sweep(16.0 * complex(np.exp(0.7j)), [0.0, 0.1])[0]
+    assert (first.eta, first.n_a, first.n_b, first.overlap) == (0.0, 0.0, 0.0, 1.0)
+
+
 def test_stage2_input_purity_does_not_exceed_one():
     # triwave stage2 --n-in 54 --chi-phase 0.7 --tau-max 2 --tau-steps 9: a beam renormalized by the analytic
     # sqrt(1 - q^(cut+1)) kept norm^2 1 + 1.1e-15, and its tau = 0 record read purity 1.000000000000003
