@@ -12,7 +12,8 @@ experiments reads a beam's a_{q+r} through a Hankel view and contracts
 G = A^T A* in _chain, and metrics._pair_lag_sums needs A to be zero where
 q + r >= dim.  evolved_moments reads mean photon numbers block by block, with
 no state.  check_time_domain is the one rule on the exact time domain; evolve
-and evolved_moments apply it before any block is built.
+and evolved_moments apply it before any block is built, and at tau = 0 give
+the input's own amplitudes and moments.
 """
 from __future__ import annotations
 
