@@ -14,7 +14,9 @@ D v when v belongs to +lambda (Golub & Kahan 1965).  Grouping even and odd
 rows gives H = [[0, B], [B^T, 0]] with B lower bidiagonal, and each singular
 triple B v = sigma u gives the eigenvector (u, v)/sqrt(2) of lambda = sigma,
 so the lambda >= 0 half is built from the SVD of B alone and is all that is
-stored: d - d//2 columns (the zero mode first when d is odd), so
+stored: d - d//2 columns (the zero mode first when d is odd), from B's two
+diagonals by LAPACK's divide-and-conquer dbdsdc (Gu & Eisenstat 1995), or by
+numpy.linalg.svd where numpy's LAPACK exports no dbdsdc.  So
 the cache holds sum d * ceil(d/2) * 8 bytes: 166 MiB for the N_in = 54
 twin beam of the scaling study.  Propagation folds the mirror back in on
 the even and odd rows of the block; see BlockHamiltonian.propagate.  Every
@@ -28,14 +30,28 @@ ladder pattern and serve as a reference dynamics in tests.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # the most the block eigensystems of one input may take; a larger input, or block, is refused before any is built
 _EIG_BUDGET_BYTES = 4 * 2**30
+
+# LAPACKE's dbdsdc in the ILP64 scipy-openblas that numpy >= 2 wheels bundle, found by dlsym from numpy's own LAPACK
+# module; None in a numpy built on another LAPACK, where _assemble calls numpy.linalg.svd instead
+try:
+    _dbdsdc = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dbdsdc64_
+except (OSError, AttributeError):
+    _dbdsdc = None
+else:
+    _array, _int = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64
+    _dbdsdc.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, _int, _array, _array, _array, _int, _array, _int,
+                        ctypes.c_void_p, ctypes.c_void_p]
+    _dbdsdc.restype = _int
 
 
 class BlockIndex(NamedTuple):
@@ -178,18 +194,23 @@ def build_recombination_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
 def _assemble(offdiag: np.ndarray) -> BlockHamiltonian:
     d = len(offdiag) + 1
     half, odd = d // 2, d % 2
+    m = d - half
     # the kept half is allocated before the solve, so freeing the singular
     # vectors leaves no heap hole beneath it
-    vecs = np.empty((d, d - half))
-    vals = np.zeros(d - half)  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
-    # B = H[0::2, 1::2], and B v = σ u, Bᵀ u = σ v make (u, ±v)/√2 the eigenvectors of ±σ
-    bidiag = np.zeros((d - half, half))
-    bidiag.flat[:: half + 1] = offdiag[0::2]  # B[i, i]
-    bidiag.flat[half :: half + 1] = offdiag[1::2]  # B[i + 1, i]
-    u, sigma, vt = np.linalg.svd(bidiag)
+    vecs = np.empty((d, m))
+    vals = np.zeros(m)  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
+    # B = H[0::2, 1::2], and B v = σ u, Bᵀ u = σ v make (u, ±v)/√2 the eigenvectors of ±σ.  B is lower bidiagonal,
+    # m × half; for odd d a zero column makes it square, and its zero singular value's u is the zero mode
+    sigma = np.append(offdiag[0::2], np.zeros(odd))  # B[i, i], overwritten by σ, descending
+    sub = offdiag[1::2].copy()  # B[i + 1, i], destroyed by dbdsdc
+    u, vt = np.empty((m, m)), np.empty((m, m))
+    if _dbdsdc is None:
+        u, sigma, vt = np.linalg.svd(np.diag(sigma) + np.diag(sub, -1))
+    elif info := _dbdsdc(101, b"L", b"I", m, sigma, sub, u, m, vt, m, None, None):  # 101: LAPACK_ROW_MAJOR
+        raise np.linalg.LinAlgError(f"LAPACK dbdsdc failed on a block of dimension {d} (info = {info})")
     vecs[0::2, :odd] = u[:, half:]  # the null vector of Bᵀ when d is odd: the zero mode, odd rows 0
     vecs[1::2, :odd] = 0.0
     vecs[0::2, odd:] = u[:, :half][:, ::-1] / np.sqrt(2.0)  # σ descending, λ ascending
-    vecs[1::2, odd:] = vt[::-1].T / np.sqrt(2.0)
-    vals[odd:] = sigma[::-1]
+    vecs[1::2, odd:] = vt[:half, :half][::-1].T / np.sqrt(2.0)  # the zero column's row of V dropped
+    vals[odd:] = sigma[:half][::-1]
     return BlockHamiltonian(eigenvalues=vals, eigenvectors=vecs)

@@ -145,8 +145,10 @@ def check_time_domain(state: ThreeModeState, tau: float) -> None:
     At N_in = 54 (K = 506) the limit is tau = 1.0e4.
     """
     top = -(-max((s for s, _ in state.blocks), default=0) // 2)
-    n = np.arange(top, dtype=float)  # block (2K, K)'s couplings squared: trilinear_offdiag would refuse a large one
-    lam_max = 2.0 * math.sqrt(float(((top - n) * (top - n) * (n + 1)).max(initial=0.0)))
+    # block (2K, K)'s couplings squared, (K - n)^2 (n + 1) for n < K, peak at an integer next to n = (K - 2) / 3:
+    # those two are read, in O(1) memory before any budget check (trilinear_offdiag would refuse a large block)
+    near = {min(max(n, 0), top - 1) for n in ((top - 2) // 3, (top + 1) // 3)} if top else set()
+    lam_max = 2.0 * math.sqrt(max(((top - x) * (top - x) * (x + 1) for x in map(float, near)), default=0.0))
     limit = _PHASE_LIMIT / lam_max if lam_max > 0.0 else math.inf
     if not (math.isfinite(tau) and abs(tau) <= limit):
         raise ValueError(f"tau = {tau:g} is outside the exact time domain of this input, |tau| <= "

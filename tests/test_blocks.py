@@ -300,19 +300,38 @@ def test_propagate_two_entries_is_the_sum_of_unit_responses(d, build, i, shift, 
     "build, index",
     [(build_block_hamiltonian, BlockIndex(2 * k, k)) for k in (1, 2, 3, 10, 101, 255, 256, 506)]
     + [(build_block_hamiltonian, BlockIndex(s, k)) for s, k in ((5, 1), (9, 4), (30, 7), (61, 40), (300, 120))]
-    + [(build_recombination_hamiltonian, BlockIndex(s, k)) for s, k in ((4, 2), (21, 10), (200, 64), (1012, 506))],
+    + [(build_recombination_hamiltonian, BlockIndex(s, k)) for s, k in ((4, 2), (21, 10), (200, 64), (1012, 506))]
+    + [(build_block_hamiltonian, BlockIndex(s, k)) for s, k in ((0, 0), (1010, 505))],
 )
-def test_stored_half_matches_tridiagonal_eigensystem(build, index):
-    # the half built from the SVD of the bidiagonal B against LAPACK's tridiagonal solver
-    ham = build(index)
+def test_stored_half_matches_tridiagonal_eigensystem(monkeypatch, build, index):
+    # the half built from the SVD of the bidiagonal B against LAPACK's tridiagonal solver: the cached half, from
+    # dbdsdc, and the half of the numpy.linalg.svd fallback
     matrix = dense_block(build, index)
     d = len(matrix)
-    reference = eigh_tridiagonal(np.zeros(d), np.diag(matrix, 1), eigvals_only=True)
-    vals, vecs = mirrored_eigensystem(ham)
-    scale = reference[-1]
-    assert np.abs(vals - reference).max() <= 1e-12 * scale
-    assert np.abs(matrix @ vecs - vecs * vals).max() <= 1e-11 * scale
-    assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-13
+    reference = eigh_tridiagonal(np.zeros(d), np.diag(matrix, 1), eigvals_only=True) if d > 1 else np.zeros(1)
+    scale = max(reference[-1], 1.0)
+    cached = build(index)
+    monkeypatch.setattr(triwave.blocks, "_dbdsdc", None)
+    for ham in (cached, triwave.blocks._assemble(np.diag(matrix, 1))):
+        assert np.all(ham.eigenvalues[: d % 2] == 0.0) and np.all(ham.eigenvectors[1::2, : d % 2] == 0.0)
+        vals, vecs = mirrored_eigensystem(ham)
+        assert np.abs(vals - reference).max() <= 1e-12 * scale
+        assert np.abs(matrix @ vecs - vecs * vals).max() <= 1e-11 * scale
+        assert np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-13
+
+
+def test_blocks_are_built_by_dbdsdc_where_numpy_bundles_scipy_openblas():
+    # the numpy.linalg.svd fallback is for numpy builds on another LAPACK, never a silent default
+    lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    assert lapack != "scipy-openblas" or triwave.blocks._dbdsdc is not None
+
+
+@pytest.mark.parametrize("lapack", [True, False], ids=["dbdsdc", "svd"])
+def test_a_failed_block_solve_raises_linalg_error(monkeypatch, lapack):
+    if not lapack:
+        monkeypatch.setattr(triwave.blocks, "_dbdsdc", None)
+    with pytest.raises(np.linalg.LinAlgError):
+        triwave.blocks._assemble(np.array([math.nan, 1.0]))
 
 
 @pytest.mark.parametrize("tau", [0.5, 3.0])

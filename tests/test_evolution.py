@@ -1,6 +1,7 @@
 """State container, the pair layout, and exact block evolution against a dense oracle."""
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,31 @@ def test_a_heavy_state_of_small_blocks_evolves():
     # (70000, 35000), whose eigensystem would pass the budget, without building or refusing that block
     state = ThreeModeState.from_fock_dict({(70000, 0, 0): 1.0})
     assert evolve(state, 0.1).amplitude((70000, 0, 0)) == 1.0
+
+
+def test_time_domain_bound_of_a_heavy_state_takes_constant_memory():
+    # reading all 5 * 10^6 couplings of block (10^7, 5 * 10^6) for the bound took 114 MiB under tracemalloc
+    state = ThreeModeState.from_fock_dict({(10**7, 0, 0): 1.0})
+    tracemalloc.start()
+    try:
+        out = evolve(state, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.amplitude((10**7, 0, 0)) == 1.0
+    assert peak < 2**20
+
+
+def test_check_time_domain_limit_equals_the_scan_of_every_coupling():
+    # the reference takes the largest of all K couplings squared of block (2K, K), as check_time_domain once did
+    for top in [*range(1, 5000), 99_999, 123_457, 999_999]:
+        n = np.arange(top, dtype=float)
+        limit = 2.0**53 * 1e-8 / (2.0 * math.sqrt(float(((top - n) * (top - n) * (n + 1)).max())))
+        state = ThreeModeState.from_fock_dict({(2 * top, 0, 0): 1.0})
+        check_time_domain(state, limit)
+        with pytest.raises(ValueError, match="exact time domain"):
+            check_time_domain(state, np.nextafter(limit, math.inf))
+    check_time_domain(ThreeModeState.from_fock_dict({(0, 0, 0): 1.0}), 1e308)  # K = 0: no coupling, no limit
 
 
 def test_evolve_refuses_over_the_eigensystem_budget_before_building_any(monkeypatch):
