@@ -203,11 +203,12 @@ def _assemble(offdiag: np.ndarray) -> BlockHamiltonian:
     # m × half; for odd d a zero column makes it square, and its zero singular value's u is the zero mode
     sigma = np.append(offdiag[0::2], np.zeros(odd))  # B[i, i], overwritten by σ, descending
     sub = offdiag[1::2].copy()  # B[i + 1, i], destroyed by dbdsdc
-    u, vt = np.empty((m, m)), np.empty((m, m))
     if _dbdsdc is None:
         u, sigma, vt = np.linalg.svd(np.diag(sigma) + np.diag(sub, -1))
-    elif info := _dbdsdc(101, b"L", b"I", m, sigma, sub, u, m, vt, m, None, None):  # 101: LAPACK_ROW_MAJOR
-        raise np.linalg.LinAlgError(f"LAPACK dbdsdc failed on a block of dimension {d} (info = {info})")
+    else:
+        u, vt = np.empty((m, m)), np.empty((m, m))
+        if info := _dbdsdc(101, b"L", b"I", m, sigma, sub, u, m, vt, m, None, None):  # 101: LAPACK_ROW_MAJOR
+            raise np.linalg.LinAlgError(f"LAPACK dbdsdc failed on a block of dimension {d} (info = {info})")
     vecs[0::2, :odd] = u[:, half:]  # the null vector of Bᵀ when d is odd: the zero mode, odd rows 0
     vecs[1::2, :odd] = 0.0
     vecs[0::2, odd:] = u[:, :half][:, ::-1] / np.sqrt(2.0)  # σ descending, λ ascending
