@@ -16,7 +16,8 @@ triple B v = sigma u gives the eigenvector (u, v)/sqrt(2) of lambda = sigma,
 so the lambda >= 0 half is built from the SVD of B alone and is all that is
 stored: d - d//2 columns (the zero mode first when d is odd), from B's two
 diagonals by LAPACK's divide-and-conquer dbdsdc (Gu & Eisenstat 1995), or by
-numpy.linalg.svd where numpy's LAPACK exports no dbdsdc.  So
+numpy.linalg.svd where numpy's LAPACK exports no dbdsdc.  An evolve solves the
+blocks not yet cached in one batch, on the cores BLAS leaves idle.  So
 the cache holds sum d * ceil(d/2) * 8 bytes: 166 MiB for the N_in = 54
 twin beam of the scaling study.  Propagation folds the mirror back in on
 the even and odd rows of the block; see BlockHamiltonian.propagate.  Every
@@ -31,8 +32,10 @@ ladder pattern and serve as a reference dynamics in tests.
 from __future__ import annotations
 
 import ctypes
+import os
+import threading
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,16 +44,20 @@ from numpy.linalg import _umath_linalg
 # the most the block eigensystems of one input may take; a larger input, or block, is refused before any is built
 _EIG_BUDGET_BYTES = 4 * 2**30
 
-# LAPACKE's dbdsdc in the ILP64 scipy-openblas that numpy >= 2 wheels bundle, found by dlsym from numpy's own LAPACK
-# module; None in a numpy built on another LAPACK, where _assemble calls numpy.linalg.svd instead
+# LAPACKE's dbdsdc, in its variant on caller-owned work arrays, and OpenBLAS's thread count in the ILP64
+# scipy-openblas that numpy >= 2 wheels bundle, found by dlsym from numpy's own LAPACK module; None in a numpy built
+# on another LAPACK, where _assemble calls numpy.linalg.svd instead and _solve_missing solves serially
 try:
-    _dbdsdc = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dbdsdc64_
-except (OSError, AttributeError):
-    _dbdsdc = None
-else:
+    _lapack = ctypes.CDLL(_umath_linalg.__file__)
+except OSError:
+    _lapack = None
+_dbdsdc = getattr(_lapack, "scipy_LAPACKE_dbdsdc_work64_", None)
+_blas_threads = getattr(_lapack, "scipy_openblas_get_num_threads64_", None)
+if _dbdsdc is not None:
     _array, _int = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE"), ctypes.c_int64
+    _ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
     _dbdsdc.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, _int, _array, _array, _array, _int, _array, _int,
-                        ctypes.c_void_p, ctypes.c_void_p]
+                        ctypes.c_void_p, ctypes.c_void_p, _array, _ints]
     _dbdsdc.restype = _int
 
 
@@ -179,26 +186,92 @@ def _check_eigensystem_budget(nbytes: float) -> None:
                          f"over the budget of {_EIG_BUDGET_BYTES / 2**30:.3g} GiB")
 
 
-@lru_cache(maxsize=None)
+# the one cache of solved blocks, keyed by (couplings, index), and the count solved per couplings; none is evicted
+_cache: dict[tuple, BlockHamiltonian] = {}
+_misses: Counter = Counter()
+_CacheInfo = namedtuple("_CacheInfo", "misses currsize")
+_cache_lock = threading.Lock()  # for callers that evolve on several threads at once
+
+
 def build_block_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
     """Trilinear block with cached eigendecomposition."""
-    return _assemble(trilinear_offdiag(index))
+    return _cached(trilinear_offdiag, index)
 
 
-@lru_cache(maxsize=None)
 def build_recombination_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
     """Ideal recombination block with cached eigendecomposition."""
-    return _assemble(recombination_offdiag(index))
+    return _cached(recombination_offdiag, index)
 
 
-def _assemble(offdiag: np.ndarray) -> BlockHamiltonian:
+def _cached(couplings, index) -> BlockHamiltonian:
+    if (couplings, index) not in _cache:
+        _solve_missing(couplings, [index])
+    return _cache[couplings, index]
+
+
+for _build, _couplings in ((build_block_hamiltonian, trilinear_offdiag),
+                           (build_recombination_hamiltonian, recombination_offdiag)):
+    _build.cache_info = lambda c=_couplings: _CacheInfo(_misses[c], sum(key[0] is c for key in _cache))
+
+
+def _workers(missing: int) -> int:
+    """Threads to solve missing blocks: the usable cores over BLAS's threads, as ctypes releases the GIL in dbdsdc;
+    1 where BLAS threads over every core, either symbol is absent, or one block is missing."""
+    if _dbdsdc is None or _blas_threads is None:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cores // max(_blas_threads(), 1), missing))
+
+
+def _solve_missing(couplings, indices) -> None:
+    """Solve and cache the blocks of indices not cached yet, every w-th on one thread, the first stripe on this one.
+
+    The kept halves and each stripe's LAPACK arrays are allocated here, the halves in block order, so a worker
+    allocates next to nothing; the blocks are cached once every stripe has returned, so a failed solve caches none."""
+    todo = [index for index in indices if (couplings, index) not in _cache]
+    if not todo:
+        return
+    hams = [_empty_half(block_dimension(*index)) for index in todo]
+    w = _workers(len(todo))
+    scratches = [np.empty(_scratch_size(max(len(ham.eigenvalues) for ham in hams[i::w]))) for i in range(w)]
+    errors = [None] * w
+
+    def stripe(i: int) -> None:
+        try:
+            for index, ham in zip(todo[i::w], hams[i::w]):
+                _assemble(couplings(index), ham, scratches[i])
+        except BaseException as error:  # raised on the calling thread once every stripe has returned
+            errors[i] = error
+
+    threads = [threading.Thread(target=stripe, args=(i,)) for i in range(1, w)]
+    for thread in threads:
+        thread.start()
+    stripe(0)
+    for thread in threads:
+        thread.join()
+    if error := next(filter(None, errors), None):
+        raise error
+    with _cache_lock:
+        _cache.update(((couplings, index), ham) for index, ham in zip(todo, hams))
+        _misses[couplings] += len(todo)
+
+
+def _scratch_size(m: int) -> int:
+    return 5 * m * m + 12 * m  # Uᵀ, V, dbdsdc's work of 3 m² + 4 m numbers and its 8 m integers, for B m × m
+
+
+def _empty_half(d: int) -> BlockHamiltonian:
+    # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
+    return BlockHamiltonian(eigenvalues=np.zeros(d - d // 2), eigenvectors=np.empty((d, d - d // 2)))
+
+
+def _assemble(offdiag: np.ndarray, ham: BlockHamiltonian | None = None, scratch: np.ndarray | None = None):
+    """The stored half of offdiag's block, into ham if given as _empty_half gives it, through scratch if given."""
     d = len(offdiag) + 1
     half, odd = d // 2, d % 2
     m = d - half
-    # the kept half is allocated before the solve, so freeing the singular
-    # vectors leaves no heap hole beneath it
-    vecs = np.empty((d, m))
-    vals = np.zeros(m)  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
+    ham = _empty_half(d) if ham is None else ham  # allocated before the solve, so no freed scratch lies beneath it
+    vals, vecs = ham.eigenvalues, ham.eigenvectors
     # B = H[0::2, 1::2], and B v = σ u, Bᵀ u = σ v make (u, ±v)/√2 the eigenvectors of ±σ.  B is lower bidiagonal,
     # m × half; for odd d a zero column makes it square, and its zero singular value's u is the zero mode
     sigma = np.append(offdiag[0::2], np.zeros(odd))  # B[i, i], overwritten by σ, descending
@@ -206,12 +279,18 @@ def _assemble(offdiag: np.ndarray) -> BlockHamiltonian:
     if _dbdsdc is None:
         u, sigma, vt = np.linalg.svd(np.diag(sigma) + np.diag(sub, -1))
     else:
-        u, vt = np.empty((m, m)), np.empty((m, m))
-        if info := _dbdsdc(101, b"L", b"I", m, sigma, sub, u, m, vt, m, None, None):  # 101: LAPACK_ROW_MAJOR
+        # column-major, so LAPACKE hands scratch to Fortran with no copy or allocation: ut and v hold Uᵀ and V.  The
+        # _work variant skips LAPACKE_dbdsdc's check for a NaN in d or e, so it is made here
+        scratch = np.empty(_scratch_size(m)) if scratch is None else scratch
+        ut, v = scratch[: m * m].reshape(m, m), scratch[m * m : 2 * m * m].reshape(m, m)
+        work, iwork = scratch[2 * m * m : 5 * m * m + 4 * m], scratch[5 * m * m + 4 * m :][: 8 * m].view(np.int64)
+        nan = np.isnan(offdiag).any()
+        if info := -5 if nan else _dbdsdc(102, b"L", b"I", m, sigma, sub, ut, m, v, m, None, None, work, iwork):
             raise np.linalg.LinAlgError(f"LAPACK dbdsdc failed on a block of dimension {d} (info = {info})")
+        u, vt = ut.T, v.T
     vecs[0::2, :odd] = u[:, half:]  # the null vector of Bᵀ when d is odd: the zero mode, odd rows 0
     vecs[1::2, :odd] = 0.0
-    vecs[0::2, odd:] = u[:, :half][:, ::-1] / np.sqrt(2.0)  # σ descending, λ ascending
-    vecs[1::2, odd:] = vt[:half, :half][::-1].T / np.sqrt(2.0)  # the zero column's row of V dropped
+    np.divide(u[:, :half][:, ::-1], np.sqrt(2.0), out=vecs[0::2, odd:])  # σ descending, λ ascending
+    np.divide(vt[:half, :half][::-1].T, np.sqrt(2.0), out=vecs[1::2, odd:])  # the zero column's row of V dropped
     vals[odd:] = sigma[:half][::-1]
-    return BlockHamiltonian(eigenvalues=vals, eigenvectors=vecs)
+    return ham

@@ -27,10 +27,13 @@ from .blocks import (
     FockTriple,
     _check_blocks_budget,
     _check_eigensystem_budget,  # the budget, for the constructors of states
+    _solve_missing,
     block_dimension,
     build_block_hamiltonian,
     build_recombination_hamiltonian,
     fock_to_block,
+    recombination_offdiag,
+    trilinear_offdiag,
 )
 
 # past lambda |tau| = 2^53 * 1e-8 the rounding of the phase alone exceeds the 1e-8 exactness bar
@@ -170,7 +173,7 @@ def evolve(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     than one dimension, a time check_time_domain refuses, or blocks whose
     eigensystems exceed 4 GiB raise ValueError before any block is built.
     """
-    return _evolve(build_block_hamiltonian, state, tau)
+    return _evolve(trilinear_offdiag, build_block_hamiltonian, state, tau)
 
 
 def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
@@ -180,7 +183,7 @@ def evolve_recombination(state: ThreeModeState, tau) -> ThreeModeState | list[Th
     is at most the trilinear (k - n)(s - k - n)(n + 1), since s - k - n >= 1 on
     every coupling of block (s, k).
     """
-    return _evolve(build_recombination_hamiltonian, state, tau)
+    return _evolve(recombination_offdiag, build_recombination_hamiltonian, state, tau)
 
 
 def evolved_moments(state: ThreeModeState, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +191,7 @@ def evolved_moments(state: ThreeModeState, tau) -> tuple[np.ndarray, np.ndarray]
     as evolve refuses it.  Each block is propagated once for all times, and no state is built."""
     tau = _checked_times(state, tau)
     moments = np.zeros((2,) + tau.shape)
-    for (_, k), vec, out in _propagated(build_block_hamiltonian, state, tau):
+    for (_, k), vec, out in _propagated(trilinear_offdiag, build_block_hamiltonian, state, tau):
         occ = np.arange(len(vec), dtype=float)  # n_c = n and n_a = k - n at local index n of block (s, k)
         moments += np.stack([occ, k - occ]) @ (np.abs(out) ** 2)
     return moments[0], moments[1]
@@ -203,9 +206,11 @@ def _checked_times(state: ThreeModeState, tau) -> np.ndarray:
     return tau
 
 
-def _propagated(build, state: ThreeModeState, tau: np.ndarray):
+def _propagated(couplings, build, state: ThreeModeState, tau: np.ndarray):
     """(index, vec, build(index).propagate(vec, tau)) for each block of state, each time tau = 0 giving vec itself:
-    exp(0) is the identity, which the eigenvectors give only to rounding."""
+    exp(0) is the identity, which the eigenvectors give only to rounding.  The blocks of couplings not yet cached
+    are solved first, in one batch, so each build(index) is a lookup."""
+    _solve_missing(couplings, state.blocks)
     still = np.flatnonzero(tau.reshape(-1) == 0.0)
     for index, vec in state.blocks.items():
         out = build(index).propagate(vec, tau)
@@ -214,9 +219,9 @@ def _propagated(build, state: ThreeModeState, tau: np.ndarray):
         yield index, vec, out
 
 
-def _evolve(build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
+def _evolve(couplings, build, state: ThreeModeState, tau) -> ThreeModeState | list[ThreeModeState]:
     tau = _checked_times(state, tau)
-    blocks = {index: out for index, _, out in _propagated(build, state, tau)}
+    blocks = {index: out for index, _, out in _propagated(couplings, build, state, tau)}
     if tau.ndim == 0:
         return ThreeModeState(blocks=blocks, trunc_error=state.trunc_error)
     return [ThreeModeState({i: vec[:, j] for i, vec in blocks.items()}, state.trunc_error) for j in range(len(tau))]

@@ -1,5 +1,7 @@
 """Block decomposition: indexing, dimensions, and tridiagonal matrices."""
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
 import triwave.blocks
+import triwave.evolution
 from conftest import dense_block
 from triwave import (
     BlockIndex,
@@ -15,7 +18,9 @@ from triwave import (
     block_dimension,
     build_block_hamiltonian,
     build_recombination_hamiltonian,
+    evolve,
     fock_to_block,
+    make_twin_beam,
     recombination_offdiag,
     trilinear_offdiag,
 )
@@ -323,7 +328,25 @@ def test_stored_half_matches_tridiagonal_eigensystem(monkeypatch, build, index):
 def test_blocks_are_built_by_dbdsdc_where_numpy_bundles_scipy_openblas():
     # the numpy.linalg.svd fallback is for numpy builds on another LAPACK, never a silent default
     lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
-    assert lapack != "scipy-openblas" or triwave.blocks._dbdsdc is not None
+    assert lapack != "scipy-openblas" or None not in (triwave.blocks._dbdsdc, triwave.blocks._blas_threads)
+
+
+@pytest.mark.parametrize("cores, blas, missing, workers", [
+    (2, 1, 507, 2), (8, 2, 507, 4), (8, 3, 507, 2), (8, 1, 3, 3),  # the usable cores over BLAS's threads, if missing
+    (2, 2, 507, 1), (2, 4, 507, 1), (8, 1, 1, 1), (8, 1, 0, 1),  # BLAS threads over every core; one block missing
+])
+def test_block_solve_workers_are_the_cores_blas_leaves_idle(monkeypatch, cores, blas, missing, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(triwave.blocks, "_dbdsdc", triwave.blocks._dbdsdc or (lambda *args: 0))
+    monkeypatch.setattr(triwave.blocks, "_blas_threads", lambda: blas)
+    assert triwave.blocks._workers(missing) == workers
+    monkeypatch.delattr(os, "sched_getaffinity")  # macOS and Windows: every core counts
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert triwave.blocks._workers(missing) == workers
+    for absent in ("_dbdsdc", "_blas_threads"):  # a numpy on another LAPACK
+        with monkeypatch.context() as other:
+            other.setattr(triwave.blocks, absent, None)
+            assert triwave.blocks._workers(missing) == 1
 
 
 @pytest.mark.parametrize("lapack", [True, False], ids=["dbdsdc", "svd"])
@@ -332,6 +355,17 @@ def test_a_failed_block_solve_raises_linalg_error(monkeypatch, lapack):
         monkeypatch.setattr(triwave.blocks, "_dbdsdc", None)
     with pytest.raises(np.linalg.LinAlgError):
         triwave.blocks._assemble(np.array([math.nan, 1.0]))
+    # in a worker of a cold evolve: block (2, 1), the second, falls to the second of three threads
+    monkeypatch.setattr(triwave.blocks, "_cache", {})
+    monkeypatch.setattr(triwave.blocks, "_workers", lambda missing: 3)
+    monkeypatch.setattr(triwave.evolution, "trilinear_offdiag",
+                        lambda index: trilinear_offdiag(index) * (math.nan if index == (2, 1) else 1.0))
+    beam, threads = make_twin_beam(math.sqrt(0.5)), threading.active_count()
+    assert list(beam.blocks)[1] == (2, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        evolve(beam, 0.3)
+    assert triwave.blocks._cache == {}  # none of the evolve's blocks, though the other two threads solved theirs
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("tau", [0.5, 3.0])

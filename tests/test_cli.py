@@ -405,10 +405,11 @@ def test_cli_imports_no_private_triwave_name():
 def test_package_loads_no_scipy():
     # numpy serves every run; scipy is only a reference for the tests
     src = Path(triwave.cli.__file__).resolve().parents[1]
-    code = "import sys, triwave, triwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, threading, triwave, triwave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), threading.active_count())")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 1"  # and starts no thread: the block solves start theirs per evolve
     # nor later, through an import inside a function
     imported = []
     for path in (src / "triwave").glob("*.py"):

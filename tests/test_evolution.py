@@ -1,6 +1,9 @@
 """State container, the pair layout, and exact block evolution against a dense oracle."""
 import ast
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -359,6 +362,8 @@ def test_evolve_refuses_before_building_any_eigensystem(monkeypatch):
 
     monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", refuse)
     monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", refuse)
+    monkeypatch.setattr(triwave.blocks, "_cache", {})  # cold, so a batch solve before the refusal would run
+    monkeypatch.setattr(triwave.blocks, "_assemble", lambda *args: pytest.fail("solved a block"))
     beam = make_twin_beam(math.sqrt(54.0 / 56.0), eps=1e-8)
     for evolver in (evolve, evolve_recombination, evolved_moments):
         for tau in (1e5, np.array([0.1, 1e5]), math.nan):
@@ -408,6 +413,8 @@ def test_evolve_refuses_over_the_eigensystem_budget_before_building_any(monkeypa
 
     monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", refuse)
     monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", refuse)
+    monkeypatch.setattr(triwave.blocks, "_cache", {})  # cold, so a batch solve before the refusal would run
+    monkeypatch.setattr(triwave.blocks, "_assemble", lambda *args: pytest.fail("solved a block"))
     for evolver in (evolve, evolve_recombination, evolved_moments):
         with pytest.raises(ValueError, match="over the budget"):
             evolver(pump, 0.1)
@@ -510,6 +517,48 @@ def test_evolve_over_several_times_returns_one_state_per_time(read):
             assert np.max(np.abs(got - expected), initial=0.0) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "step, couplings, build",
+    [(evolve, triwave.blocks.trilinear_offdiag, triwave.blocks.build_block_hamiltonian),
+     (evolve_recombination, triwave.blocks.recombination_offdiag, triwave.blocks.build_recombination_hamiltonian)],
+    ids=["trilinear", "recombination"],
+)
+def test_a_parallel_block_solve_equals_the_serial_one_bit_for_bit(monkeypatch, step, couplings, build):
+    # five threads on cold blocks, switching every microsecond: each eigensystem is the one a lone solve gives.  The
+    # workers sleep before each block, so their stripes end after the calling thread's: one left unjoined shows
+    solve, info = triwave.blocks._assemble, build.cache_info
+
+    def slow_in_workers(*args):
+        if threading.current_thread().name != "caller":
+            time.sleep(1e-3)
+        return solve(*args)
+
+    monkeypatch.setattr(triwave.blocks, "_cache", {})
+    monkeypatch.setattr(triwave.blocks, "_workers", lambda missing: 5)
+    monkeypatch.setattr(triwave.blocks, "_assemble", slow_in_workers)
+    for state in (make_twin_beam(math.sqrt(0.9)), random_state(np.random.default_rng(8))):
+        threads, misses, interval = threading.active_count(), info().misses, sys.getswitchinterval()
+        new = [index for index in state.blocks if (couplings, index) not in triwave.blocks._cache]
+        cold = threading.Thread(target=lambda: step(state, 0.3), name="caller", daemon=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            cold.start()
+            cold.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not cold.is_alive()
+        assert threading.active_count() == threads  # no worker is left running
+        assert info().misses == misses + len(new) > misses
+        for index in state.blocks:
+            ham, alone = triwave.blocks._cache[couplings, index], solve(couplings(index))
+            assert np.array_equal(ham.eigenvalues, alone.eigenvalues)
+            assert np.array_equal(ham.eigenvectors, alone.eigenvectors)
+    with monkeypatch.context() as warm:
+        warm.setattr(triwave.blocks, "_assemble", lambda *args: pytest.fail("solved a cached block"))
+        step(state, 0.3)
+    assert info().misses == misses + len(new)
+
+
 @pytest.mark.parametrize("tau", [np.array([[0.1, 0.2]]), np.zeros((2, 1)), np.zeros((1, 1, 1))],
                          ids=["1x2", "2x1", "1x1x1"])
 @pytest.mark.parametrize("step", [evolve, evolve_recombination, evolved_moments])
@@ -517,6 +566,8 @@ def test_evolve_refuses_a_tau_of_more_than_one_dimension(monkeypatch, step, tau)
     # at a (1, 2) tau the blocks came out (d, 1, 2), and every reader then said the state held 1 time
     monkeypatch.setattr(triwave.evolution, "build_block_hamiltonian", lambda *args: pytest.fail("built"))
     monkeypatch.setattr(triwave.evolution, "build_recombination_hamiltonian", lambda *args: pytest.fail("built"))
+    monkeypatch.setattr(triwave.blocks, "_cache", {})
+    monkeypatch.setattr(triwave.blocks, "_assemble", lambda *args: pytest.fail("solved a block"))
     monkeypatch.setattr(triwave.blocks.BlockHamiltonian, "propagate", lambda *args: pytest.fail("propagated"))
     with pytest.raises(ValueError, match="1-D array of times"):
         step(make_coherent_pump(2.0), tau)
