@@ -227,7 +227,8 @@ def _solve_missing(couplings, indices) -> None:
     """Solve and cache the blocks of indices not cached yet, every w-th on one thread, the first stripe on this one.
 
     The kept halves and each stripe's LAPACK arrays are allocated here, the halves in block order, so a worker
-    allocates next to nothing; the blocks are cached once every stripe has returned, so a failed solve caches none."""
+    allocates next to nothing; the blocks are cached once every stripe has returned, so a failed solve caches none.
+    A block another thread cached meanwhile is neither replaced nor counted, so misses counts the blocks cached."""
     todo = [index for index in indices if (couplings, index) not in _cache]
     if not todo:
         return
@@ -252,8 +253,9 @@ def _solve_missing(couplings, indices) -> None:
     if error := next(filter(None, errors), None):
         raise error
     with _cache_lock:
-        _cache.update(((couplings, index), ham) for index, ham in zip(todo, hams))
-        _misses[couplings] += len(todo)
+        new = {(couplings, index): ham for index, ham in zip(todo, hams) if (couplings, index) not in _cache}
+        _cache.update(new)
+        _misses[couplings] += len(new)
 
 
 def _scratch_size(m: int) -> int:

@@ -6,11 +6,12 @@ kept; ThreeModeState.occupations is the one place that maps the stored
 coefficients to their Fock triples.  Evolution applies the cached
 eigendecomposition of each block and never mixes blocks.  pair_state and
 pair_matrix map a state with n_a = n_b to and from its pair matrix A, row q
-the mode-c count and column r the pair count.  Other modules rely on that
-layout: states builds a pump as a column and a twin beam as a row,
-experiments reads a beam's a_{q+r} through a Hankel view and contracts
-G = A^T A* in _chain, and metrics._pair_lag_sums needs A to be zero where
-q + r >= dim.  evolved_moments reads mean photon numbers block by block, with
+the mode-c count and column r the pair count, and _unit_pair builds the unit
+pair sum_k |k, k, 0> that the experiments evolve, from one shared vector.
+Other modules rely on that layout: states builds a pump as a column and a
+twin beam as a row, experiments reads a beam's a_{q+r} through a Hankel view
+and contracts G = A^T A* in _chain, and metrics._pair_lag_sums needs A to be
+zero where q + r >= dim.  evolved_moments reads mean photon numbers block by block, with
 no state.  check_time_domain is the one rule on the exact time domain; evolve
 and evolved_moments apply it before any block is built, and at tau = 0 give
 the input's own amplitudes and moments.
@@ -114,6 +115,14 @@ def pair_state(A, trunc_error: float = 0.0) -> ThreeModeState:
         vec = blocks[BlockIndex(2 * k, k)] = np.zeros(k + 1, dtype=complex)
         vec[max(0, k + 1 - cols) :][: len(diagonal)] = diagonal
     return ThreeModeState(blocks=blocks, trunc_error=trunc_error)
+
+
+def _unit_pair(dim: int) -> ThreeModeState:
+    """The unit pair sum_{k < dim} |k, k, 0>: block (2k, k) is unit[:k + 1] of one read-only vector unit = e_0."""
+    unit = np.zeros(dim, dtype=complex)
+    unit[0] = 1.0
+    unit.flags.writeable = False
+    return ThreeModeState(blocks={BlockIndex(2 * k, k): unit[: k + 1] for k in range(dim)})
 
 
 def pair_matrix(state: ThreeModeState) -> np.ndarray:

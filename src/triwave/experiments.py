@@ -20,19 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import starmap
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import check_time_domain, evolve, evolved_moments, pair_matrix, pair_state
+from .evolution import _unit_pair, check_time_domain, evolve, evolved_moments, pair_matrix
 from .metrics import (_delta_phi, _pair_lag_sums, _pair_matched_overlap, matched_pcs_overlap_rho, purity,
                       reciprocal_peak_likelihood)
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
-# times per evolve in the coarse scans and the sweeps; each time's pair matrix
-# is scored and dropped before the next is formed, so memory stays at a few states
+# times per evolve in the coarse scans and the sweeps.  A chunk's evolved states are dropped before the next chunk
+# is evolved, and each time's pair matrix goes to one consumer, which scores it and keeps no reference to it: no
+# generator, loop variable or reused zip tuple holds it while the next is formed, so memory stays at a few states
 _SCAN_CHUNK = 4
 
 # the optimal-time searches: a coarse scan of (0, hi] on evenly spaced points, then Brent's method to _TOL
@@ -107,13 +110,13 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
         return SweepRecord(tau=float(tau), overlap=overlap, eta=n_pair / pump_energy, purity=_pair_purity(amps),
                            delta_phi=math.nan, n_a=n_pair, n_b=n_pair, n_c=n_c, lambda_or_chi=chi)
 
-    return [one(tau, amps) for tau, amps in outputs]
+    return list(starmap(one, outputs))
 
 
 def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord]:
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
     (hankel,), (energy_in,) = _beam_rows([chi], eps)
-    return [_stage2_record(tau, amps, energy_in) for tau, amps in _beam_outputs([hankel], tau_grid)]
+    return list(starmap(partial(_stage2_record, energy_in=energy_in), _beam_outputs([hankel], tau_grid)))
 
 
 def find_optimal_tau(
@@ -320,11 +323,14 @@ def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[Sw
     """
     hankels, energies = _beam_rows(chis, eps)
     taus = _coarse_grid(_STAGE2_HI, coarse_points, tol)
-    scores = [_stage2_score(amps) for _, amps in _beam_outputs(hankels, taus)]  # beam by beam within each time
+    scores = list(map(_stage2_score, map(itemgetter(1), _beam_outputs(hankels, taus))))  # beam by beam at each time
     scans = np.reshape(scores, (len(taus), len(chis))).T
-    optima = (_bracket_then_brent(_stage2_score, partial(_beam_outputs, [h]), taus, scan, tol)
-              for h, scan in zip(hankels, scans))
-    return [_stage2_record(tau, amps, energy) for (tau, _, amps), energy in zip(optima, energies)]
+
+    def optimum(hankel, scan, energy) -> SweepRecord:  # a search holds no A of the one before
+        tau, _, amps = _bracket_then_brent(_stage2_score, partial(_beam_outputs, [hankel]), taus, scan, tol)
+        return _stage2_record(tau, amps, energy)
+
+    return list(map(optimum, hankels, scans, energies))
 
 
 def _stage2_score(amps: np.ndarray) -> float:
@@ -349,35 +355,46 @@ def _check_tau_grid(tau_grid, state) -> np.ndarray:
 
 def _beam_rows(chis, eps):
     """(a_{q+r}, energy) of each twin beam, read once and dropped: a_{q+r} a Hankel view of its row, 0 past its cut."""
-    matrices = (pair_matrix(make_twin_beam(chi, eps)) for chi in chis)
-    return zip(*[(sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)), _input_energy(a))
-                 for a in matrices])
+    def row(a):
+        return sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)), _input_energy(a)
+
+    return zip(*map(row, (pair_matrix(make_twin_beam(chi, eps)) for chi in chis)))
 
 
 def _beam_outputs(hankels, tau_grid):
     """(tau, A) at each time of tau_grid for each twin beam of hankels, its a_{q+r}, in turn: the one way to a beam's A.
 
     A beam is a_k times the unit pair |k, k, 0> in block (2k, k), so with R the unit pair's pair matrix at the largest
-    cut, A = a_{q+r} R bit for bit, as the 2 of propagate is exact.  The last A is formed in R if its cut is the largest.
+    cut, A = a_{q+r} R bit for bit, as the 2 of propagate is exact.  The last A is formed in R if its cut is the
+    largest, and R is released before the next time's R is formed.
     """
     top = max(map(len, hankels))
     for tau, response in _unit_pair_outputs(top, tau_grid):
         for e, hankel in enumerate(hankels, 1 - len(hankels)):
             dim = len(hankel)
             yield tau, np.multiply(response[:dim, :dim], hankel, out=response if e == 0 and dim == top else None)
+        del response
 
 
 def _unit_pair_outputs(dim, tau_grid):
     """_pair_outputs of the unit pair sum_{k < dim} |k, k, 0>: the stage-2 response R of _beam_outputs and _chain."""
-    return _pair_outputs(pair_state(np.ones((1, dim))), tau_grid)
+    return _pair_outputs(_unit_pair(dim), tau_grid)
 
 
 def _pair_outputs(state, tau_grid):
-    """(tau, A) for each time of tau_grid, checked before any evolve: the one place experiments evolve,
-    once per _SCAN_CHUNK times, each A formed after the last is scored."""
+    """(tau, A) for each time of tau_grid, checked before any evolve: the one place experiments evolve, once per
+    _SCAN_CHUNK times.  Each A is yielded unbound, so its consumer holds the only reference, and a chunk's states are
+    dropped before the next chunk is evolved."""
     taus = _check_tau_grid(tau_grid, state)
-    chunks = (taus[i : i + _SCAN_CHUNK] for i in range(0, len(taus), _SCAN_CHUNK))
-    return ((tau, amps) for chunk in chunks for tau, amps in zip(chunk, map(pair_matrix, evolve(state, chunk))))
+
+    def outputs():
+        for i in range(0, len(taus), _SCAN_CHUNK):
+            states = evolve(state, taus[i : i + _SCAN_CHUNK])
+            for j in range(len(states)):
+                yield taus[i + j], pair_matrix(states[j])
+            del states
+
+    return outputs()
 
 
 def _coarse_grid(hi, coarse_points, tol) -> np.ndarray:

@@ -12,6 +12,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 import triwave.blocks
 import triwave.evolution
 from conftest import dense_block
+from triwave.evolution import pair_state
 from triwave import (
     BlockIndex,
     FockTriple,
@@ -366,6 +367,40 @@ def test_a_failed_block_solve_raises_linalg_error(monkeypatch, lapack):
         evolve(beam, 0.3)
     assert triwave.blocks._cache == {}  # none of the evolve's blocks, though the other two threads solved theirs
     assert threading.active_count() == threads
+
+
+def test_two_concurrent_evolves_count_each_block_solved_once():
+    # two threads evolve one cold 40-block unit pair, and each lists its missing blocks before either caches them, so
+    # both solve all 40; only the blocks still missing when a thread caches its batch are inserted and counted
+    solve, workers, saved = triwave.blocks._assemble, triwave.blocks._workers, triwave.blocks._cache
+    state, cache, errors, info = pair_state(np.ones((1, 40))), {}, [], build_block_hamiltonian.cache_info
+    barrier, met = threading.Barrier(2, timeout=60.0), threading.local()
+
+    def meeting(*args):
+        if not getattr(met, "done", False):  # each thread's first solve waits for the other thread's
+            met.done = True
+            barrier.wait()
+        return solve(*args)
+
+    def run():
+        try:
+            evolve(state, 0.3)
+        except Exception as error:  # read on the test's thread
+            errors.append(error)
+
+    threads, misses = threading.active_count(), info().misses
+    evolving = [threading.Thread(target=run, daemon=True) for _ in range(2)]
+    triwave.blocks._cache, triwave.blocks._workers, triwave.blocks._assemble = cache, lambda missing: 1, meeting
+    try:
+        for thread in evolving:
+            thread.start()
+        for thread in evolving:
+            thread.join(timeout=120.0)
+    finally:
+        triwave.blocks._cache, triwave.blocks._workers, triwave.blocks._assemble = saved, workers, solve
+    assert errors == [] and not any(thread.is_alive() for thread in evolving)
+    assert threading.active_count() == threads
+    assert len(cache) == 40 and info().misses - misses == 40
 
 
 @pytest.mark.parametrize("tau", [0.5, 3.0])

@@ -38,7 +38,7 @@ from triwave import (
     stage2_sweep,
     trilinear_offdiag,
 )
-from triwave.evolution import check_time_domain, pair_matrix, pair_state
+from triwave.evolution import _unit_pair, check_time_domain, pair_matrix, pair_state
 from triwave.experiments import (
     _SCAN_CHUNK,
     _brent_max,
@@ -426,12 +426,82 @@ def test_stage2_search_holds_no_beam(monkeypatch):
         assert len(held) > 5 and max(held) == 0
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: stage1_sweep(12.0 * complex(np.exp(0.7j)), np.linspace(0.05, 0.4, 8)),  # pump 144
+        lambda: stage2_sweep(math.sqrt(30.0 / 32.0), np.linspace(0.1, 1.5, 8)),  # N_in = 30
+        lambda: scaling_study([2.0, 4.0, 6.0]),
+    ],
+    ids=["stage1_sweep", "stage2_sweep", "scaling_study"],
+)
+def test_each_pair_matrix_is_dropped_before_the_next_is_formed(monkeypatch, run):
+    # each pair matrix goes to one consumer, which scores and drops it: when the next is formed, none formed before is
+    # alive, but inside a Brent search the best point's, which the search holds (at most one).  A generator's or a
+    # comprehension's loop variable, or a zip's reused tuple, kept the previous one alive
+    formed, alive, starts = [], [], []
+
+    def tracked(state):
+        alive.append(sum(ref() is not None for ref in formed))
+        amps = pair_matrix(state)
+        formed.append(weakref.ref(amps))
+        return amps
+
+    def recording_brent(*args):
+        starts.append(len(alive))
+        return _brent_max(*args)
+
+    monkeypatch.setattr(triwave.experiments, "pair_matrix", tracked)
+    monkeypatch.setattr(triwave.experiments, "_brent_max", recording_brent)
+    run()
+    assert len(alive) >= 8
+    searching = np.zeros(len(alive), dtype=bool)
+    for start in starts:
+        searching[start + 1 :] = True  # a search's first evaluation holds no best point yet
+    assert max(alive, default=0) <= 1
+    assert [i for i, count in enumerate(alive) if count > searching[i]] == []
+
+
+def test_stage1_sweep_working_set_stays_within_four_and_a_half_pair_matrices():
+    # a sweep holds its chunk of _SCAN_CHUNK evolved states (about two dim x dim complex arrays at a pump) and the one
+    # pair matrix it scores: 4.29 of them at pump 144 over 8 times, where the previous matrix held through the next
+    # one's forming read 4.79
+    alpha, taus = 12.0 * complex(np.exp(0.7j)), np.linspace(0.05, 0.4, 8)
+    dim = len(pair_matrix(make_coherent_pump(alpha)))
+    stage1_sweep(alpha, taus)  # builds every eigensystem the call below reads
+    tracemalloc.start()
+    try:
+        stage1_sweep(alpha, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
+
+
 def _is_unit_pair(state) -> bool:
     """True for sum_{k <= K} |k, k, 0>: every block (2k, k) up to some K, each holding exactly 1 at local index 0."""
     unit = np.zeros(max(k for _, k in state.blocks) + 1)
     unit[0] = 1.0
     return list(state.blocks) == [(2 * k, k) for k in range(len(unit))] and all(
         np.array_equal(vec, unit[: len(vec)]) and len(vec) == k + 1 for (_, k), vec in state.blocks.items())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 365])
+def test_unit_pair_blocks_are_views_of_one_read_only_vector(dim):
+    # 16 dim bytes for every block, not 8 dim (dim + 1) for blocks padded to k + 1; evolving it writes nothing into
+    # it, and its outputs are the padded unit pair's, bit for bit, tau = 0 included
+    state = _unit_pair(dim)
+    assert _is_unit_pair(state) and len(state.blocks) == dim
+    unit = state.blocks[(0, 0)].base
+    assert unit.nbytes == 16 * dim and all(vec.base is unit for vec in state.blocks.values())
+    for vec in state.blocks.values():
+        with pytest.raises(ValueError, match="read-only"):
+            vec[-1] = 2.0
+    assert _is_unit_pair(state)
+    taus = [0.0, 0.71, 2.5]
+    padded = pair_state(np.ones((1, dim)))
+    for (_, ours), (_, theirs) in zip(_pair_outputs(state, taus), _pair_outputs(padded, taus), strict=True):
+        assert np.array_equal(ours, theirs)
 
 
 def test_no_experiment_evolves_a_twin_beam(monkeypatch):
@@ -742,14 +812,16 @@ def test_experiments_evolve_in_one_place():
 
 
 def test_experiments_read_twin_beams_and_build_unit_pairs_in_one_place_each():
-    # each twin beam is built and read once, by _beam_rows; the unit pair, pair_state's one input, by _unit_pair_outputs
+    # each twin beam is built and read once, by _beam_rows; the unit pair, by evolution._unit_pair, is built only in
+    # _unit_pair_outputs, and no experiment builds a state through pair_state
     tree = ast.parse(Path(triwave.experiments.__file__).read_text())
     sites = set()
     for stmt in tree.body:
         for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("make_twin_beam", "pair_state"):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("make_twin_beam", "pair_state",
+                                                                                  "_unit_pair"):
                 sites.add((node.func.id, getattr(stmt, "name", "<module>")))
-    assert sites == {("make_twin_beam", "_beam_rows"), ("pair_state", "_unit_pair_outputs")}
+    assert sites == {("make_twin_beam", "_beam_rows"), ("_unit_pair", "_unit_pair_outputs")}
 
 
 def test_scaling_study_smoke():
