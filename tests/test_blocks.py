@@ -12,7 +12,6 @@ from scipy.linalg import eigh_tridiagonal, expm
 import triwave.blocks
 import triwave.evolution
 from conftest import dense_block
-from triwave.evolution import pair_state
 from triwave import (
     BlockIndex,
     FockTriple,
@@ -25,6 +24,7 @@ from triwave import (
     recombination_offdiag,
     trilinear_offdiag,
 )
+from triwave.evolution import pair_state
 
 
 def all_triples(s_max):

@@ -464,7 +464,7 @@ def test_each_pair_matrix_is_dropped_before_the_next_is_formed(monkeypatch, run)
 def test_stage1_sweep_working_set_stays_within_four_and_a_half_pair_matrices():
     # a sweep holds its chunk of _SCAN_CHUNK evolved states (about two dim x dim complex arrays at a pump) and the one
     # pair matrix it scores: 4.29 of them at pump 144 over 8 times, where the previous matrix held through the next
-    # one's forming read 4.79
+    # one's forming read 4.78
     alpha, taus = 12.0 * complex(np.exp(0.7j)), np.linspace(0.05, 0.4, 8)
     dim = len(pair_matrix(make_coherent_pump(alpha)))
     stage1_sweep(alpha, taus)  # builds every eigensystem the call below reads
