@@ -17,10 +17,11 @@ so the lambda >= 0 half is built from the SVD of B alone and is all that is
 stored: d - d//2 columns (the zero mode first when d is odd), from B's two
 diagonals by LAPACK's divide-and-conquer dbdsdc (Gu & Eisenstat 1995), or by
 numpy.linalg.svd where numpy's LAPACK exports no dbdsdc.  An evolve solves the
-blocks not yet cached in one batch, on the cores BLAS leaves idle.  So
-the cache holds sum d * ceil(d/2) * 8 bytes: 166 MiB for the N_in = 54
-twin beam of the scaling study.  Propagation folds the mirror back in on
-the even and odd rows of the block; see BlockHamiltonian.propagate.  Every
+blocks not yet cached in one batch, on a pool of threads for the cores BLAS
+leaves idle; one batch runs at a time, under the cache's lock, so each block
+is solved once.  The cache holds sum d * ceil(d/2) * 8 bytes: 166 MiB for the
+N_in = 54 twin beam of the scaling study.  Propagation folds the mirror back
+in on the even and odd rows of the block; see BlockHamiltonian.propagate.  Every
 input of the experiments, the coherent pump and the twin beam, puts one Fock
 vector in each block (2k, k) (Walls & Barakat 1970), so propagate reads it
 from one stored row, with no projection.
@@ -34,7 +35,8 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from collections import Counter, namedtuple
+from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -186,11 +188,11 @@ def _check_eigensystem_budget(nbytes: float) -> None:
                          f"over the budget of {_EIG_BUDGET_BYTES / 2**30:.3g} GiB")
 
 
-# the one cache of solved blocks, keyed by (couplings, index), and the count solved per couplings; none is evicted
+# the one cache of solved blocks, keyed by (couplings, index); each block is solved once and none is evicted, so
+# cache_info().misses, the blocks solved, equals the entries
 _cache: dict[tuple, BlockHamiltonian] = {}
-_misses: Counter = Counter()
 _CacheInfo = namedtuple("_CacheInfo", "misses currsize")
-_cache_lock = threading.Lock()  # for callers that evolve on several threads at once
+_cache_lock = threading.Lock()  # held by each batch solve whole, so threads that evolve at once solve one at a time
 
 
 def build_block_hamiltonian(index: BlockIndex) -> BlockHamiltonian:
@@ -211,7 +213,7 @@ def _cached(couplings, index) -> BlockHamiltonian:
 
 for _build, _couplings in ((build_block_hamiltonian, trilinear_offdiag),
                            (build_recombination_hamiltonian, recombination_offdiag)):
-    _build.cache_info = lambda c=_couplings: _CacheInfo(_misses[c], sum(key[0] is c for key in _cache))
+    _build.cache_info = lambda c=_couplings: _CacheInfo(*[sum(key[0] is c for key in _cache)] * 2)
 
 
 def _workers(missing: int) -> int:
@@ -224,38 +226,26 @@ def _workers(missing: int) -> int:
 
 
 def _solve_missing(couplings, indices) -> None:
-    """Solve and cache the blocks of indices not cached yet, every w-th on one thread, the first stripe on this one.
+    """Solve and cache the blocks of indices not cached yet, under _cache_lock, every w-th on one of w pool threads.
 
     The kept halves and each stripe's LAPACK arrays are allocated here, the halves in block order, so a worker
     allocates next to nothing; the blocks are cached once every stripe has returned, so a failed solve caches none.
-    A block another thread cached meanwhile is neither replaced nor counted, so misses counts the blocks cached."""
-    todo = [index for index in indices if (couplings, index) not in _cache]
-    if not todo:
-        return
-    hams = [_empty_half(block_dimension(*index)) for index in todo]
-    w = _workers(len(todo))
-    scratches = [np.empty(_scratch_size(max(len(ham.eigenvalues) for ham in hams[i::w]))) for i in range(w)]
-    errors = [None] * w
+    A second caller waits for the batch and then finds its blocks cached, so each block is solved once."""
+    with _cache_lock:
+        todo = [index for index in indices if (couplings, index) not in _cache]
+        if not todo:
+            return
+        hams = [_empty_half(block_dimension(*index)) for index in todo]
+        w = _workers(len(todo))
+        scratches = [np.empty(_scratch_size(max(len(ham.eigenvalues) for ham in hams[i::w]))) for i in range(w)]
 
-    def stripe(i: int) -> None:
-        try:
+        def stripe(i: int) -> None:
             for index, ham in zip(todo[i::w], hams[i::w]):
                 _assemble(couplings(index), ham, scratches[i])
-        except BaseException as error:  # raised on the calling thread once every stripe has returned
-            errors[i] = error
 
-    threads = [threading.Thread(target=stripe, args=(i,)) for i in range(1, w)]
-    for thread in threads:
-        thread.start()
-    stripe(0)
-    for thread in threads:
-        thread.join()
-    if error := next(filter(None, errors), None):
-        raise error
-    with _cache_lock:
-        new = {(couplings, index): ham for index, ham in zip(todo, hams) if (couplings, index) not in _cache}
-        _cache.update(new)
-        _misses[couplings] += len(new)
+        with ThreadPoolExecutor(w) as pool:
+            list(pool.map(stripe, range(w)))  # raises the first stripe's error once every stripe has returned
+        _cache.update({(couplings, index): ham for index, ham in zip(todo, hams)})
 
 
 def _scratch_size(m: int) -> int:

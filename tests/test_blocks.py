@@ -367,19 +367,22 @@ def test_a_failed_block_solve_raises_linalg_error(monkeypatch, lapack):
         evolve(beam, 0.3)
     assert triwave.blocks._cache == {}  # none of the evolve's blocks, though the other two threads solved theirs
     assert threading.active_count() == threads
+    assert not triwave.blocks._cache_lock.locked()  # so a healthy evolve on the same cold cache goes on
+    monkeypatch.setattr(triwave.evolution, "trilinear_offdiag", trilinear_offdiag)  # the beam is healthy again
+    assert np.isclose(evolve(beam, 0.3).norm(), 1.0) and len(triwave.blocks._cache) == len(beam.blocks)
 
 
-def test_two_concurrent_evolves_count_each_block_solved_once():
-    # two threads evolve one cold 40-block unit pair, and each lists its missing blocks before either caches them, so
-    # both solve all 40; only the blocks still missing when a thread caches its batch are inserted and counted
-    solve, workers, saved = triwave.blocks._assemble, triwave.blocks._workers, triwave.blocks._cache
-    state, cache, errors, info = pair_state(np.ones((1, 40))), {}, [], build_block_hamiltonian.cache_info
-    barrier, met = threading.Barrier(2, timeout=60.0), threading.local()
+def test_two_concurrent_evolves_solve_each_block_once(monkeypatch):
+    # two threads evolve one cold 40-block unit pair; the second starts once the first is solving and waits for its
+    # batch, which is held until the second solves too or 0.5 s pass.  Listing the missing blocks outside the lock
+    # had both threads solve all 40: 80 solves for 40 blocks
+    solve, info, calls, errors = triwave.blocks._assemble, build_block_hamiltonian.cache_info, [], []
+    state, entered, release = pair_state(np.ones((1, 40))), [threading.Event(), threading.Event()], threading.Event()
 
-    def meeting(*args):
-        if not getattr(met, "done", False):  # each thread's first solve waits for the other thread's
-            met.done = True
-            barrier.wait()
+    def counted(*args):
+        calls.append(args)
+        entered[len(calls) > 1].set()  # before the release, a second call is the second thread's
+        release.wait(timeout=60.0)
         return solve(*args)
 
     def run():
@@ -388,19 +391,21 @@ def test_two_concurrent_evolves_count_each_block_solved_once():
         except Exception as error:  # read on the test's thread
             errors.append(error)
 
+    monkeypatch.setattr(triwave.blocks, "_cache", {})
+    monkeypatch.setattr(triwave.blocks, "_workers", lambda missing: 1)
+    monkeypatch.setattr(triwave.blocks, "_assemble", counted)
     threads, misses = threading.active_count(), info().misses
     evolving = [threading.Thread(target=run, daemon=True) for _ in range(2)]
-    triwave.blocks._cache, triwave.blocks._workers, triwave.blocks._assemble = cache, lambda missing: 1, meeting
-    try:
-        for thread in evolving:
-            thread.start()
-        for thread in evolving:
-            thread.join(timeout=120.0)
-    finally:
-        triwave.blocks._cache, triwave.blocks._workers, triwave.blocks._assemble = saved, workers, solve
+    evolving[0].start()
+    assert entered[0].wait(timeout=60.0)
+    evolving[1].start()
+    entered[1].wait(timeout=0.5)
+    release.set()
+    for thread in evolving:
+        thread.join(timeout=120.0)
     assert errors == [] and not any(thread.is_alive() for thread in evolving)
     assert threading.active_count() == threads
-    assert len(cache) == 40 and info().misses - misses == 40
+    assert len(calls) == 40 and len(triwave.blocks._cache) == 40 and info().misses - misses == 40
 
 
 @pytest.mark.parametrize("tau", [0.5, 3.0])

@@ -525,12 +525,11 @@ def test_evolve_over_several_times_returns_one_state_per_time(read):
 )
 def test_a_parallel_block_solve_equals_the_serial_one_bit_for_bit(monkeypatch, step, couplings, build):
     # five threads on cold blocks, switching every microsecond: each eigensystem is the one a lone solve gives.  The
-    # workers sleep before each block, so their stripes end after the calling thread's: one left unjoined shows
+    # workers sleep before each block, so one left running after the evolve returns shows
     solve, info = triwave.blocks._assemble, build.cache_info
 
     def slow_in_workers(*args):
-        if threading.current_thread().name != "caller":
-            time.sleep(1e-3)
+        time.sleep(1e-3)
         return solve(*args)
 
     monkeypatch.setattr(triwave.blocks, "_cache", {})
@@ -539,7 +538,7 @@ def test_a_parallel_block_solve_equals_the_serial_one_bit_for_bit(monkeypatch, s
     for state in (make_twin_beam(math.sqrt(0.9)), random_state(np.random.default_rng(8))):
         threads, misses, interval = threading.active_count(), info().misses, sys.getswitchinterval()
         new = [index for index in state.blocks if (couplings, index) not in triwave.blocks._cache]
-        cold = threading.Thread(target=lambda: step(state, 0.3), name="caller", daemon=True)
+        cold = threading.Thread(target=lambda: step(state, 0.3), daemon=True)
         sys.setswitchinterval(1e-6)
         try:
             cold.start()
