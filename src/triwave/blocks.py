@@ -244,7 +244,7 @@ def _solve_missing(couplings, indices) -> None:
                 _assemble(couplings(index), ham, scratches[i])
 
         with ThreadPoolExecutor(w) as pool:
-            list(pool.map(stripe, range(w)))  # raises the first stripe's error once every stripe has returned
+            list(pool.map(stripe, range(w)))  # raises the first failed stripe's error once every stripe has returned
         _cache.update({(couplings, index): ham for index, ham in zip(todo, hams)})
 
 

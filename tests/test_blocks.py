@@ -374,8 +374,8 @@ def test_a_failed_block_solve_raises_linalg_error(monkeypatch, lapack):
 
 def test_two_concurrent_evolves_solve_each_block_once(monkeypatch):
     # two threads evolve one cold 40-block unit pair; the second starts once the first is solving and waits for its
-    # batch, which is held until the second solves too or 0.5 s pass.  Listing the missing blocks outside the lock
-    # had both threads solve all 40: 80 solves for 40 blocks
+    # batch, which is held until the second solves too or 0.5 s pass.  A batch listed outside the lock would have both
+    # threads solve all 40: 80 solves for 40 blocks
     solve, info, calls, errors = triwave.blocks._assemble, build_block_hamiltonian.cache_info, [], []
     state, entered, release = pair_state(np.ones((1, 40))), [threading.Event(), threading.Event()], threading.Event()
 
