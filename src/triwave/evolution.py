@@ -8,10 +8,14 @@ eigendecomposition of each block and never mixes blocks.  pair_state and
 pair_matrix map a state with n_a = n_b to and from its pair matrix A, row q
 the mode-c count and column r the pair count, and _unit_pair builds the unit
 pair sum_k |k, k, 0> that the experiments evolve, from one shared vector.
+Each block is real, symmetric, tridiagonal and zero on its diagonal, so a
+real one-entry input at local index j evolves to a real vector times
+(-i)^|n - j|; _real_pair_matrix takes that real A_r out of A, for the pump
+(j = k, the power on the column r) and the unit pair (j = 0, on the row q).
 Other modules rely on that layout: states builds a pump as a column and a
 twin beam as a row, experiments reads a beam's a_{q+r} through a Hankel view
-and contracts G = A^T A* in _chain, and metrics._pair_lag_sums needs A to be
-zero where q + r >= dim.  evolved_moments reads mean photon numbers block by
+and contracts G_r = A_r^T A_r in _chain, and metrics._pair_lag_sums needs A_r
+to be zero where q + r >= dim.  evolved_moments reads mean photon numbers block by
 block, with no state.  check_time_domain is the one rule on the exact time
 domain; evolve and evolved_moments apply it before any block is built, and at
 tau = 0 give the input's own amplitudes and moments.
@@ -142,6 +146,19 @@ def pair_matrix(state: ThreeModeState) -> np.ndarray:
     for (_, k), vec in state.blocks.items():
         flat[k : k * dim + 1 : step] = vec
     return amps
+
+
+def _real_pair_matrix(amps: np.ndarray, axis: int) -> np.ndarray:
+    """The real A_r = i^n A of a pair matrix A = (-i)^n A_r, n its index along axis: one copy, no complex product.
+
+    n is the row q for inputs at local index 0 (the unit pair: axis 0) and the column r for inputs at local index k
+    (the pump: axis 1).  A_r reads A's real part where n is even and its imaginary part where n is odd, negated
+    where n mod 4 is 1 or 2; the part it does not read is exactly 0 for a real input.
+    """
+    n = np.arange(len(amps)).reshape((-1, 1) if axis == 0 else (1, -1))
+    out = np.where(n % 2, amps.imag, amps.real)
+    out *= np.array([1.0, -1.0, -1.0, 1.0])[n % 4]
+    return out
 
 
 def check_time_domain(state: ThreeModeState, tau: float) -> None:

@@ -8,25 +8,31 @@ locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
 so each output is read once, as the pair matrix A of sum A[q, r] |r, r, q>
 (only the stage-1 coarse scan reads n_a block by block, by evolved_moments).
-No twin beam is evolved: a beam is a_k times the unit pair |k, k, 0> in each
-block, so _beam_outputs forms its A as a_{q+r} R from the unit pair's R, for
-every sweep, coarse scan and Brent step, and the pipeline's stage-2 response
-is R itself.  A pure stage-2 output is scored from A alone by _stage2_record,
-through the functions the search maximizes; only the pipeline's mixed output
-is scored as a mode-c density matrix, by pipeline_record.
+Every input is built at phase 0, at |alpha| or |chi|, and _pair_outputs takes
+the real A_r out of each output: the pump's A is A_r diag((-i)^r) and the unit
+pair's R is diag((-i)^q) R_r.  The input phase phi is one more diagonal factor,
+e^{i phi (q + r)}, so it enters only where a figure depends on it: the
+stage-2 lag sums and the pipeline's rho are turned by it exactly, and the
+rest is scored in real arithmetic.  No twin beam is evolved: a beam is a_k
+times the unit pair |k, k, 0> in each block, so _beam_outputs forms its A_r as
+a_{q+r} R_r from the unit pair's R_r, for every sweep, coarse scan and Brent
+step, and the pipeline's stage-2 response is R_r itself.  A pure stage-2
+output is scored from A_r and its phase by _stage2_record, through the
+functions the search maximizes; only the pipeline's mixed output is scored as
+a mode-c density matrix, by pipeline_record.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import starmap
+from itertools import cycle, starmap
 from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import _unit_pair, check_time_domain, evolve, evolved_moments, pair_matrix
+from .evolution import _real_pair_matrix, _unit_pair, check_time_domain, evolve, evolved_moments, pair_matrix
 from .metrics import (_delta_phi, _pair_lag_sums, _pair_matched_overlap, matched_pcs_overlap_rho, purity,
                       reciprocal_peak_likelihood)
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
@@ -91,10 +97,11 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
 
     The overlap scores the (a, b) marginal against the twin beam predicted
     by the undepleted-pump approximation at each time.  delta_phi is not
-    meaningful for the mode pair and is recorded as NaN.
+    meaningful for the mode pair and is recorded as NaN.  Every field but
+    chi is phase-invariant, so the pump is evolved at |alpha|.
     """
-    pump = make_coherent_pump(pump_alpha, eps)
-    outputs = _pair_outputs(pump, tau_grid)
+    pump = make_coherent_pump(modulus := _polar(pump_alpha)[0], eps)
+    outputs = _pair_outputs(pump, tau_grid, 1)
     pump_energy = _input_energy(pair_matrix(pump))
 
     def one(tau: float, amps: np.ndarray) -> SweepRecord:
@@ -102,10 +109,12 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
         chi = predicted_twin_beam_param(pump_alpha, tau)
         # sech(tau |alpha|), not sqrt(1 - |chi|^2), which cancels to 0 once tanh rounds to 1;
         # written with e^-x, it underflows to 0 where cosh would overflow (x > 710)
-        x = tau * abs(pump_alpha)
+        x = tau * modulus
         sech = 2.0 * math.exp(-x) / (1.0 + math.exp(-2.0 * x))
-        ref = np.asarray(chi, dtype=complex) ** np.arange(len(amps)) * sech
-        overlap = min(1.0, float(np.linalg.norm(amps @ np.conj(ref))))  # rounding can exceed 1 near tau = 0
+        # chi^r = (-i)^r tanh^r e^{i r phi} meets A's phases, so this is the norm of A_r tanh^r sech, by fsum: at
+        # tau = 0 it reads the input column's own norm; rounding can exceed 1 near tau = 0
+        cols = amps @ (math.tanh(x) ** np.arange(len(amps)) * sech)
+        overlap = min(1.0, math.sqrt(math.fsum(cols * cols)))
         # the purity of A equals the (a, b) purity
         return SweepRecord(tau=float(tau), overlap=overlap, eta=n_pair / pump_energy, purity=_pair_purity(amps),
                            delta_phi=math.nan, n_a=n_pair, n_b=n_pair, n_c=n_c, lambda_or_chi=chi)
@@ -115,8 +124,8 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
 
 def stage2_sweep(chi: complex, tau_grid, eps: float = 1e-10) -> list[SweepRecord]:
     """Up-conversion sweep for a twin beam with pair amplitude chi."""
-    (hankel,), (energy_in,) = _beam_rows([chi], eps)
-    return list(starmap(partial(_stage2_record, energy_in=energy_in), _beam_outputs([hankel], tau_grid)))
+    (hankel,), (energy_in,), (phase,) = _beam_rows([chi], eps)
+    return list(starmap(partial(_stage2_record, energy_in=energy_in, phase=phase), _beam_outputs([hankel], tau_grid)))
 
 
 def find_optimal_tau(
@@ -140,12 +149,12 @@ def find_peak_conversion_tau(pump_alpha: complex, eps: float = 1e-10) -> tuple[f
     Searched as find_optimal_tau searches: 48 coarse times over (0, 1.5] read by evolved_moments, then Brent's method
     to tol = 1e-5 on pair matrices, ties to the later evaluation.  Returns (tau_opt, eta), as stage1_sweep records them.
     """
-    pump = make_coherent_pump(pump_alpha, eps)
+    pump = make_coherent_pump(_polar(pump_alpha)[0], eps)
     pump_energy = _input_energy(pair_matrix(pump))
     taus = _coarse_grid(_STAGE1_HI, _STAGE1_POINTS, _TOL)
     scan = evolved_moments(pump, taus)[1] / pump_energy
-    tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy, partial(_pair_outputs, pump),
-                                          taus, scan, _TOL)
+    tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy,
+                                          partial(_pair_outputs, pump, axis=1), taus, scan, _TOL)
     return tau_opt, eta
 
 
@@ -217,9 +226,11 @@ def full_pipeline(pump_alpha: complex, tau1: float, tau2: float, eps: float = 1e
 
     Tracing the stage-1 pump leaves the pair density G = A^T A*, handed a fresh vacuum output mode.
     Pair count r enters stage 2 as local index 0 of block (2r, r); one evolution of all those gives
-    B[n, p] (n output photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p],
-    summed one diagonal n' - n >= 0 at a time over B skewed in place, never conjugated, written
-    over G and mirrored into the lower triangle: the working set is G and the skewed B.
+    B[n, p] (n output photons, p pairs left) and rho[n, n'] = sum_p G[p+n, p+n'] B[n, p] B*[n', p].
+    With the pump evolved at |alpha|, G and B are real up to diagonal phases, so rho is
+    (-1)^(n - n') e^(i phi (n - n')) rho_r, phi the pump phase, and the real rho_r is summed one
+    diagonal n' - n >= 0 at a time over the real B skewed in place and written over the real G:
+    the working set is G, the skewed B and, once B is released, rho.
     """
     return _chain(pump_alpha, tau1, tau2, eps)[0]
 
@@ -245,36 +256,40 @@ def pipeline_record(pump_alpha: complex, tau1: float, tau2: float, eps: float = 
 
 
 def _chain(pump_alpha, tau1, tau2, eps) -> tuple[np.ndarray, float]:
-    """The body of full_pipeline, and the pair energy 2 n_a stage 1 delivers.  The pump goes once evolved, A once G is
-    formed and B, skewed in place, before the mirror.  rho's diagonal d is summed 64 rows at a time, each tile one
-    fused product in ascending r, and written over G's diagonal d, which no other diagonal reads; its strictly lower
-    triangle is the upper one's conjugate."""
-    pump = make_coherent_pump(pump_alpha, eps)
+    """The body of full_pipeline, and the pair energy 2 n_a stage 1 delivers.  The pump goes once evolved, A_r once
+    G_r = A_r^T A_r is formed and the skewed R_r once rho_r is summed.  rho_r's diagonal d is summed 64 rows at a time,
+    each tile one fused real product in ascending r, and written over G_r's diagonal d, which no other diagonal reads.
+    rho's diagonal d is rho_r's times the exact turn (-1)^d e^(-i phi d), and its strictly lower triangle is the upper
+    one's conjugate."""
+    modulus, phase = _polar(pump_alpha)
+    pump = make_coherent_pump(modulus, eps)
     _check_tau_grid([tau2], pump)  # before stage 1 is evolved; the stage-2 pair counts reach the pump's
-    ((_, amps),) = _pair_outputs(pump, [tau1])
+    ((_, amps),) = _pair_outputs(pump, [tau1], 1)
     del pump
     energy_in = 2.0 * _moments(amps)[1]
-    density = amps.T @ amps.conj()
+    density = amps.T @ amps  # G_r, real and symmetric: G[p, p'] = (-i e^(i phi))^(p - p') G_r[p, p']
     dim = len(amps)  # output support is bounded by the pair count
     del amps
-    ((_, response),) = _unit_pair_outputs(dim, [tau2])  # |r, r, 0> for every r
-    for n in range(1, dim):  # skewed: S[n, r] = B[n, r - n], block r's output, and 0 left of the diagonal
+    ((_, response),) = _unit_pair_outputs(dim, [tau2])  # |r, r, 0> for every r: B[n] = (-i)^n R_r[n]
+    for n in range(1, dim):  # skewed: S[n, r] = R_r[n, r - n], block r's output, and 0 left of the diagonal
         response[n, n:] = response[n, : dim - n]
         response[n, :n] = 0.0
-    sign = (-1.0) ** np.arange(dim)  # B[n] is real for even n and imaginary for odd n: conj(B[n]) = sign[n] B[n]
-    tile = np.empty(64, dtype=complex)
-    for d in range(dim):  # rho[n, n + d] = sign[n + d] sum_r S[n, r] S[n + d, r + d] G[r, r + d]
-        diagonal = density.reshape(-1)[d : (dim - d) * (dim + 1) : dim + 1]  # G[r, r + d], a strided view
-        for n in range(0, dim - d, 64):  # a tile reads G[r, r + d] from r = n on; the tiles before it wrote r < n
+    tile = np.empty(64)
+    for d in range(dim):  # rho_r[n, n + d] = sum_r S[n, r] S[n + d, r + d] G_r[r, r + d]
+        diagonal = density.reshape(-1)[d : (dim - d) * (dim + 1) : dim + 1]  # G_r[r, r + d], a strided view
+        for n in range(0, dim - d, 64):  # a tile reads G_r[r, r + d] from r = n on; the tiles before it wrote r < n
             m = min(64, dim - d - n)  # rows n .. n + m - 1
             np.einsum("nr,nr,r->n", response[n : n + m, n : dim - d], response[n + d : n + d + m, n + d :],
                       diagonal[n:], out=tile[:m])
-            np.multiply(tile[:m], sign[n + d : n + d + m], out=diagonal[n : n + m])
+            diagonal[n : n + m] = tile[:m]
     del response
-    for n in range(dim - 1):  # density holds rho's upper triangle now; rho is Hermitian
-        np.conjugate(density[n, n + 1 :], out=density[n + 1 :, n])
-    np.fill_diagonal(density.imag, 0.0)
-    return density, energy_in
+    d = np.arange(dim)
+    turn = (-1.0) ** d * np.exp(-1j * phase * d)  # B[n] conj(B[n']) G[.] leaves (-1)^d e^(-i phi d) on diagonal d
+    rho = np.empty((dim, dim), dtype=complex)
+    for n in range(dim):  # density holds rho_r's upper triangle now; rho is Hermitian
+        np.multiply(density[n, n:], turn[: dim - n], out=rho[n, n:])
+        np.conjugate(rho[n, n + 1 :], out=rho[n + 1 :, n])
+    return rho, energy_in
 
 
 def _input_energy(amps: np.ndarray) -> float:
@@ -294,24 +309,28 @@ def _moments(amps: np.ndarray) -> tuple[float, float]:
 
 
 def _pair_purity(amps: np.ndarray) -> float:
-    """Tr rho_c^2 of a pair matrix, over blocks of 32 rows of conj(rho_c) = A* A^T against the rows from there on.
+    """Tr rho_c^2 of a pair matrix from its real A_r, over blocks of 32 rows of A_r A_r^T against the rows after them.
 
-    The part right of each diagonal block counts twice, as rho_c is Hermitian.  Neither rho_c nor a conjugate of A
-    is ever whole: at pump 256 the two would add 4 MiB per time to the four evolved times a sweep holds.
+    rho_c = A A^dag is A_r A_r^T between diagonal phases, which leave its squared moduli as they are, and its purity
+    is that of A_r^T A_r as well, so A_r^T may be passed.  The part right of each diagonal block counts twice, as rho_c
+    is Hermitian.  The real rho_r is never whole: at pump 256 it would
+    add 1 MiB per time to the four evolved times a sweep holds.
     """
-    rows = (np.abs(amps[i : i + 32].conj() @ amps[i:].T) for i in range(0, len(amps), 32))
+    rows = (amps[i : i + 32] @ amps[i:].T for i in range(0, len(amps), 32))
     return float(sum(np.sum(w[:, :32] ** 2) + 2.0 * np.sum(w[:, 32:] ** 2) for w in rows))
 
 
-def _stage2_record(tau, amps, energy_in) -> SweepRecord:
-    """The one scoring of a pure stage-2 output: its record at tau, read from its pair matrix A as the search reads it.
+def _stage2_record(tau, amps, energy_in, phase) -> SweepRecord:
+    """The one scoring of a pure stage-2 output: its record at tau, read from A_r and the beam's phase as the search
+    reads them.
 
     delta_phi is reciprocal_peak_likelihood's, read from the lag sums of A A^dag with unit weights.
     """
     n_out, n_pair = _moments(amps)
-    overlap, lam = _pair_matched_overlap(amps, n_out)
-    return SweepRecord(tau=float(tau), overlap=overlap, eta=2.0 * n_out / energy_in, purity=_pair_purity(amps),
-                       delta_phi=_delta_phi(_pair_lag_sums(amps, np.ones(len(amps)))), n_a=n_pair, n_b=n_pair,
+    overlap, lam = _pair_matched_overlap(amps, n_out, phase)
+    # the purity of A_r^T, as a beam's output starts in row 0: at small tau each product sums over few rows
+    return SweepRecord(tau=float(tau), overlap=overlap, eta=2.0 * n_out / energy_in, purity=_pair_purity(amps.T),
+                       delta_phi=_delta_phi(_pair_lag_sums(amps, np.ones(len(amps)), phase)), n_a=n_pair, n_b=n_pair,
                        n_c=n_out, lambda_or_chi=lam)
 
 
@@ -321,21 +340,22 @@ def _stage2_optima(chis, eps, coarse_points=_STAGE2_POINTS, tol=_TOL) -> list[Sw
     The beams share one _beam_outputs coarse scan, from the unit pair at the largest cut; each Brent step is one
     _beam_outputs time of its own beam, from the unit pair at that beam's cut, so the search holds no state.
     """
-    hankels, energies = _beam_rows(chis, eps)
+    hankels, energies, phases = _beam_rows(chis, eps)
     taus = _coarse_grid(_STAGE2_HI, coarse_points, tol)
-    scores = list(map(_stage2_score, map(itemgetter(1), _beam_outputs(hankels, taus))))  # beam by beam at each time
+    scores = list(map(_stage2_score, map(itemgetter(1), _beam_outputs(hankels, taus)), cycle(phases)))  # beam by beam
     scans = np.reshape(scores, (len(taus), len(chis))).T
 
-    def optimum(hankel, scan, energy) -> SweepRecord:  # a search holds no A of the one before
-        tau, _, amps = _bracket_then_brent(_stage2_score, partial(_beam_outputs, [hankel]), taus, scan, tol)
-        return _stage2_record(tau, amps, energy)
+    def optimum(hankel, scan, energy, phase) -> SweepRecord:  # a search holds no A of the one before
+        tau, _, amps = _bracket_then_brent(partial(_stage2_score, phase=phase), partial(_beam_outputs, [hankel]), taus,
+                                           scan, tol)
+        return _stage2_record(tau, amps, energy, phase)
 
-    return list(map(optimum, hankels, scans, energies))
+    return list(map(optimum, hankels, scans, energies, phases))
 
 
-def _stage2_score(amps: np.ndarray) -> float:
-    """The matched overlap of a pair matrix, read without forming rho_c: the stage-2 search's objective."""
-    return _pair_matched_overlap(amps, _moments(amps)[0])[0]
+def _stage2_score(amps: np.ndarray, phase: float) -> float:
+    """The matched overlap of a pair matrix from its real A_r and phase, rho_c never formed: the search's objective."""
+    return _pair_matched_overlap(amps, _moments(amps)[0], phase)[0]
 
 
 def _check_tau_grid(tau_grid, state) -> np.ndarray:
@@ -354,19 +374,27 @@ def _check_tau_grid(tau_grid, state) -> np.ndarray:
 
 
 def _beam_rows(chis, eps):
-    """(a_{q+r}, energy) of each twin beam, read once and dropped: a_{q+r} a Hankel view of its row, 0 past its cut."""
-    def row(a):
-        return sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)), _input_energy(a)
+    """(a_{q+r}, energy, phase) of each twin beam, its row read once at |chi| and dropped: a_{q+r} a real Hankel view
+    of that row, 0 past its cut, and phase the arg of chi, which turns the beam's A by e^{i phase (q + r)}."""
+    def row(chi):
+        modulus, phase = _polar(chi)
+        a = pair_matrix(make_twin_beam(modulus, eps))
+        return sliding_window_view(np.concatenate([a[0].real, np.zeros(len(a) - 1)]), len(a)), _input_energy(a), phase
 
-    return zip(*map(row, (pair_matrix(make_twin_beam(chi, eps)) for chi in chis)))
+    return zip(*map(row, chis))
+
+
+def _polar(z) -> tuple[float, float]:
+    """(|z|, arg z); |z| is inf, not an OverflowError, past the float range, so the input's own check refuses it."""
+    return math.hypot(z.real, z.imag), math.atan2(z.imag, z.real)
 
 
 def _beam_outputs(hankels, tau_grid):
-    """(tau, A) at each time of tau_grid for each twin beam of hankels, its a_{q+r}, in turn: the one way to a beam's A.
+    """(tau, A_r) at each time of tau_grid for each beam of hankels, its real a_{q+r} at |chi|: the one way to A_r.
 
-    A beam is a_k times the unit pair |k, k, 0> in block (2k, k), so with R the unit pair's pair matrix at the largest
-    cut, A = a_{q+r} R bit for bit, as the 2 of propagate is exact.  The last A is formed in R if its cut is the
-    largest, and R is released before the next time's R is formed.
+    A beam is a_k times the unit pair |k, k, 0> in block (2k, k), so with R_r the unit pair's real pair matrix at the
+    largest cut, A_r = a_{q+r} R_r bit for bit, as the 2 of propagate is exact.  The last A_r is formed in R_r if its
+    cut is the largest, and R_r is released before the next time's R_r is formed.
     """
     top = max(map(len, hankels))
     for tau, response in _unit_pair_outputs(top, tau_grid):
@@ -377,21 +405,22 @@ def _beam_outputs(hankels, tau_grid):
 
 
 def _unit_pair_outputs(dim, tau_grid):
-    """_pair_outputs of the unit pair sum_{k < dim} |k, k, 0>: the stage-2 response R of _beam_outputs and _chain."""
-    return _pair_outputs(_unit_pair(dim), tau_grid)
+    """_pair_outputs of the unit pair sum_{k < dim} |k, k, 0>: the stage-2 response R_r of _beam_outputs and _chain."""
+    return _pair_outputs(_unit_pair(dim), tau_grid, 0)
 
 
-def _pair_outputs(state, tau_grid):
-    """(tau, A) for each time of tau_grid, checked before any evolve: the one place experiments evolve, once per
-    _SCAN_CHUNK times.  Each A is yielded unbound, so its consumer holds the only reference, and a chunk's states are
-    dropped before the next chunk is evolved."""
+def _pair_outputs(state, tau_grid, axis):
+    """(tau, A_r) for each time of tau_grid, checked before any evolve: the one place experiments evolve, once per
+    _SCAN_CHUNK times.  state is real, one entry per block at local index 0 (axis 0) or k (axis 1), and A_r is
+    _real_pair_matrix's, yielded unbound, so its consumer holds the only reference; a chunk's states are dropped
+    before the next chunk is evolved."""
     taus = _check_tau_grid(tau_grid, state)
 
     def outputs():
         for i in range(0, len(taus), _SCAN_CHUNK):
             states = evolve(state, taus[i : i + _SCAN_CHUNK])
             for j in range(len(states)):
-                yield taus[i + j], pair_matrix(states[j])
+                yield taus[i + j], _real_pair_matrix(pair_matrix(states[j]), axis)
             del states
 
     return outputs()

@@ -12,8 +12,10 @@ Conventions used throughout:
 * the phase figures share one exact path: lag sums t_d = sum_m M[m + d, m]
   of the (weighted) mode-c density matrix, one FFT over the fixed 1024-point
   phase grid, and a parabolic refinement of the grid maximum.  For a pure
-  output of the experiments the lag sums are read from its pair matrix A by
-  _pair_lag_sums, and M = A A^dag is never formed.
+  output of the experiments the lag sums are read by _pair_lag_sums from the
+  real A_r of its pair matrix A = e^{i phi (q + r)} (-i)^q A_r, phi the input
+  phase, in real arithmetic, and then turned by the exact factor
+  (-i e^{i phi})^d; M = A A^dag is never formed.
 """
 from __future__ import annotations
 
@@ -113,7 +115,8 @@ def phase_distribution(rho: np.ndarray) -> np.ndarray:
     Exact for any matrix dimension; the Riemann sum over the grid equals the
     trace whenever the dimension is at most 1024.
     """
-    return _grid_profile(np.conj(_lag_sums(rho))) / (2.0 * np.pi)
+    sums = _lag_sums(rho)
+    return (float(sums[0].real) + _grid_profile(np.conj(sums))) / (2.0 * np.pi)
 
 
 def reciprocal_peak_likelihood(rho: np.ndarray) -> float:
@@ -141,16 +144,18 @@ def matched_pcs_overlap_rho(rho: np.ndarray) -> tuple[float, complex]:
     """
     n_bar = float(np.real(np.diag(rho)) @ np.arange(len(rho)))
     mod, weights = _pcs_weights(n_bar, len(rho))
-    return _matched_tail(_lag_sums(weights[:, np.newaxis] * rho * weights[np.newaxis, :]), mod)
+    weighted = weights[:, np.newaxis] * rho
+    weighted *= weights  # in place: one matrix beside rho, not two
+    return _matched_tail(_lag_sums(weighted), mod)
 
 
-def _pair_matched_overlap(amps: np.ndarray, n_bar: float) -> tuple[float, complex]:
-    """matched_pcs_overlap_rho of rho = A A^dag, read from the pair matrix A without forming rho.
+def _pair_matched_overlap(amps: np.ndarray, n_bar: float, phase: float) -> tuple[float, complex]:
+    """matched_pcs_overlap_rho of rho = A A^dag, read from A's real A_r as _pair_lag_sums reads it, rho never formed.
 
-    n_bar is the mean photon number of rho, which the caller has from A.
+    n_bar is the mean photon number of rho, which the caller has from A_r.
     """
     mod, weights = _pcs_weights(n_bar, len(amps))
-    return _matched_tail(_pair_lag_sums(amps, weights), mod)
+    return _matched_tail(_pair_lag_sums(amps, weights, phase), mod)
 
 
 def _pcs_weights(n_bar: float, dim: int) -> tuple[float, np.ndarray]:
@@ -161,7 +166,7 @@ def _pcs_weights(n_bar: float, dim: int) -> tuple[float, np.ndarray]:
 
 def _matched_tail(sums: np.ndarray, mod: float) -> tuple[float, complex]:
     """(overlap, lam) of matched_pcs_overlap_rho from the lag sums of the weighted density matrix."""
-    position, _ = _grid_peak(_grid_profile(sums))
+    position, _ = _grid_peak(_grid_profile(sums))  # t_0 moves no peak
     theta = 2.0 * np.pi * position / _PHASE_POINTS
     d = np.arange(1, len(sums))
     value = float(sums[0].real) + float(2.0 * np.real(np.sum(sums[1:] * np.exp(-1j * d * theta))))
@@ -180,47 +185,51 @@ def _lag_sums(matrix: np.ndarray) -> np.ndarray:
     return np.array([flat[d * dim :: dim + 1].sum() for d in range(dim)])
 
 
-def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """_lag_sums of M = (w A)(w A)^dag, read from the pair matrix A without forming M.
+def _pair_lag_sums(amps: np.ndarray, weights: np.ndarray, phase: float) -> np.ndarray:
+    """_lag_sums of M = (w A)(w A)^dag for the pair matrix A = e^{i phase (q + r)} (-i)^q A_r, read from the real A_r.
 
-    A must be a pair matrix, zero where q + r >= dim, so column j is zero below row dim - 1 - j.
-    t_d = sum_r sum_m u[m + d, r] conj(u[m, r]) with u = w A, so each column adds its autocorrelation, the
-    inverse FFT of its power spectrum (Wiener-Khinchin).  The _LAG_COLUMNS columns from j share one FFT of
-    their dim - j rows, padded to the smallest power of 2 >= 2 (dim - j) - 1 so no lag wraps; the spectra
-    of one length are summed, and only the positive lags of each sum are added back.
+    A_r must be zero where q + r >= dim, so column j is zero below row dim - 1 - j.  The diagonal phases of A leave
+    t_d = (-i e^{i phase})^d s_d, s_d = sum_r sum_m u[m + d, r] u[m, r] with the real u = w A_r, so each column adds
+    its autocorrelation, the inverse real FFT of its power spectrum (Wiener-Khinchin).  The _LAG_COLUMNS columns from j
+    share one real FFT of their dim - j rows, padded to the smallest power of 2 >= 2 (dim - j) - 1 so no lag wraps;
+    the spectra of one length are summed, only the positive lags of each sum are added back, and the real s_d are
+    turned once, by (-i)^d from an exact table, so phase 0 turns them exactly.
     """
     dim = amps.shape[0]
     powers: dict[int, np.ndarray] = {}
     for j in range(0, amps.shape[1], _LAG_COLUMNS):
         rows = dim - j
         size = 1 << (2 * rows - 2).bit_length()
-        spectra = np.fft.fft(weights[:rows, np.newaxis] * amps[:rows, j : j + _LAG_COLUMNS], size, axis=0).view(float)
-        power = powers.setdefault(size, np.zeros(size))
-        power += np.einsum("ij,ij->i", spectra, spectra)
-    sums = np.zeros(dim, dtype=complex)
+        spectra = np.fft.rfft(weights[:rows, np.newaxis] * amps[:rows, j : j + _LAG_COLUMNS], size, axis=0)
+        power = powers.setdefault(size, np.zeros(size // 2 + 1))
+        power += np.einsum("ij,ij->i", spectra.view(float), spectra.view(float))
+    sums = np.zeros(dim)
     for size, power in powers.items():
-        lags = np.fft.ifft(power)[: (size + 1) // 2][:dim]  # a 1-point FFT holds lag 0 only
+        lags = np.fft.irfft(power, size)[: (size + 1) // 2][:dim]  # a 1-point FFT holds lag 0 only
         sums[: len(lags)] += lags
-    return sums
+    d = np.arange(dim)
+    return sums * np.array([1.0, -1j, -1.0, 1j])[d % 4] * np.exp(1j * phase * d)
 
 
 def _delta_phi(sums: np.ndarray) -> float:
     """1 / max p of the phase distribution of a density matrix with lag sums t_d; ValueError without a positive peak."""
-    _, peak = _grid_peak(_grid_profile(np.conj(sums)) / (2.0 * np.pi))
+    _, peak = _grid_peak(_grid_profile(np.conj(sums)))
+    peak = (float(sums[0].real) + peak) / (2.0 * np.pi)
     if peak <= 0.0:
         raise ValueError("phase distribution has no positive peak")
     return 1.0 / peak
 
 
 def _grid_profile(sums: np.ndarray) -> np.ndarray:
-    """t_0 + 2 Re sum_{d>=1} t_d exp(-i d theta_k) on the phase grid theta_k = 2 pi k / 1024.
+    """2 Re sum_{d>=1} t_d exp(-i d theta_k) on the phase grid theta_k = 2 pi k / 1024: the profile less t_0.
 
     The lag d enters only through d mod 1024, so the lags are folded into
     those bins and one FFT evaluates the sum exactly for any number of lags.
+    The constant t_0 is left out, so a peak is placed without its rounding.
     """
     lags = np.zeros(-(-len(sums) // _PHASE_POINTS) * _PHASE_POINTS, dtype=complex)
     lags[1 : len(sums)] = sums[1:]
-    return float(sums[0].real) + 2.0 * np.fft.fft(lags.reshape(-1, _PHASE_POINTS).sum(axis=0)).real
+    return 2.0 * np.fft.fft(lags.reshape(-1, _PHASE_POINTS).sum(axis=0)).real
 
 
 def _grid_peak(profile: np.ndarray) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Sweep drivers, optimizers, power-law fits, and the chained pipeline."""
 import ast
+import cmath
 import math
 import random
 import tracemalloc
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import triwave.experiments
@@ -174,28 +177,30 @@ def test_stage2_input_purity_does_not_exceed_one():
 
 @pytest.mark.parametrize("n_in", [2.0, 20.0])
 def test_stage2_sweep_matches_public_references(n_in):
-    # every field against the state-level path: reduce_mode_c, then the metrics
-    chi = math.sqrt(n_in / (n_in + 2.0)) * np.exp(0.3j)
+    # every field against the state-level path: the twin beam at chi itself evolved, reduce_mode_c, then the metrics;
+    # the sweep scores the beam at |chi| in real arithmetic and turns its lag sums by chi's phase
     taus = [0.0, 0.3, 0.8, 1.7]
-    beam = make_twin_beam(chi)
-    energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
-    for tau, rec in zip(taus, stage2_sweep(chi, taus)):
-        state = evolve(beam, tau)
-        rho = reduce_mode_c(state)
-        overlap, lam = matched_pcs_overlap_rho(rho)
-        expected = {
-            "overlap": overlap,
-            "eta": conversion_rate_up(state, energy_in),
-            "purity": purity(rho),
-            "delta_phi": reciprocal_peak_likelihood(rho),
-            "n_a": mean_photon(state, "a"),
-            "n_b": mean_photon(state, "b"),
-            "n_c": mean_photon(state, "c"),
-            "lambda_or_chi": lam,
-        }
-        for name, value in expected.items():
-            got = getattr(rec, name)
-            assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (tau, name, got, value)
+    for chi_phase in (0.3, 0.0, 0.7, 2.9):
+        chi = math.sqrt(n_in / (n_in + 2.0)) * np.exp(1j * chi_phase)
+        beam = make_twin_beam(chi)
+        energy_in = mean_photon(beam, "a") + mean_photon(beam, "b")
+        for tau, rec in zip(taus, stage2_sweep(chi, taus)):
+            state = evolve(beam, tau)
+            rho = reduce_mode_c(state)
+            overlap, lam = matched_pcs_overlap_rho(rho)
+            expected = {
+                "overlap": overlap,
+                "eta": conversion_rate_up(state, energy_in),
+                "purity": purity(rho),
+                "delta_phi": reciprocal_peak_likelihood(rho),
+                "n_a": mean_photon(state, "a"),
+                "n_b": mean_photon(state, "b"),
+                "n_c": mean_photon(state, "c"),
+                "lambda_or_chi": lam,
+            }
+            for name, value in expected.items():
+                got = getattr(rec, name)
+                assert abs(got - value) <= 1e-12 * max(1.0, abs(value)), (chi_phase, tau, name, got, value)
 
 
 def test_optimizers_eta_matches_public_references():
@@ -392,7 +397,8 @@ def test_shared_coarse_scan_equals_per_beam_scans(monkeypatch, search):
     taus = 3.0 * np.arange(1, 65) / 64
     assert len(scanned) == len(chis)
     for chi, values in zip(chis, scanned):
-        own = [_stage2_score(amps) for _, amps in _pair_outputs(make_twin_beam(chi, eps), taus)]
+        beam = make_twin_beam(abs(chi), eps)
+        own = [_stage2_score(amps, cmath.phase(chi)) for _, amps in _pair_outputs(beam, taus, 0)]
         assert np.array_equal(values, own)
 
 
@@ -462,9 +468,9 @@ def test_each_pair_matrix_is_dropped_before_the_next_is_formed(monkeypatch, run)
 
 
 def test_stage1_sweep_working_set_stays_within_four_and_a_half_pair_matrices():
-    # a sweep holds its chunk of _SCAN_CHUNK evolved states (about two dim x dim complex arrays at a pump) and the one
-    # pair matrix it scores: 4.29 of them at pump 144 over 8 times, where the previous matrix held through the next
-    # one's forming read 4.78
+    # a sweep holds its chunk of _SCAN_CHUNK evolved states (about two dim x dim complex arrays at a pump), the one
+    # pair matrix it reads and the real A_r taken from it: 4.29 of them at pump 144 over 8 times, as when the complex
+    # matrix was scored itself, and the previous matrix held through the next one's forming read 4.78
     alpha, taus = 12.0 * complex(np.exp(0.7j)), np.linspace(0.05, 0.4, 8)
     dim = len(pair_matrix(make_coherent_pump(alpha)))
     stage1_sweep(alpha, taus)  # builds every eigensystem the call below reads
@@ -499,7 +505,7 @@ def test_unit_pair_blocks_are_views_of_one_read_only_vector(dim):
     assert _is_unit_pair(state)
     taus = [0.0, 0.71, 2.5]
     padded = pair_state(np.ones((1, dim)))
-    for (_, ours), (_, theirs) in zip(_pair_outputs(state, taus), _pair_outputs(padded, taus), strict=True):
+    for (_, ours), (_, theirs) in zip(_pair_outputs(state, taus, 0), _pair_outputs(padded, taus, 0), strict=True):
         assert np.array_equal(ours, theirs)
 
 
@@ -530,13 +536,13 @@ def test_no_experiment_evolves_a_twin_beam(monkeypatch):
 
 @pytest.mark.parametrize("n_in, chi_phase, eps", [(0.5, 0.0, 1e-10), (6.0, 0.7, 1e-8), (30.0, 2.9, 1e-8)])
 def test_stage2_sweep_equals_the_direct_beam_evolve(n_in, chi_phase, eps):
-    # the reference evolves the padded twin beam itself and scores each time's pair matrix: every record must have the
-    # same repr, tau = 0 included, as a_{q+r} R is the beam's own output bit for bit
+    # the reference evolves the padded twin beam itself at |chi| and scores each time's real pair matrix at chi's
+    # phase: every record must have the same repr, tau = 0 included, as a_{q+r} R_r is the beam's own A_r bit for bit
     chi = math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(1j * chi_phase))
     taus = np.linspace(0.0, 2.5, 11)
-    beam = make_twin_beam(chi, eps)
+    beam = make_twin_beam(abs(chi), eps)
     energy_in = _input_energy(pair_matrix(beam))
-    direct = [_stage2_record(tau, amps, energy_in) for tau, amps in _pair_outputs(beam, taus)]
+    direct = [_stage2_record(tau, amps, energy_in, cmath.phase(chi)) for tau, amps in _pair_outputs(beam, taus, 0)]
     assert [repr(r) for r in stage2_sweep(chi, taus, eps)] == [repr(r) for r in direct]
 
 
@@ -555,7 +561,7 @@ def test_stage1_scan_equals_the_pair_matrix_scan(monkeypatch, energy):
     energy_in = mean_photon(pump, "c")
     taus = 1.5 * np.arange(1, 49) / 48
     (values,) = scanned
-    reference = np.array([_moments(amps)[1] / energy_in for _, amps in _pair_outputs(pump, taus)])
+    reference = np.array([_moments(amps)[1] / energy_in for _, amps in _pair_outputs(pump, taus, 1)])
     assert np.max(np.abs(values - reference)) <= 1e-15
     assert best_peak_index(values) == best_peak_index(reference)
 
@@ -671,33 +677,46 @@ def test_find_peak_conversion_tau_agrees_with_golden_section(energy, monkeypatch
     assert abs(eta - golden_eta) <= 1e-9
 
 
+def _turned(amps, phase, axis):
+    """The complex pair matrix e^{i phase (q + r)} (-i)^n A_r of a real A_r, n its index along axis, by exact powers."""
+    q, r = np.indices(amps.shape)
+    return np.exp(1j * phase * (q + r)) * np.array([1.0, -1j, -1.0, 1j])[(q, r)[axis] % 4] * amps
+
+
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 365])
 def test_pair_purity_matches_the_density_matrix_path(size):
-    # stage 1 and the stage-2 records sum Tr rho_c^2 over blocks of 32 rows of A* A^T instead of forming rho_c = A A^dag
+    # stage 1 and the stage-2 records sum Tr rho_c^2 over blocks of 32 rows of the real A_r A_r^T instead of forming
+    # rho_c = A A^dag of the complex A, a pump's or a beam's, at a phase
     rng = np.random.default_rng(size)
-    amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    amps = rng.normal(size=(size, size))
     amps /= np.linalg.norm(amps)
-    assert abs(_pair_purity(amps) - purity(amps @ amps.conj().T)) <= 1e-14
+    for axis in (0, 1):
+        dense = _turned(amps, rng.uniform(0.0, 2.0 * math.pi), axis)
+        assert abs(_pair_purity(amps) - purity(dense @ dense.conj().T)) <= 1e-14
+        assert abs(_pair_purity(amps.T) - purity(dense @ dense.conj().T)) <= 1e-14
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 100, 255, 256, 257, 507, 600, 1023, 1024, 1025, 1500])
 def test_pair_matched_overlap_matches_dense_path(size):
-    # the stage-2 search and record read the lag sums from A by FFT; the dense path forms rho_c = A A^dag.
-    # 256/257 and 1024/1025 straddle a doubling of the FFT length; past 1024 the lags fold onto the phase grid
+    # the stage-2 search and record read the lag sums from the real A_r by real FFTs and turn them by the phase; the
+    # dense path forms rho_c = A A^dag of the complex A = e^{i phase (q + r)} (-i)^q A_r.  256/257 and 1024/1025
+    # straddle a doubling of the FFT length; past 1024 the lags fold onto the phase grid
     rng = np.random.default_rng(size)
-    amps = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    amps = rng.normal(size=(size, size))
     amps[np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0  # pair matrices are triangular
     amps /= np.linalg.norm(amps)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
     n_bar = _moments(amps)[0]
     _, weights = _pcs_weights(n_bar, size)
-    dense = amps @ amps.conj().T
-    sums = _pair_lag_sums(amps, weights)
+    turned = _turned(amps, phase, 0)
+    dense = turned @ turned.conj().T
+    sums = _pair_lag_sums(amps, weights, phase)
     assert np.max(np.abs(sums - _lag_sums(weights[:, None] * dense * weights[None, :]))) <= 1e-13
-    overlap, lam = _pair_matched_overlap(amps, n_bar)
+    overlap, lam = _pair_matched_overlap(amps, n_bar, phase)
     expected_overlap, expected_lam = matched_pcs_overlap_rho(dense)
     assert abs(overlap - expected_overlap) <= 1e-14
     assert abs(lam - expected_lam) <= 1e-12
-    record = _stage2_record(0.0, amps, 1.0)
+    record = _stage2_record(0.0, amps, 1.0, phase)
     assert (record.overlap, record.lambda_or_chi, record.n_c) == (overlap, lam, n_bar)
     assert abs(record.delta_phi / reciprocal_peak_likelihood(dense) - 1.0) <= 1e-12
     assert abs(record.purity / purity(dense) - 1.0) <= 1e-12
@@ -775,9 +794,9 @@ def test_stage2_optimum_records_the_maximum_the_search_found(n_in, chi_phase, sc
     else:
         rec = optima_at_chi_phase[n_in]
         tau_opt, found = rec.tau, (rec.overlap, rec.lambda_or_chi)
-    beam = make_twin_beam(math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(1j * chi_phase)), eps=1e-8)
-    ((_, amps),) = _pair_outputs(beam, [tau_opt])
-    assert found == _pair_matched_overlap(amps, _moments(amps)[0])
+    beam = make_twin_beam(math.sqrt(n_in / (n_in + 2.0)), eps=1e-8)  # at |chi|, its phase turning the lag sums
+    ((_, amps),) = _pair_outputs(beam, [tau_opt], 0)
+    assert found == _pair_matched_overlap(amps, _moments(amps)[0], chi_phase)
 
 
 def test_records_are_built_in_one_place_each():
@@ -912,13 +931,13 @@ def test_pipeline_zero_first_stage_keeps_vacuum():
 
 
 @pytest.mark.parametrize("energy", [81.0, 144.0, 256.0])
-def test_pipeline_working_set_stays_within_three_and_a_half_density_matrices(energy):
-    # the contraction holds G and the skewed B, and writes rho over G one diagonal at a time, through a 64-entry tile;
-    # the peak is now outside it, in the scoring of rho or in forming G (A, its conjugate and G, 3.0): 3.41, 3.16 and
-    # 3.06 dim x dim complex arrays at pumps 81, 144 and 256.  The stage-2 evolve, G and B beside the unit pair's
-    # evolved copy, reads 2.73, 2.65 and 2.60 (3.23, 3.15 and 3.10 with the unit pair's blocks padded to k + 1); two
-    # 64-row buffers of p-term sums read 3.68 at pump 81, and whole per-p outer products, with A held through them,
-    # 7.0 and 6.7 at pumps 81 and 144
+def test_pipeline_working_set_stays_within_three_and_a_quarter_density_matrices(energy):
+    # the contraction holds the real G_r and the skewed real R_r, and writes rho_r over G_r one diagonal at a time,
+    # through a 64-entry tile; rho is formed once R_r is released.  The peak is now each evolve's extraction: the pump
+    # (or G_r), the evolved blocks, the complex pair matrix and its real A_r, 2.99, 2.81 and 2.66 dim x dim complex
+    # arrays at pumps 81, 144 and 256.  Forming G from A, its conjugate and G read 3.0, and the scoring of rho, with
+    # its weighted copy and a temporary beside it, 3.41, 3.16 and 3.06; two 64-row buffers of p-term sums read 3.68 at
+    # pump 81, and whole per-p outer products, with A held through them, 7.0 and 6.7 at pumps 81 and 144
     alpha = math.sqrt(energy)
     tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / alpha  # criterion 8's stage 1: N_in = 4
     dim = len(full_pipeline(alpha, tau1, 0.71))  # builds every eigensystem the call below reads
@@ -928,20 +947,23 @@ def test_pipeline_working_set_stays_within_three_and_a_half_density_matrices(ene
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
+    assert peak <= 3.25 * 16 * dim * dim, f"peak {peak / (16 * dim * dim):.2f} dim x dim complex arrays"
 
 
 def _whole_term_contraction(alpha, tau1, tau2):
-    """The pipeline's sum over whole (dim - p)^2 terms G[p:, p:] * outer(B[:, p], B*[:, p]), every element of it."""
-    ((_, amps),) = _pair_outputs(make_coherent_pump(alpha), [tau1])
-    density = amps.T @ amps.conj()
+    """The pipeline's sum over whole (dim - p)^2 terms G_r[p:, p:] * outer(R_r[:, p], R_r[:, p]), every element of it,
+    with the pump at |alpha| and the real G_r and R_r, then turned by (-1)^(n' - n) e^(-i phi (n' - n)), phi = arg
+    alpha, as the pipeline turns its upper triangle."""
+    ((_, amps),) = _pair_outputs(make_coherent_pump(abs(alpha)), [tau1], 1)
+    density = amps.T @ amps
     dim = len(amps)
-    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])
-    rho = np.zeros((dim, dim), dtype=complex)
+    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2], 0)
+    rho = np.zeros((dim, dim))
     for p in range(dim):
         col = response[: dim - p, p]
         rho[: dim - p, : dim - p] += density[p:, p:] * np.outer(col, col.conj())
-    return rho
+    lag = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim)))
+    return rho * ((-1.0) ** lag * np.exp(-1j * cmath.phase(alpha) * lag))
 
 
 def _mirrored_upper_triangle(rho):
@@ -980,12 +1002,46 @@ def test_pipeline_tiles_rho_up_to_the_64_row_edges(energy, dim):
 @pytest.mark.parametrize("tau2", [0.0, 0.71, 2.5])
 @pytest.mark.parametrize("dim", [1, 63, 64, 65, 129, 365])
 def test_unit_pair_response_is_real_on_even_rows_and_imaginary_on_odd_rows(dim, tau2):
-    # the pipeline never conjugates its stage-2 response B: it reads conj(B[n]) as (-1)^n B[n], exact only while
-    # propagate keeps the imaginary part of even rows and the real part of odd rows exactly 0
-    ((_, response),) = _pair_outputs(pair_state(np.ones((1, dim))), [tau2])
+    # the pipeline reads its stage-2 response B as the real R_r of B = (-i)^n R_r, exact only while propagate keeps
+    # the imaginary part of even rows and the real part of odd rows exactly 0
+    response = pair_matrix(evolve(pair_state(np.ones((1, dim))), tau2))
     assert np.all(response[0::2].imag == 0.0) and np.all(response[1::2].real == 0.0)
     sign = (-1.0) ** np.arange(dim)
     assert np.array_equal(response.conj(), sign[:, None] * response)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.71, 2.5])
+@pytest.mark.parametrize("axis, size", [(1, 81.0), (1, 256.0), (0, 1), (0, 64), (0, 365), (0, 507)],
+                         ids=["pump-81", "pump-256", "unit-1", "unit-64", "unit-365", "unit-507"])
+def test_pair_outputs_keep_the_nonzero_half_and_its_power_of_minus_i(axis, size, tau):
+    # _pair_outputs reads the real A_r of A = (-i)^n A_r, n the column r of a pump (input at local index k) or the row
+    # q of the unit pair (at local index 0): the half it discards, the other parity's real or imaginary part, must be
+    # exactly 0, and A must be A_r times (-i)^n from an exact table, bit for bit
+    state = make_coherent_pump(math.sqrt(size)) if axis else _unit_pair(size)
+    amps = pair_matrix(evolve(state, tau))
+    ((_, real),) = _pair_outputs(state, [tau], axis)
+    parts = np.moveaxis(amps, axis, 0)
+    assert np.array_equal(parts[0::2].imag, np.zeros_like(parts[0::2].imag))
+    assert np.array_equal(parts[1::2].real, np.zeros_like(parts[1::2].real))
+    power = np.array([1.0, -1j, -1.0, 1j])[np.arange(len(amps)) % 4]
+    assert np.array_equal(amps, real * (power if axis else power[:, None]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(energy=st.floats(0.25, 64.0), phase=st.floats(-math.pi, math.pi),
+       taus=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=6, unique=True).map(sorted))
+def test_every_sweep_record_conserves_the_input_weight(energy, phase, taus):
+    # n_a + n_b + 2 n_c is conserved by every block, so each record of either stage reads its input's weight: twice
+    # the pump's photons in stage 1, the beam's n_a + n_b in stage 2 (at the beam of N_in = energy)
+    pump = make_coherent_pump(math.sqrt(energy))
+    weight = 2.0 * mean_photon(pump, "c")
+    for rec in stage1_sweep(math.sqrt(energy) * complex(np.exp(1j * phase)), taus):
+        assert abs(rec.n_a + rec.n_b + 2.0 * rec.n_c - weight) <= 1e-12 * max(1.0, weight)
+    chi = math.sqrt(energy / (energy + 2.0)) * complex(np.exp(1j * phase))
+    beam = make_twin_beam(chi)
+    weight = mean_photon(beam, "a") + mean_photon(beam, "b")
+    for rec in stage2_sweep(chi, taus):
+        assert abs(rec.n_a + rec.n_b + 2.0 * rec.n_c - weight) <= 1e-12 * max(1.0, weight)
 
 
 def test_pipeline_rho_is_hermitian_bit_for_bit():

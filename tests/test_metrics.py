@@ -23,6 +23,7 @@ from triwave import (
     reduce_mode_c,
 )
 from triwave.evolution import pair_matrix
+from triwave.metrics import _lag_sums, _pair_lag_sums
 
 
 def pcs_density(lam, cutoff=160):
@@ -191,6 +192,27 @@ def test_phase_distribution_matches_brute_force_beyond_grid(size, seed):
     phis = 2 * np.pi * np.arange(1024) / 1024
     brute = np.abs(np.exp(1j * np.outer(phis, np.arange(size))) @ psi) ** 2 / (2 * np.pi)
     assert np.max(np.abs(phase_distribution(rho) - brute)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(1, 600) | st.sampled_from([256, 257, 1024, 1025]), seed=st.integers(0, 2**32 - 1),
+       phase=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+@example(size=256, seed=0, phase=0.0)
+@example(size=257, seed=1, phase=0.7)
+@example(size=1024, seed=2, phase=2.9)
+@example(size=1025, seed=3, phase=-1.3)
+def test_pair_lag_sums_turn_the_real_sums_by_the_phase(size, seed, phase):
+    # the lag sums of (w A)(w A)^dag for A = e^{i phase (q + r)} (-i)^q A_r are those of the real A_r turned by
+    # (-i e^{i phase})^d: the real path against the dense complex product, lags past 1024 included
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(size, size))
+    amps[np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0  # pair matrices are triangular
+    amps /= np.linalg.norm(amps)
+    weights = rng.uniform(0.0, 1.0, size)
+    q, r = np.indices(amps.shape)
+    dense = weights[:, None] * np.exp(1j * phase * (q + r)) * np.array([1.0, -1j, -1.0, 1j])[q % 4] * amps
+    expected = _lag_sums(dense @ dense.conj().T)
+    assert np.max(np.abs(_pair_lag_sums(amps, weights, phase) - expected)) <= 1e-13
 
 
 def test_vacuum_phase_is_uniform():
