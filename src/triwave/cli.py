@@ -39,13 +39,13 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, ValueError) else 1  # a ValueError is a refused input
 
 
-def _number(kind=float, lo=-math.inf, lo_open=False):
-    """argparse type: a finite `kind` in [lo, inf), or in (lo, inf) when lo_open."""
-    span = f"{'(' if lo_open else '['}{lo}, inf)"
+def _number(kind=float, lo=-math.inf, lo_open=False, hi=math.inf):
+    """argparse type: a finite `kind` in [lo, hi], or in (lo, hi] when lo_open; hi = inf leaves it unbounded above."""
+    span = f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi == math.inf else ']'}"
 
     def convert(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and lo <= value) or (lo_open and value == lo):
+        if not (math.isfinite(value) and lo <= value <= hi) or (lo_open and value == lo):
             raise argparse.ArgumentTypeError(f"must be finite and in {span}, got {text}")
         return value
 
@@ -59,6 +59,9 @@ _NON_NEGATIVE = _number(lo=0.0)
 # a start:stop:step range is counted before it is built, and refused past this: each energy is one optimal-time search,
 # the fixture and the README scan 27, and 1:1e300:1 would otherwise grow its list until the process is killed
 _MAX_RANGE_ENERGIES = 1000
+# --tau-steps is counted before np.linspace builds the grid, and refused past this: each step is one scored output, the
+# README sweeps 60 and 200, and 10^15 steps would otherwise ask np.linspace for 7.11 PiB before the library checks any
+_MAX_TAU_STEPS = 10_000
 
 
 def _energy_list(text: str) -> tuple[float, ...]:
@@ -127,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _add_tau_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tau-min", type=_NON_NEGATIVE, default=0.0, help="first interaction time (default 0)")
     sub.add_argument("--tau-max", type=_FINITE, required=True, help="last interaction time")
-    sub.add_argument("--tau-steps", type=_number(int, lo=2), required=True, help="number of grid points")
+    sub.add_argument("--tau-steps", type=_number(int, lo=2, hi=_MAX_TAU_STEPS), required=True, help="time grid points")
 
 
 def _add_common_args(sub: argparse.ArgumentParser) -> None:

@@ -10,8 +10,8 @@ the mode-c count and column r the pair count, and _unit_pair builds the unit
 pair sum_k |k, k, 0> that the experiments evolve, from one shared vector.
 Each block is real, symmetric, tridiagonal and zero on its diagonal, so a
 real one-entry input at local index j evolves to a real vector times
-(-i)^|n - j|; _real_pair_matrix takes that real A_r out of A, for the pump
-(j = k, the power on the column r) and the unit pair (j = 0, on the row q).
+(-i)^|n - j|; _real_pair_matrix reads that real A_r without forming A: the
+power is on the column r for j = k (the pump) and the row q for j = 0.
 Other modules rely on that layout: states builds a pump as a column and a
 twin beam as a row, experiments reads a beam's a_{q+r} through a Hankel view
 and contracts G_r = A_r^T A_r in _chain, and metrics._pair_lag_sums needs A_r
@@ -148,16 +148,19 @@ def pair_matrix(state: ThreeModeState) -> np.ndarray:
     return amps
 
 
-def _real_pair_matrix(amps: np.ndarray, axis: int) -> np.ndarray:
-    """The real A_r = i^n A of a pair matrix A = (-i)^n A_r, n its index along axis: one copy, no complex product.
+def _real_pair_matrix(state: ThreeModeState, axis: int) -> np.ndarray:
+    """The real A_r = i^n A of a real one-entry pair state's pair matrix A = (-i)^n A_r, in one pass: A is not formed.
 
-    n is the row q for inputs at local index 0 (the unit pair: axis 0) and the column r for inputs at local index k
-    (the pump: axis 1).  A_r reads A's real part where n is even and its imaginary part where n is odd, negated
-    where n mod 4 is 1 or 2; the part it does not read is exactly 0 for a real input.
+    The state is a real input with one entry per block (2k, k), or evolve's output of one; n is the row q (axis 0) for
+    an input at local index 0 and the column r (axis 1) for one at k.  Each block's real and imaginary parts, one of
+    them exactly 0, are summed into its anti-diagonal, then A_r is multiplied in place by the sign of i^n: 1, -1, -1, 1.
     """
-    n = np.arange(len(amps)).reshape((-1, 1) if axis == 0 else (1, -1))
-    out = np.where(n % 2, amps.imag, amps.real)
-    out *= np.array([1.0, -1.0, -1.0, 1.0])[n % 4]
+    dim = max(k for _, k in state.blocks) + 1
+    out = np.zeros((dim, dim))
+    flat = out.reshape(-1)
+    for (_, k), vec in state.blocks.items():  # row q, column k - q sits at flat k + q (dim - 1); dim = 1 has only k = 0
+        np.add(vec.real, vec.imag, out=flat[k : k * dim + 1 : max(dim - 1, 1)])
+    out *= np.array([1.0, -1.0, -1.0, 1.0])[np.arange(dim).reshape((-1, 1) if axis == 0 else (1, -1)) % 4]
     return out
 
 

@@ -8,18 +8,18 @@ locate optimal times, fit power laws to the optima, and chain both stages
 into a single mixed-state pipeline.  Every state evolved here keeps n_a = n_b,
 so each output is read once, as the pair matrix A of sum A[q, r] |r, r, q>
 (only the stage-1 coarse scan reads n_a block by block, by evolved_moments).
-Every input is built at phase 0, at |alpha| or |chi|, and _pair_outputs takes
-the real A_r out of each output: the pump's A is A_r diag((-i)^r) and the unit
-pair's R is diag((-i)^q) R_r.  The input phase phi is one more diagonal factor,
-e^{i phi (q + r)}, so it enters only where a figure depends on it: the
-stage-2 lag sums and the pipeline's rho are turned by it exactly, and the
-rest is scored in real arithmetic.  No twin beam is evolved: a beam is a_k
-times the unit pair |k, k, 0> in each block, so _beam_outputs forms its A_r as
-a_{q+r} R_r from the unit pair's R_r, for every sweep, coarse scan and Brent
-step, and the pipeline's stage-2 response is R_r itself.  A pure stage-2
-output is scored from A_r and its phase by _stage2_record, through the
-functions the search maximizes; only the pipeline's mixed output is scored as
-a mode-c density matrix, by pipeline_record.
+Every input is built at phase 0, at |alpha| or |chi|, and _real_pair_matrix
+reads each input and output once, into its real A_r, never a complex A: the
+pump's A is A_r diag((-i)^r) and the unit pair's R is diag((-i)^q) R_r.  The
+input phase phi is one more diagonal factor, e^{i phi (q + r)}, so it enters
+only where a figure depends on it: the stage-2 lag sums and the pipeline's rho
+are turned by it exactly, and the rest is scored in real arithmetic.  No twin
+beam is evolved: a beam is a_k times the unit pair |k, k, 0> in each block, so
+_beam_outputs forms its A_r as a_{q+r} R_r from the unit pair's R_r, for every
+sweep, coarse scan and Brent step, and the pipeline's stage-2 response is R_r
+itself.  A pure stage-2 output is scored from A_r and its phase by
+_stage2_record, through the functions the search maximizes; only the pipeline's
+mixed output is scored as a mode-c density matrix, by pipeline_record.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import _real_pair_matrix, _unit_pair, check_time_domain, evolve, evolved_moments, pair_matrix
+from .evolution import _real_pair_matrix, _unit_pair, check_time_domain, evolve, evolved_moments
 from .metrics import (_delta_phi, _pair_lag_sums, _pair_matched_overlap, matched_pcs_overlap_rho, purity,
                       reciprocal_peak_likelihood)
 from .states import make_coherent_pump, make_twin_beam, predicted_twin_beam_param
@@ -102,7 +102,7 @@ def stage1_sweep(pump_alpha: complex, tau_grid, eps: float = 1e-10) -> list[Swee
     """
     pump = make_coherent_pump(modulus := _polar(pump_alpha)[0], eps)
     outputs = _pair_outputs(pump, tau_grid, 1)
-    pump_energy = _input_energy(pair_matrix(pump))
+    pump_energy = _input_energy(_real_pair_matrix(pump, 1))
 
     def one(tau: float, amps: np.ndarray) -> SweepRecord:
         n_c, n_pair = _moments(amps)
@@ -150,7 +150,7 @@ def find_peak_conversion_tau(pump_alpha: complex, eps: float = 1e-10) -> tuple[f
     to tol = 1e-5 on pair matrices, ties to the later evaluation.  Returns (tau_opt, eta), as stage1_sweep records them.
     """
     pump = make_coherent_pump(_polar(pump_alpha)[0], eps)
-    pump_energy = _input_energy(pair_matrix(pump))
+    pump_energy = _input_energy(_real_pair_matrix(pump, 1))
     taus = _coarse_grid(_STAGE1_HI, _STAGE1_POINTS, _TOL)
     scan = evolved_moments(pump, taus)[1] / pump_energy
     tau_opt, eta, _ = _bracket_then_brent(lambda amps: _moments(amps)[1] / pump_energy,
@@ -378,8 +378,8 @@ def _beam_rows(chis, eps):
     of that row, 0 past its cut, and phase the arg of chi, which turns the beam's A by e^{i phase (q + r)}."""
     def row(chi):
         modulus, phase = _polar(chi)
-        a = pair_matrix(make_twin_beam(modulus, eps))
-        return sliding_window_view(np.concatenate([a[0].real, np.zeros(len(a) - 1)]), len(a)), _input_energy(a), phase
+        a = _real_pair_matrix(make_twin_beam(modulus, eps), 0)
+        return sliding_window_view(np.concatenate([a[0], np.zeros(len(a) - 1)]), len(a)), _input_energy(a), phase
 
     return zip(*map(row, chis))
 
@@ -411,16 +411,16 @@ def _unit_pair_outputs(dim, tau_grid):
 
 def _pair_outputs(state, tau_grid, axis):
     """(tau, A_r) for each time of tau_grid, checked before any evolve: the one place experiments evolve, once per
-    _SCAN_CHUNK times.  state is real, one entry per block at local index 0 (axis 0) or k (axis 1), and A_r is
-    _real_pair_matrix's, yielded unbound, so its consumer holds the only reference; a chunk's states are dropped
-    before the next chunk is evolved."""
+    _SCAN_CHUNK times.  state is real, one entry per block at local index 0 (axis 0) or k (axis 1), and A_r is read
+    from each evolved state by _real_pair_matrix, with no complex pair matrix, and yielded unbound, so its consumer
+    holds the only reference; a chunk's states are dropped before the next chunk is evolved."""
     taus = _check_tau_grid(tau_grid, state)
 
     def outputs():
         for i in range(0, len(taus), _SCAN_CHUNK):
             states = evolve(state, taus[i : i + _SCAN_CHUNK])
             for j in range(len(states)):
-                yield taus[i + j], _real_pair_matrix(pair_matrix(states[j]), axis)
+                yield taus[i + j], _real_pair_matrix(states[j], axis)
             del states
 
     return outputs()

@@ -1,17 +1,22 @@
 """Command-line interface: schemas, exit codes, and determinism."""
 import argparse
 import ast
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import triwave.blocks
 import triwave.cli
 import triwave.evolution
 import triwave.states
@@ -219,6 +224,19 @@ def test_energy_range_refusals_exit_2_at_once(text, message, capsys):
     assert f"error: argument --n-in-list: could not be parsed: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [triwave.cli._MAX_TAU_STEPS + 1, 10**15])
+@pytest.mark.parametrize("args", [["stage1", "--pump-energy", "1"], ["stage2", "--n-in", "2"]], ids=["stage1", "stage2"])
+def test_tau_steps_past_the_cap_exit_2_at_once(tmp_path, args, steps, capsys):
+    # counted by argparse before np.linspace allocates the grid: 10^15 steps asked it for 7.11 PiB and exited 1
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert run(args + ["--tau-max", "1", "--tau-steps", str(steps), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"error: argument --tau-steps: must be finite and in [2, {triwave.cli._MAX_TAU_STEPS}], got {steps}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_energy_range_bound_admits_its_own_count():
     bound = triwave.cli._MAX_RANGE_ENERGIES
     assert len(triwave.cli._energy_list(f"1:{bound}:1")) == bound
@@ -419,3 +437,65 @@ def test_package_loads_no_scipy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.append(node.module)
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# each flag's small accepted values, which keep an example to milliseconds
+_ACCEPTED = {
+    "stage1": {"--pump-energy": _floats(0.5, 4.0), "--pump-phase": _floats(-4.0, 4.0), "--tau-min": _floats(0.0, 0.5),
+               "--tau-max": _floats(0.5, 1.0), "--tau-steps": st.integers(2, 5).map(str),
+               "--eps": _floats(1e-10, 1e-4)},
+    "stage2": {"--n-in": _floats(0.5, 4.0), "--chi-phase": _floats(-4.0, 4.0), "--tau-min": _floats(0.0, 0.5),
+               "--tau-max": _floats(0.5, 1.0), "--tau-steps": st.integers(2, 5).map(str),
+               "--eps": _floats(1e-10, 1e-4)},
+    "pipeline": {"--pump-energy": _floats(0.5, 4.0), "--pump-phase": _floats(-4.0, 4.0), "--tau1": _floats(0.05, 1.0),
+                 "--tau2": _floats(0.0, 1.0), "--eps": _floats(1e-10, 1e-4)},
+    "scaling": {"--n-in-list": st.tuples(_floats(0.5, 1.0), _floats(1.5, 2.5), _floats(3.0, 4.0)).map(",".join),
+                "--eps": _floats(1e-10, 1e-4)},
+}
+# a number flag's edge values: signed zeros, subnormals, 1e-300 .. 1e300, nan and the infinities
+_EDGE = st.sampled_from(["0", "-0", "5e-324", "-5e-324", "2.2e-308", "1e-300", "1e-30", "1e30", "1e300", "-1e300",
+                         "nan", "inf", "-inf"])
+_EDGES = {
+    "--tau-steps": st.sampled_from(["0", "-0", "1", "1e300", "nan", "inf", str(triwave.cli._MAX_TAU_STEPS + 1),
+                                    str(10**15)]),
+    "--n-in-list": st.one_of(st.sampled_from(["1:1e300:1", "0:1:1e-12"]), _EDGE.map("1,2,{}".format)),
+}
+# the columns NaN by design: no single-mode phase of the stage-1 pair marginal, no signal or idler after the pipeline
+_NAN_COLUMNS = {"stage1": {"delta_phi"}, "stage2": set(), "pipeline": {"n_a", "n_b"}, "scaling": set()}
+
+
+def _written_values(path):
+    """{column: value} of every record, and of every fit in JSON, of a run's output file; JSON's null is NaN."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        rows = payload["records"] + list(payload["fits"].values())
+        return [{key: math.nan if value is None else value for key, value in row.items()} for row in rows]
+    with path.open(newline="") as fh:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("command, edge", [(command, edge) for command, flags in _ACCEPTED.items()
+                                           for edge in (None, *flags)])
+@settings(max_examples=15, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), suffix=st.sampled_from([".csv", ".json"]))
+def test_every_number_flag_exits_0_with_finite_records_or_2_with_no_file(monkeypatch, command, edge, data, suffix):
+    # every flag at an accepted value but the one named edge, at an edge value.  A non-finite number that argparse let
+    # through would reach numpy, whose RuntimeWarning is an error under the suite's filterwarnings (exit 1), and a
+    # --tau-steps past the cap would reach np.linspace (MemoryError, exit 1)
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", 32 * 2**20)  # refuses 1e30 and 1e300 inputs at once
+    flags = data.draw(st.fixed_dictionaries(_ACCEPTED[command]))
+    if edge is not None:
+        flags[edge] = data.draw(_EDGES.get(edge, _EDGE))
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / f"run{suffix}"
+        code = run([command, *(f"{flag}={value}" for flag, value in flags.items()), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        for row in _written_values(out):
+            assert all(math.isfinite(value) for column, value in row.items() if column not in _NAN_COLUMNS[command])
