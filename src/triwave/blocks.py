@@ -112,7 +112,8 @@ class BlockHamiltonian:
         of the experiments puts in each block (the pump at j = k, the twin
         beam and the unit pairs at j = 0), needs no projection: with u row j
         of the stored half, a or b is 2α u, so rows of j's parity p get
-        2α V_p (c ∘ u) and the others -2iα V_q (s ∘ u), one real column per time.
+        2α V_p (c ∘ u) and the others -2iα V_q (s ∘ u), one real column per time, written
+        once times its factor: x (a + ib) is exactly x a + i x b, so a real α leaves one part 0.
         """
         tau = np.asarray(tau, dtype=float)
         phase = self.eigenvalues[:, None] * tau  # (m, T), or (m, 1) for one time
@@ -125,14 +126,8 @@ class BlockHamiltonian:
         if len(nonzero) == 1:
             j = nonzero[0]
             alpha, p, u = 2.0 * complex(vec[j]), j % 2, self.eigenvectors[j]
-            # the real and imaginary parts are written apart: a complex factor would be cast
-            # through a scratch buffer on every block, which raised stage-1 peak RSS by 2%
-            same = self.eigenvectors[p::2] @ (c * u[:, None])
-            np.multiply(same, alpha.real, out=out.real[p::2])
-            np.multiply(same, alpha.imag, out=out.imag[p::2])
-            cross = self.eigenvectors[1 - p :: 2] @ (s * u[:, None])  # times -i alpha = alpha.imag - i alpha.real
-            np.multiply(cross, alpha.imag, out=out.real[1 - p :: 2])
-            np.multiply(cross, -alpha.real, out=out.imag[1 - p :: 2])
+            np.multiply(self.eigenvectors[p::2] @ (c * u[:, None]), alpha, out=out[p::2])
+            np.multiply(self.eigenvectors[1 - p :: 2] @ (s * u[:, None]), -1j * alpha, out=out[1 - p :: 2])
             return out.reshape((d,) + tau.shape)
         v_e, v_o = self.eigenvectors[0::2], self.eigenvectors[1::2]
         x = np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2)
@@ -228,42 +223,31 @@ def _workers(missing: int) -> int:
 def _solve_missing(couplings, indices) -> None:
     """Solve and cache the blocks of indices not cached yet, under _cache_lock, every w-th on one of w pool threads.
 
-    The kept halves and each stripe's LAPACK arrays are allocated here, the halves in block order, so a worker
-    allocates next to nothing; the blocks are cached once every stripe has returned, so a failed solve caches none.
-    A second caller waits for the batch and then finds its blocks cached, so each block is solved once."""
+    Each stripe allocates one LAPACK scratch for its largest block and reuses it for the rest; _assemble allocates each
+    kept half.  The blocks are cached once every stripe has returned, so a failed solve caches none.  A second caller
+    waits for the batch and then finds its blocks cached, so each block is solved once."""
     with _cache_lock:
         todo = [index for index in indices if (couplings, index) not in _cache]
         if not todo:
             return
-        hams = [_empty_half(block_dimension(*index)) for index in todo]
         w = _workers(len(todo))
-        scratches = [np.empty(_scratch_size(max(len(ham.eigenvalues) for ham in hams[i::w]))) for i in range(w)]
 
-        def stripe(i: int) -> None:
-            for index, ham in zip(todo[i::w], hams[i::w]):
-                _assemble(couplings(index), ham, scratches[i])
+        def stripe(i: int) -> dict:
+            m = (max(block_dimension(*index) for index in todo[i::w]) + 1) // 2
+            scratch = np.empty(5 * m * m + 12 * m)  # as _assemble sizes it, for the stripe's largest block
+            return {(couplings, index): _assemble(couplings(index), scratch) for index in todo[i::w]}
 
         with ThreadPoolExecutor(w) as pool:
-            list(pool.map(stripe, range(w)))  # raises the first failed stripe's error once every stripe has returned
-        _cache.update({(couplings, index): ham for index, ham in zip(todo, hams)})
+            solved = list(pool.map(stripe, range(w)))  # raises the first failed stripe's error once all have returned
+        _cache.update(item for part in solved for item in part.items())
 
 
-def _scratch_size(m: int) -> int:
-    return 5 * m * m + 12 * m  # Uᵀ, V, dbdsdc's work of 3 m² + 4 m numbers and its 8 m integers, for B m × m
-
-
-def _empty_half(d: int) -> BlockHamiltonian:
-    # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
-    return BlockHamiltonian(eigenvalues=np.zeros(d - d // 2), eigenvectors=np.empty((d, d - d // 2)))
-
-
-def _assemble(offdiag: np.ndarray, ham: BlockHamiltonian | None = None, scratch: np.ndarray | None = None):
-    """The stored half of offdiag's block, into ham if given as _empty_half gives it, through scratch if given."""
+def _assemble(offdiag: np.ndarray, scratch: np.ndarray | None = None) -> BlockHamiltonian:
+    """The stored half of offdiag's block, allocated here, solved through scratch if given."""
     d = len(offdiag) + 1
     half, odd = d // 2, d % 2
     m = d - half
-    ham = _empty_half(d) if ham is None else ham  # allocated before the solve, so no freed scratch lies beneath it
-    vals, vecs = ham.eigenvalues, ham.eigenvectors
+    vals, vecs = np.zeros(m), np.empty((d, m))  # the zero mode is exact, so propagate finds cos = 1 and sin = 0 there
     # B = H[0::2, 1::2], and B v = σ u, Bᵀ u = σ v make (u, ±v)/√2 the eigenvectors of ±σ.  B is lower bidiagonal,
     # m × half; for odd d a zero column makes it square, and its zero singular value's u is the zero mode
     sigma = np.append(offdiag[0::2], np.zeros(odd))  # B[i, i], overwritten by σ, descending
@@ -271,9 +255,9 @@ def _assemble(offdiag: np.ndarray, ham: BlockHamiltonian | None = None, scratch:
     if _dbdsdc is None:
         u, sigma, vt = np.linalg.svd(np.diag(sigma) + np.diag(sub, -1))
     else:
-        # column-major, so LAPACKE hands scratch to Fortran with no copy or allocation: ut and v hold Uᵀ and V.  The
-        # _work variant skips LAPACKE_dbdsdc's check for a NaN in d or e, so it is made here
-        scratch = np.empty(_scratch_size(m)) if scratch is None else scratch
+        # column-major, so LAPACKE hands scratch, Uᵀ, V, then dbdsdc's work of 3 m² + 4 m numbers and 8 m integers, to
+        # Fortran with no copy or allocation.  The _work variant skips LAPACKE_dbdsdc's NaN check, so it is made here
+        scratch = np.empty(5 * m * m + 12 * m) if scratch is None else scratch
         ut, v = scratch[: m * m].reshape(m, m), scratch[m * m : 2 * m * m].reshape(m, m)
         work, iwork = scratch[2 * m * m : 5 * m * m + 4 * m], scratch[5 * m * m + 4 * m :][: 8 * m].view(np.int64)
         nan = np.isnan(offdiag).any()
@@ -285,4 +269,4 @@ def _assemble(offdiag: np.ndarray, ham: BlockHamiltonian | None = None, scratch:
     np.divide(u[:, :half][:, ::-1], np.sqrt(2.0), out=vecs[0::2, odd:])  # σ descending, λ ascending
     np.divide(vt[:half, :half][::-1].T, np.sqrt(2.0), out=vecs[1::2, odd:])  # the zero column's row of V dropped
     vals[odd:] = sigma[:half][::-1]
-    return ham
+    return BlockHamiltonian(vals, vecs)

@@ -1,7 +1,7 @@
 """Command-line front end for the two-stage conversion experiments.
 
 argparse is the only model of the command line: it checks each flag
-alone, by its `type=` converter or, for the --out directory, after
+alone, by its `type=` converter or, for the --out path, after
 parsing, and each subcommand binds its runner with `set_defaults(run=...)`.
 Every other rule on the inputs, across flags included, is the library's,
 which refuses an input with ValueError.  argparse's rejections and a
@@ -141,13 +141,12 @@ def _add_common_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv and check the one thing the library cannot: that the --out directory exists."""
+    """Parse argv and check the one thing the library cannot: that --out names a file in an existing directory."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if "out" in args:
-        out_dir = os.path.dirname(args.out) or "."
-        if not os.path.isdir(out_dir):
-            parser.error(f"--out directory does not exist: {out_dir}")
+        if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+            parser.error(f"--out must name a file in an existing directory, got {args.out}")
         args.fmt = args.fmt or ("json" if args.out.lower().endswith(".json") else "csv")
     return args
 

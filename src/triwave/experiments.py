@@ -301,10 +301,8 @@ def _input_energy(amps: np.ndarray) -> float:
 
 
 def _moments(amps: np.ndarray) -> tuple[float, float]:
-    """(n_c, n_a = n_b) of a pair matrix: sum |A[n, r]|^2 times n, and times r."""
-    weights = np.abs(amps)
-    weights *= weights  # squared in place: one temporary the size of A, not two
-    occ = np.arange(len(amps))
+    """(n_c, n_a = n_b) of a pair matrix from its real A_r: sum A_r[n, r]^2 times n, and times r."""
+    weights, occ = amps * amps, np.arange(len(amps))
     return float(occ @ weights.sum(axis=1)), float(weights.sum(axis=0) @ occ)
 
 

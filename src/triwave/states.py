@@ -53,9 +53,9 @@ def make_twin_beam(chi: complex, eps: float = 1e-10):
     """
     _check_eps(eps)
     _check_finite("chi", chi)
-    q = abs(chi) ** 2
+    q = abs(chi) ** 2 if max(abs(chi.real), abs(chi.imag)) < 1.0 else math.inf  # abs(chi) ** 2 overflows past 1e154
     if q >= 1.0:
-        raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got |chi|={abs(chi)}")
+        raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got |chi|={math.hypot(chi.real, chi.imag)}")
     if q == 0.0:
         return pair_state(np.ones((1, 1)))
     # tail after keeping n = 0..N is q^(N+1)
@@ -77,8 +77,8 @@ def predicted_twin_beam_param(alpha: complex, tau: float) -> complex:
 def twin_beam_amplitudes(chi: complex, cutoff: int) -> np.ndarray:
     """Pair amplitudes sqrt(1-|chi|^2) chi^n, n = 0..cutoff, of the ideal twin beam, not renormalized."""
     _check_finite("chi", chi)
-    if abs(chi) >= 1.0:
-        raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got {abs(chi)}")
+    if (modulus := math.hypot(chi.real, chi.imag)) >= 1.0:  # abs(chi) overflows past the float range
+        raise ValueError(f"twin-beam parameter must satisfy |chi| < 1, got {modulus}")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     return np.sqrt(1.0 - abs(chi) ** 2) * np.asarray(chi, dtype=complex) ** np.arange(cutoff + 1)

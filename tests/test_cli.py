@@ -333,10 +333,16 @@ def test_inputs_over_the_eigensystem_budget_exit_2_before_any_state(tmp_path, mo
     assert not out.exists()
 
 
-def test_runtime_failure_exits_1(tmp_path, capsys):
-    # --out names a directory: the run computes, then cannot open its output
-    assert run(["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--out", str(tmp_path)]) == 1
-    assert "error:" in capsys.readouterr().err
+def test_runtime_failure_exits_1(tmp_path, monkeypatch, capsys):
+    # a failure that is not a refused input: the library raises something other than ValueError
+    def fail(*args, **kwargs):
+        raise RuntimeError("the runner failed")
+
+    monkeypatch.setattr(triwave.cli, "stage2_sweep", fail)
+    out = tmp_path / "x.csv"
+    assert run(["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--out", str(out)]) == 1
+    assert "error: the runner failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [["--help"], ["stage1", "--help"]])
@@ -374,6 +380,31 @@ def test_missing_out_directory_exit_2(tmp_path, capsys):
     code = run(["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3", "--out", str(out)])
     assert code == 2
     assert "directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stage1", "--pump-energy", "4", "--tau-max", "1", "--tau-steps", "3"],
+        ["stage2", "--n-in", "2", "--tau-max", "1", "--tau-steps", "3"],
+        ["pipeline", "--pump-energy", "4", "--tau1", "0.3", "--tau2", "0.7"],
+        ["scaling", "--n-in-list", "1,2,3"],
+    ],
+    ids=["stage1", "stage2", "pipeline", "scaling"],
+)
+def test_out_naming_a_directory_exits_2_before_any_run(tmp_path, monkeypatch, capsys, args):
+    # the run computed every record and then exited 1 with IsADirectoryError when it opened the output
+    calls = []
+
+    def runner(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran")
+
+    for name in ("stage1_sweep", "stage2_sweep", "pipeline_record", "scaling_study"):
+        monkeypatch.setattr(triwave.cli, name, runner)
+    assert run(args + ["--out", str(tmp_path)]) == 2
+    assert f"error: --out must name a file in an existing directory, got {tmp_path}" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []
 
 
 def test_csv_floats_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Sweep drivers, optimizers, power-law fits, and the chained pipeline."""
 import ast
 import cmath
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import triwave.blocks
 import triwave.experiments
 from conftest import check_density_matrix, is_complex_matrix
 from triwave import (
@@ -541,7 +543,7 @@ def test_stage2_sweep_equals_the_direct_beam_evolve(n_in, chi_phase, eps):
     chi = math.sqrt(n_in / (n_in + 2.0)) * complex(np.exp(1j * chi_phase))
     taus = np.linspace(0.0, 2.5, 11)
     beam = make_twin_beam(abs(chi), eps)
-    energy_in = _input_energy(pair_matrix(beam))
+    energy_in = _input_energy(pair_matrix(beam).real)  # the real pair matrix at |chi|, as stage2_sweep reads it
     direct = [_stage2_record(tau, amps, energy_in, cmath.phase(chi)) for tau, amps in _pair_outputs(beam, taus, 0)]
     assert [repr(r) for r in stage2_sweep(chi, taus, eps)] == [repr(r) for r in direct]
 
@@ -941,6 +943,7 @@ def test_pipeline_working_set_stays_within_two_and_three_quarters_density_matric
     alpha = math.sqrt(energy)
     tau1 = math.atanh(math.sqrt(2.0 / 3.0)) / alpha  # criterion 8's stage 1: N_in = 4
     dim = len(full_pipeline(alpha, tau1, 0.71))  # builds every eigensystem the call below reads
+    pipeline_record(alpha, tau1, 0.71)  # imports numpy.fft untraced: the peak is the same whether or not a test did
     tracemalloc.start()
     try:
         pipeline_record(alpha, tau1, 0.71)
@@ -1093,3 +1096,76 @@ def test_pipeline_record_scores_full_pipeline():
     # eta is over the twin-beam energy of the stage-1 output at tau1
     (mid,) = stage1_sweep(alpha, [0.2])
     assert rec.eta == 2.0 * rec.n_c / (mid.n_a + mid.n_b)
+
+
+# a number argument's edge values: signed zeros, subnormals, 1e-300 .. 1e300, the edges of |chi| < 1 and eps <= 1e-4,
+# nan and the infinities
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e-30, 1e-4, 1.0001e-4, 0.5, 1.0 - 2.0**-53,
+                         1.0, 1e30, 1e300, -1e300, math.nan, math.inf, -math.inf])
+_PHASE = st.floats(-4.0, 4.0)
+
+
+def _amplitudes(moduli):
+    return st.builds(cmath.rect, moduli, _PHASE)
+
+
+def _times(times):
+    return st.lists(times, min_size=1, max_size=3, unique=True).map(sorted)
+
+
+# each argument's small accepted values, which keep a call to milliseconds, and its edge values; |alpha|^2 is a pump
+# energy of 0.5 .. 4 and |chi| a twin beam of N_in 0.67 .. 3.6
+_ALPHA = (_amplitudes(st.floats(0.7, 2.0)),
+          st.one_of(_EDGE, _amplitudes(_EDGE), st.builds(complex, st.floats(0.7, 2.0), _EDGE)))
+_CHI = (_amplitudes(st.floats(0.5, 0.8)),
+        st.one_of(_EDGE, _amplitudes(_EDGE), st.builds(complex, st.floats(0.5, 0.8), _EDGE)))
+_EPS = (st.floats(1e-10, 1e-4), _EDGE)
+_TAU = (st.floats(0.0, 1.0), _EDGE)
+_TAUS = (_times(st.floats(0.0, 1.0)), st.builds(list.__add__, _times(st.floats(0.0, 1.0)), _EDGE.map(lambda x: [x])))
+_N_IN = (st.tuples(st.floats(0.5, 1.0), st.floats(1.5, 2.5), st.floats(3.0, 4.0)),
+         st.tuples(st.floats(0.5, 1.0), st.floats(1.5, 2.5), _EDGE))
+_STATE = (st.one_of(_ALPHA[0].map(make_coherent_pump), _CHI[0].map(make_twin_beam)), None)  # no edge
+_PUBLIC = {
+    make_coherent_pump: {"alpha": _ALPHA, "eps": _EPS},
+    make_twin_beam: {"chi": _CHI, "eps": _EPS},
+    evolve: {"state": _STATE, "tau": _TAU},
+    stage1_sweep: {"pump_alpha": _ALPHA, "tau_grid": _TAUS, "eps": _EPS},
+    stage2_sweep: {"chi": _CHI, "tau_grid": _TAUS, "eps": _EPS},
+    find_optimal_tau: {"chi": _CHI, "eps": _EPS},
+    find_peak_conversion_tau: {"pump_alpha": _ALPHA, "eps": _EPS},
+    scaling_study: {"n_in_values": _N_IN, "eps": _EPS},
+    full_pipeline: {"pump_alpha": _ALPHA, "tau1": _TAU, "tau2": _TAU, "eps": _EPS},
+    pipeline_record: {"pump_alpha": _ALPHA, "tau1": _TAU, "tau2": _TAU, "eps": _EPS},
+}
+# the fields NaN by design: no single-mode phase of the stage-1 pair marginal, no signal or idler after the pipeline
+_NAN_FIELDS = {stage1_sweep: {"delta_phi"}, pipeline_record: {"n_a", "n_b"}}
+
+
+def _numbers(value, skip):
+    """Every number of a public call's output, flat, leaving out the dataclass fields named in skip."""
+    if isinstance(value, ThreeModeState):
+        return [value.trunc_error, *value.coefficients()]
+    if dataclasses.is_dataclass(value):
+        return _numbers([getattr(value, f.name) for f in dataclasses.fields(value) if f.name not in skip], skip)
+    if isinstance(value, (list, tuple, dict)):
+        return [x for item in (value.values() if isinstance(value, dict) else value) for x in _numbers(item, skip)]
+    return np.ravel(value).tolist()
+
+
+@pytest.mark.parametrize("call, edge", [(call, edge) for call, args in _PUBLIC.items() for edge in
+                                        (None, *(name for name, (_, edges) in args.items() if edges is not None))],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+@settings(max_examples=15, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_public_call_returns_finite_outputs_or_raises_value_error(monkeypatch, call, edge, data):
+    # every argument at an accepted value but the one named edge, at an edge value.  A non-finite number let through
+    # reaches numpy, whose RuntimeWarning is an error under the suite's filterwarnings, and any exception but
+    # ValueError fails the test as it is raised
+    monkeypatch.setattr(triwave.blocks, "_EIG_BUDGET_BYTES", 32 * 2**20)  # refuses 1e30 and 1e300 inputs at once
+    args = data.draw(st.fixed_dictionaries({name: edges if name == edge else accepted
+                                            for name, (accepted, edges) in _PUBLIC[call].items()}))
+    try:
+        out = call(**args)
+    except ValueError:
+        return
+    assert all(cmath.isfinite(x) for x in _numbers(out, _NAN_FIELDS.get(call, set())))

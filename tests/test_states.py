@@ -162,6 +162,12 @@ def test_twin_beam_rejects_unphysical_param():
         make_twin_beam(1.0)
     with pytest.raises(ValueError):
         make_twin_beam(1.2j)
+    # past 1e154, abs(chi) ** 2 raised OverflowError, and so did abs of a complex chi past the float range
+    for chi in (1e300, complex(1e308, 1e308)):
+        with pytest.raises(ValueError, match="must satisfy"):
+            make_twin_beam(chi)
+        with pytest.raises(ValueError, match="must satisfy"):
+            twin_beam_amplitudes(chi, 4)
 
 
 @pytest.mark.parametrize(
